@@ -2,24 +2,20 @@
 
 Sets live in R^d.  Three kinds carry closed-form projections (halfspace,
 ball, box); sublevel sets of convex functions are handled through the
-certified oracles in :mod:`catchup.oracles`.  Every set can be tagged with a
-regularity class; convex sets qualify as prox-regular for any radius.
+certified oracles in :mod:`catchup.oracles`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 Array = np.ndarray
 
-CONVEX = "convex"
-PROX_REGULAR = "prox_regular"
-SUBSMOOTH = "subsmooth"
-CLOSED = "closed"
+# certificate of the cutting-plane distance to a sublevel set
+DISTANCE_EPS = 1e-10
 
 
 class UnsupportedKind(Exception):
@@ -55,8 +51,6 @@ class Halfspace:
 
     normal: Array
     offset: float
-    regularity: str = CONVEX
-    rho: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_vec(self.normal))
@@ -68,8 +62,6 @@ class Halfspace:
 class Ball:
     center: Array
     radius: float
-    regularity: str = CONVEX
-    rho: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec(self.center))
@@ -81,8 +73,6 @@ class Ball:
 class Box:
     lo: Array
     hi: Array
-    regularity: str = CONVEX
-    rho: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "lo", as_vec(self.lo))
@@ -102,8 +92,6 @@ class Sublevel:
     fn: ConvexFnOracle
     level: float
     slater: Array
-    regularity: str = CONVEX
-    rho: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "slater", as_vec(self.slater))
@@ -212,12 +200,13 @@ def residual(s: SetDescription, x) -> float:
     raise UnsupportedKind(type(s).__name__)
 
 
-def distance(s: SetDescription, x, eps: float = 1e-10) -> float:
+def distance(s: SetDescription, x, eps: float = DISTANCE_EPS) -> float:
     """d_s(x), exact for closed-form kinds.
 
     For sublevel sets the value is a certified *upper bound*: the norm gap
     to a feasible point produced by the cutting-plane oracle at certificate
-    eps.  It tightens to the true distance as eps -> 0.
+    eps.  It tightens to the true distance as eps -> 0.  Raises
+    ProjectionFailed when the oracle cannot reach eps.
     """
     x = as_vec(x)
     if isinstance(s, CLOSED_FORM_KINDS):
@@ -225,9 +214,13 @@ def distance(s: SetDescription, x, eps: float = 1e-10) -> float:
     if isinstance(s, Sublevel):
         if residual(s, x) <= 0.0:
             return 0.0
-        from .oracles import ProjectorConfig, cutting_plane_project
+        from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
 
         res = cutting_plane_project(s, x, ProjectorConfig(eps=eps))
+        if not res.converged:
+            raise ProjectionFailed(
+                f"distance: certificate {res.certified_eps:.3e} exceeds eps {eps:.3e}"
+            )
         return float(np.linalg.norm(x - res.point))
     raise UnsupportedKind(type(s).__name__)
 
@@ -246,7 +239,16 @@ def centroid(s: SetDescription) -> Array:
 
 
 def dimension(s: SetDescription) -> int:
-    return centroid(s).shape[0]
+    """Ambient dimension, read off the vector the set stores."""
+    if isinstance(s, Halfspace):
+        return s.normal.shape[0]
+    if isinstance(s, Ball):
+        return s.center.shape[0]
+    if isinstance(s, Box):
+        return s.lo.shape[0]
+    if isinstance(s, Sublevel):
+        return s.slater.shape[0]
+    raise UnsupportedKind(type(s).__name__)
 
 
 # ---------------------------------------------------------------------------

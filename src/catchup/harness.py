@@ -18,8 +18,6 @@ from .geometry import Ball, Box, Halfspace, MovingSet, exact_project
 from .oracles import ProjectorConfig, ProjectionResult, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
-    FIXED_SET,
-    PROX_REGULAR,
     EpsSchedule,
     SweepingProblem,
     Trajectory,
@@ -40,7 +38,6 @@ def _dragging_interval() -> SweepingProblem:
         perturbation=zero_perturbation(),
         x0=[0.0],
         horizon=1.0,
-        mode=PROX_REGULAR,
     )
 
 
@@ -50,7 +47,6 @@ def _translating_halfspace() -> SweepingProblem:
         perturbation=zero_perturbation(),
         x0=[0.0, 0.0],
         horizon=1.0,
-        mode=PROX_REGULAR,
     )
 
 
@@ -60,7 +56,6 @@ def _interior_ode() -> SweepingProblem:
         perturbation=linear_decay_perturbation(),
         x0=[1.0, 0.0],
         horizon=1.0,
-        mode=FIXED_SET,
     )
 
 
@@ -70,7 +65,6 @@ def _translating_disk() -> SweepingProblem:
         perturbation=zero_perturbation(),
         x0=[-1.0, 0.0],
         horizon=1.0,
-        mode=PROX_REGULAR,
     )
 
 
@@ -214,7 +208,6 @@ def rate_study(
 @dataclass
 class StabilityStudy:
     set_kind: str
-    indices: list[int]
     eps_seq: list[float]
     gaps: list[float]  # ||z_n - proj(x)||
 
@@ -251,7 +244,6 @@ def stability_study(
         gaps.append(float(np.linalg.norm(res.point - target)))
     return StabilityStudy(
         set_kind=type(s).__name__,
-        indices=list(range(1, len(gaps) + 1)),
         eps_seq=list(eps_seq),
         gaps=gaps,
     )

@@ -24,6 +24,7 @@ from .geometry import (
     Sublevel,
     UnsupportedKind,
     as_vec,
+    dimension,
     exact_project,
     residual,
 )
@@ -36,11 +37,22 @@ class ZeroSubgradient(Exception):
     """subgrad(x) = 0 while the point is infeasible: invalid convex oracle."""
 
 
+class ProjectionFailed(RuntimeError):
+    """A projection could not reach its certificate within budget.
+
+    When the stepper raises it, partial holds the trajectory up to the
+    failed step.
+    """
+
+    def __init__(self, message: str, partial=None):
+        super().__init__(message)
+        self.partial = partial
+
+
 @dataclass(frozen=True)
 class ProjectorConfig:
     eps: float = 1e-8
     max_iter: int = 10_000
-    feas_tol: float = FEAS_TOL_SUBLEVEL
     method: str = "auto"  # auto | exact | fw | cutting
 
     def __post_init__(self):
@@ -275,11 +287,14 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     Members short-circuit to themselves.  Otherwise dispatch follows
     cfg.method: "auto" prefers the closed form, falls back to cutting planes
     for sublevel sets; "fw" forces Frank-Wolfe on LMO-capable sets; "exact"
-    demands a closed form.
+    demands a closed form.  A point whose dimension differs from the set's
+    raises ValueError.
     """
     if cfg is None:
         cfg = ProjectorConfig()
     x = as_vec(x)
+    if x.shape[0] != dimension(s):
+        raise ValueError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 

@@ -8,12 +8,12 @@ fixed gamma, together with per-cell time integrals of that selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .geometry import Array, Box, SetDescription, as_vec
-from .oracles import ProjectorConfig, approx_project
+from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 
 DEFAULT_GAMMA = 1e-8
 DEFAULT_QUAD_NODES = 4
@@ -24,40 +24,43 @@ class Perturbation:
     """F(t, x) as closed convex values plus its growth data.
 
     h bounds the distance from the origin to F(t, x); L_h is its Lipschitz
-    constant.  k, when present, is the monotonicity modulus
-    <y - y', x - x'> <= k(t) ||x - x'||^2 over selections.  Upper
-    semicontinuity of F(t, .) is a contract on the supplied map, not a
-    runtime check.
+    constant.  Upper semicontinuity of F(t, .) is a contract on the supplied
+    map, not a runtime check.
     """
 
     values: Callable[[float, Array], SetDescription]
     h: Callable[[Array], float]
     lipschitz_h: float
-    k: Optional[Callable[[float], float]] = None
     time_independent: bool = False
 
 
 @dataclass(frozen=True)
 class Selection:
     f: Callable[[float, Array], Array]
-    gamma: float
     time_independent: bool = False
 
 
 def min_norm_selection(p: Perturbation, t: float, x, gamma: float = DEFAULT_GAMMA) -> Array:
-    """A feasible element of F(t, x) with squared norm within gamma of minimal."""
+    """A feasible element of F(t, x) with squared norm within gamma of minimal.
+
+    Raises ProjectionFailed when the projection of the origin onto F(t, x)
+    cannot reach the gamma certificate.
+    """
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
     x = as_vec(x)
     d = x.shape[0]
     res = approx_project(p.values(t, x), np.zeros(d), ProjectorConfig(eps=gamma))
+    if not res.converged:
+        raise ProjectionFailed(
+            f"selection at t={t}: certificate {res.certified_eps:.3e} exceeds gamma {gamma:.3e}"
+        )
     return res.point
 
 
 def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
     return Selection(
         f=lambda t, x: min_norm_selection(p, t, x, gamma),
-        gamma=gamma,
         time_independent=p.time_independent,
     )
 
@@ -95,8 +98,7 @@ def zero_perturbation() -> Perturbation:
         z = np.zeros_like(as_vec(x))
         return Box(z, z)
 
-    return Perturbation(values=values, h=lambda x: 0.0, lipschitz_h=0.0,
-                        k=lambda t: 0.0, time_independent=True)
+    return Perturbation(values=values, h=lambda x: 0.0, lipschitz_h=0.0, time_independent=True)
 
 
 def linear_decay_perturbation() -> Perturbation:
@@ -110,7 +112,6 @@ def linear_decay_perturbation() -> Perturbation:
         values=values,
         h=lambda x: float(np.linalg.norm(x)),
         lipschitz_h=1.0,
-        k=lambda t: 0.0,  # <(-x) - (-x'), x - x'> = -||x - x'||^2 <= 0
         time_independent=True,
     )
 
@@ -121,6 +122,5 @@ def constant_set_perturbation(s: SetDescription, h_bound: float) -> Perturbation
         values=lambda t, x: s,
         h=lambda x: h_bound,
         lipschitz_h=0.0,
-        k=lambda t: 0.0,
         time_independent=True,
     )

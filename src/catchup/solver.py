@@ -16,14 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    DISTANCE_EPS,
     Array,
     CLOSED_FORM_KINDS,
     MovingSet,
     as_vec,
+    dimension,
     distance,
     residual,
 )
-from .oracles import ProjectorConfig, approx_project, feasibility_tolerance
+from .oracles import ProjectionFailed, ProjectorConfig, approx_project, feasibility_tolerance
 from .perturbation import (
     DEFAULT_GAMMA,
     Perturbation,
@@ -32,23 +34,11 @@ from .perturbation import (
     make_selection,
 )
 
-PROX_REGULAR = "prox_regular"
-SUBSMOOTH = "subsmooth"
-FIXED_SET = "fixed_set"
-
 _NODE_SNAP = 1e-9
 
 
 class OutOfRange(ValueError):
     """Time outside [0, T] (or sitting on a node where a side is required)."""
-
-
-class ProjectionFailed(RuntimeError):
-    """A step could not reach its eps_n certificate within budget."""
-
-    def __init__(self, message: str, partial: "Trajectory | None" = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -80,9 +70,6 @@ class Grid:
         if r - k > 1.0 - _NODE_SNAP:
             k += 1
         return min(k, self.n - 1)
-
-    def delta(self, t: float) -> float:
-        return self.node(self.cell_index(t))
 
     def theta(self, t: float) -> float:
         return self.node(self.cell_index(t) + 1)
@@ -119,16 +106,13 @@ class SweepingProblem:
     perturbation: Perturbation
     x0: Array
     horizon: float
-    mode: str = PROX_REGULAR
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
         self.x0 = as_vec(self.x0)
-        if self.mode not in (PROX_REGULAR, SUBSMOOTH, FIXED_SET):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == FIXED_SET and self.moving_set.lipschitz != 0.0:
-            raise ValueError("fixed-set mode requires a zero Hausdorff Lipschitz constant")
         c0 = self.moving_set.at(0.0)
+        if self.x0.shape[0] != dimension(c0):
+            raise ValueError(f"x0 has dimension {self.x0.shape[0]}, C(0) has {dimension(c0)}")
         if residual(c0, self.x0) > feasibility_tolerance(c0):
             raise ValueError("x0 must belong to C(0)")
 
@@ -153,7 +137,6 @@ class Trajectory:
     selection: Selection
     schedule: EpsSchedule
     eps_n: float
-    quad_nodes: int
     complete: bool = True
 
     @property
@@ -166,14 +149,15 @@ def step(
     grid: Grid,
     k: int,
     x_k: Array,
-    eps_n: float,
     selection: Selection,
     projector: ProjectorConfig,
-    quad_nodes: int,
 ) -> tuple[Array, StepDiagnostics, Array]:
-    """One catching-up update: integrate the frozen selection, then project."""
+    """One catching-up update: integrate the frozen selection, then project.
+
+    The projector's eps is the grid's certificate budget eps_n.
+    """
     t_k, t_k1 = grid.node(k), grid.node(k + 1)
-    integral = cell_integral(selection, x_k, t_k, t_k1, q=quad_nodes)
+    integral = cell_integral(selection, x_k, t_k, t_k1)
     predictor = x_k + integral
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
@@ -185,7 +169,7 @@ def step(
         dist = float(np.linalg.norm(predictor - res.point))
         exact = False
     h_k = float(problem.perturbation.h(x_k))
-    lam = 4.0 * math.sqrt(eps_n) + (
+    lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
     diag = StepDiagnostics(
@@ -207,7 +191,6 @@ def solve(
     method: str = "auto",
     max_iter: int = 10_000,
     permissive: bool = False,
-    quad_nodes: int = 4,
 ) -> Trajectory:
     """Run the full node recursion on a uniform n-cell grid.
 
@@ -226,32 +209,24 @@ def solve(
     integrals = np.zeros((n, d))
     nodes[0] = problem.x0
     diags: list[StepDiagnostics] = []
+    projector = ProjectorConfig(eps=eps_n, max_iter=max_iter, method=method)
 
     for k in range(n):
-        target = problem.moving_set.at(grid.node(k + 1))
-        projector = ProjectorConfig(
-            eps=eps_n,
-            max_iter=max_iter,
-            feas_tol=feasibility_tolerance(target),
-            method=method,
-        )
-        x_next, diag, integral = step(
-            problem, grid, k, nodes[k], eps_n, selection, projector, quad_nodes
-        )
+        x_next, diag, integral = step(problem, grid, k, nodes[k], selection, projector)
         nodes[k + 1] = x_next
         integrals[k] = integral
         diags.append(diag)
         if not diag.converged and not permissive:
             partial = Trajectory(
                 grid, nodes[: k + 2], integrals[: k + 1], diags, selection,
-                schedule, eps_n, quad_nodes, complete=False,
+                schedule, eps_n, complete=False,
             )
             raise ProjectionFailed(
                 f"step {k}: certificate {diag.certified_eps:.3e} exceeds eps_n {eps_n:.3e}",
                 partial=partial,
             )
 
-    return Trajectory(grid, nodes, integrals, diags, selection, schedule, eps_n, quad_nodes)
+    return Trajectory(grid, nodes, integrals, diags, selection, schedule, eps_n)
 
 
 def interpolate(traj: Trajectory, t: float) -> Array:
@@ -274,7 +249,7 @@ def interpolate(traj: Trajectory, t: float) -> Array:
     t_k = grid.node(k)
     x_k = traj.nodes[k]
     move = traj.nodes[k + 1] - x_k - traj.integrals[k]
-    partial = cell_integral(traj.selection, x_k, t_k, min(t, grid.node(k + 1)), q=traj.quad_nodes)
+    partial = cell_integral(traj.selection, x_k, t_k, min(t, grid.node(k + 1)))
     return x_k + ((t - t_k) / grid.mu) * move + partial
 
 
@@ -315,6 +290,7 @@ def velocity(traj: Trajectory, t: float, side: Optional[str] = None) -> Array:
 # audit of the discrete a-priori bounds
 
 _AUDIT_SLACK = 1e-12
+AUDIT_TIME_SAMPLES = 256
 
 
 def audit_constants(problem: SweepingProblem, schedule: EpsSchedule) -> dict:
@@ -340,7 +316,7 @@ def audit_constants(problem: SweepingProblem, schedule: EpsSchedule) -> dict:
     }
 
 
-def theorem1_audit(traj: Trajectory, problem: SweepingProblem, time_samples: int = 256) -> dict:
+def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     """Check every recorded quantity of a run against its proved bound.
 
     Report-only: returns per-bound pass/fail with the worst margin and the
@@ -384,7 +360,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem, time_samples: int
     record("a_ii_node_drift", float(drift.max()), const["K1"],
            [int(i) for i in np.where(drift > const["K1"] + _AUDIT_SLACK)[0]])
 
-    ts = np.linspace(0.0, grid.horizon, time_samples)
+    ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
     interp = np.array([interpolate(traj, float(t)) for t in ts])
 
     # (a)(iii): uniform norm bound of the interpolant
@@ -412,7 +388,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem, time_samples: int
     for t, xt in zip(ts, interp):
         target = problem.moving_set.at(grid.theta(t) if t < grid.horizon else grid.horizon)
         dist = distance(target, xt)
-        slack = 0.0 if isinstance(target, CLOSED_FORM_KINDS) else 1e-5
+        slack = 0.0 if isinstance(target, CLOSED_FORM_KINDS) else math.sqrt(DISTANCE_EPS)
         worst_b = max(worst_b, dist - slack)
     record("b_set_distance", worst_b, const["K5"] * mu + lc * mu + 2.0 * sq_eps)
 

@@ -21,6 +21,7 @@ from catchup.geometry import (
     prox_eps0,
     residual,
 )
+from catchup.oracles import ProjectionFailed, ProjectionResult
 
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
 RIGHT_HALF = Halfspace([1.0, 0.0], 0.0)  # x1 >= 0
@@ -100,6 +101,14 @@ class TestDistanceAndResidual:
         assert loose >= 1.0 - 1e-12
         assert tight >= 1.0 - 1e-12
         assert tight == pytest.approx(1.0, abs=1e-6)
+
+    def test_sublevel_distance_raises_when_unconverged(self, monkeypatch):
+        def unconverged(s, x, cfg):
+            return ProjectionResult(np.array([0.0, 1.0]), 1.0, 7, converged=False)
+
+        monkeypatch.setattr("catchup.oracles.cutting_plane_project", unconverged)
+        with pytest.raises(ProjectionFailed):
+            distance(DISK_SUBLEVEL, [0.0, 2.0])
 
     @given(coords())
     @settings(max_examples=200, deadline=None)

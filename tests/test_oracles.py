@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catchup.geometry import Ball, Box, Sublevel, affine_fn, ball_fn, max_fn, residual
+from catchup.geometry import Ball, Box, Halfspace, Sublevel, affine_fn, ball_fn, max_fn, residual
 from catchup.oracles import (
     ProjectorConfig,
     approx_project,
@@ -160,6 +160,17 @@ class TestApproxProject:
         res = approx_project(UNIT_BALL, np.array([2.0, 0.0]), ProjectorConfig(eps=1e-8, method="fw"))
         assert res.certified_eps <= 1e-8
         assert residual(UNIT_BALL, res.point) <= feasibility_tolerance(UNIT_BALL)
+
+    @pytest.mark.parametrize("s, x", [
+        (Ball([0.0], 1.0), [2.0, 0.0]),
+        (Box([0.0], [1.0]), [2.0, 0.0]),
+        (Halfspace([1.0], 0.0), [-2.0, 0.0]),
+        (Sublevel(ball_fn([0.0], 1.0), 0.0, slater=[0.0]), [2.0, 0.0]),
+        (UNIT_BALL, [2.0]),
+    ])
+    def test_rejects_mismatched_dimension(self, s, x):
+        with pytest.raises(ValueError, match="dimension"):
+            approx_project(s, np.array(x))
 
     def test_shrinking_eps_realizes_exact_projection(self):
         # with eps_n = 4^-n and x_n = x + 4^-n u, the approximate projections

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from catchup import oracles
 from catchup.geometry import Ball, MovingSet
 from catchup.harness import make_problem, reference_solution
-from catchup.perturbation import zero_perturbation
+from catchup.perturbation import constant_set_perturbation, zero_perturbation
 from catchup.solver import (
-    FIXED_SET,
     EpsSchedule,
     Grid,
     OutOfRange,
@@ -42,10 +42,10 @@ class TestGrid:
         assert g.cell_index(t) == 2
 
     def test_delta_theta_bracket(self):
+        # the cell's left node is theta(t) - mu
         g = Grid(1.0, 8)
         for t in np.linspace(0.01, 0.99, 23):
-            assert g.delta(t) <= t <= g.theta(t) + 1e-12
-            assert g.theta(t) - g.delta(t) == pytest.approx(g.mu)
+            assert g.theta(t) - g.mu <= t <= g.theta(t) + 1e-12
 
     def test_out_of_range(self):
         g = Grid(1.0, 4)
@@ -89,10 +89,10 @@ class TestSweepingProblem:
         with pytest.raises(ValueError):
             SweepingProblem(ms, zero_perturbation(), [5.0, 0.0], 1.0)
 
-    def test_fixed_set_requires_zero_lipschitz(self):
-        ms = MovingSet(at=lambda t: Ball([0.0, 0.0], 1.0), lipschitz=1.0)
-        with pytest.raises(ValueError):
-            SweepingProblem(ms, zero_perturbation(), [0.0, 0.0], 1.0, mode=FIXED_SET)
+    def test_x0_dimension_must_match_c0(self):
+        ms = MovingSet.fixed(Ball([0.0], 1.0))
+        with pytest.raises(ValueError, match="dimension"):
+            SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0)
 
 
 class TestSolve:
@@ -119,6 +119,17 @@ class TestSolve:
         assert partial is not None
         assert not partial.complete
         assert partial.steps_taken >= 1
+
+    def test_unconverged_selection_aborts_solve(self, monkeypatch):
+        def unconverged(s, x, cfg=None):
+            return oracles.ProjectionResult(np.asarray(x, float), 1.0, 7, converged=False)
+
+        drift = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+        prob = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), drift, [0.0, 0.0], 1.0)
+        monkeypatch.setattr("catchup.perturbation.approx_project", unconverged)
+        assert ProjectionFailed is oracles.ProjectionFailed
+        with pytest.raises(ProjectionFailed, match="selection"):
+            solve(prob, 4)
 
     def test_permissive_completes_with_flagged_steps(self):
         prob = make_problem("translating_disk")
@@ -151,7 +162,7 @@ class TestInterpolant:
 
     def test_velocity_zero_when_static(self):
         ms = MovingSet(at=lambda t: Ball([0.0, 0.0], 1.0), lipschitz=0.0)
-        prob = SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0, mode=FIXED_SET)
+        prob = SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0)
         traj = solve(prob, 8)
         assert np.allclose(velocity(traj, 0.4), [0.0, 0.0])
 
