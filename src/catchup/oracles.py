@@ -5,7 +5,9 @@ certificate eps_hat such that ||x - z||^2 <= d_C(x)^2 + eps_hat.  Three
 strategies: wrapping the closed-form projection (certificate 0), Frank-Wolfe
 over a linear-minimization oracle (certificate = final duality gap), and a
 cutting-plane scheme driven by the separation oracle of a sublevel set
-(certificate = feasible value minus outer-polyhedron lower bound).
+(certificate = feasible value minus outer-polyhedron lower bound).  The outer
+projection is Lawson & Hanson's least-distance program, solved by their
+finite NNLS active-set method, so the lower bound is exact up to rounding.
 """
 
 from __future__ import annotations
@@ -175,44 +177,44 @@ def separation_oracle(s: Sublevel, x) -> Optional[Hyperplane]:
 
 
 def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> Array:
-    """Nearest point to x in the intersection of halfspaces <a_i, y> <= b_i.
+    """Nearest point to x in the intersection of halfspaces <a_i, y> <= b_i, exactly.
 
-    Hildreth dual coordinate descent followed by an exact KKT polish on the
-    detected active set.  Problems here are tiny (a handful of accumulated
-    cuts in low dimension), so plain sweeps converge quickly.
+    y = x - r[:d] / r[d] for the residual r = E u - f of the NNLS min ||E u - f||,
+    u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
+    program (1974, ch. 23).  Raises ProjectionFailed on r = 0 or an NNLS cycle.
     """
     if not cuts_a:
         return x.copy()
     a = np.array(cuts_a)
-    b = np.array(cuts_b)
-    m = a.shape[0]
-    sq = np.einsum("ij,ij->i", a, a)
-    lam = np.zeros(m)
-    y = x.copy()
-    for _ in range(500):
-        shift = 0.0
-        for i in range(m):
-            r = float(a[i] @ y - b[i])
-            delta = max(-lam[i], r / sq[i])
-            if delta != 0.0:
-                lam[i] += delta
-                y = y - delta * a[i]
-                shift = max(shift, abs(delta) * np.sqrt(sq[i]))
-        if shift <= 1e-14 * (1.0 + float(np.linalg.norm(x))):
-            break
-
-    # KKT polish: solve the equality-constrained projection on the active set
-    active = np.where((lam > 1e-12) | (a @ y - b > -1e-10))[0]
-    if active.size:
-        aj = a[active]
-        rhs = aj @ x - b[active]
-        nu, *_ = np.linalg.lstsq(aj @ aj.T, rhs, rcond=None)
-        y_pol = x - aj.T @ nu
-        primal_ok = np.all(a @ y_pol <= b + 1e-9)
-        dual_ok = np.all(nu >= -1e-9)
-        if primal_ok and dual_ok:
-            return y_pol
-    return y
+    m, d = a.shape
+    e = -np.vstack([a.T, np.array(cuts_b) - a @ x])
+    e /= np.linalg.norm(e, axis=0)  # scaling u_i leaves r unchanged
+    f = np.eye(d + 1)[d]
+    u = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    dropped = np.zeros(m, dtype=bool)  # entered, then left at once: w_t = 0 up to rounding
+    for _ in range(3 * m + 1):
+        dual = np.where(passive | dropped, -np.inf, e.T @ (f - e @ u))
+        t = int(np.argmax(dual))
+        if dual[t] <= (m + d + 1) * np.finfo(float).eps * (1.0 + u.sum()):  # dual's rounding
+            q = np.linalg.qr(e[:, passive], mode="complete")[0][:, passive.sum():]
+            if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
+                raise ProjectionFailed("cutting planes have an empty intersection")
+            return x - (q[:d] @ q[d]) / (q[d] @ q[d])
+        passive[t] = True
+        while True:  # each pass drops at least one index from passive
+            s = np.zeros(m)
+            s[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            block = passive & (s <= 0.0)
+            if not block.any():
+                break
+            ratio = u[block] / (u[block] - s[block])
+            u = u + ratio.min() * (s - u)
+            u[np.flatnonzero(block)[np.argmin(ratio)]] = 0.0
+            passive &= u > 0.0
+        dropped = (dropped | (np.arange(m) == t)) & np.array_equal(s, u)
+        u = s
+    raise ProjectionFailed(f"least-distance NNLS did not terminate on {m} cuts")
 
 
 def _restore_feasibility(s: Sublevel, w: Array) -> Array:
@@ -225,13 +227,15 @@ def _restore_feasibility(s: Sublevel, w: Array) -> Array:
         return w
     lo, hi = 0.0, 1.0  # w + t*(slater - w); t=1 strictly feasible
     seg = s.slater - w
+    seg_norm = float(np.linalg.norm(seg))
+    stop = 1e-13 * (1.0 + float(np.linalg.norm(w)))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if residual(s, w + mid * seg) <= 0.0:
             hi = mid
         else:
             lo = mid
-        if (hi - lo) * float(np.linalg.norm(seg)) <= 1e-13 * (1.0 + float(np.linalg.norm(w))):
+        if (hi - lo) * seg_norm <= stop:
             break
     return w + hi * seg
 
@@ -240,7 +244,8 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     """Projection onto a sublevel set via accumulated separation cuts.
 
     An outer polyhedron O (intersection of cuts) always contains the set, so
-    ||x - proj_O(x)||^2 is a valid lower bound on d^2.  Each outer projection
+    ||x - proj_O(x)||^2 is a valid lower bound on d^2; proj_O is computed
+    exactly (up to rounding) by _project_polyhedron.  Each outer projection
     is restored to feasibility along the Slater segment; the gap between the
     best feasible value and the current lower bound is the certificate.
     """

@@ -196,7 +196,9 @@ def solve(
 
     Deterministic for fixed inputs.  A step whose achieved certificate
     exceeds eps_n raises ProjectionFailed with the partial trajectory
-    attached, unless permissive is set.
+    attached, unless permissive is set.  A ProjectionFailed raised inside a
+    step, such as an unconverged selection, is re-raised with the partial
+    trajectory up to the step's start node, permissive or not.
     """
     if schedule is None:
         schedule = EpsSchedule()
@@ -211,19 +213,27 @@ def solve(
     diags: list[StepDiagnostics] = []
     projector = ProjectorConfig(eps=eps_n, max_iter=max_iter, method=method)
 
+    def partial() -> Trajectory:
+        done = len(diags)
+        return Trajectory(
+            grid, nodes[: done + 1], integrals[:done], diags, selection,
+            schedule, eps_n, complete=False,
+        )
+
     for k in range(n):
-        x_next, diag, integral = step(problem, grid, k, nodes[k], selection, projector)
+        try:
+            x_next, diag, integral = step(problem, grid, k, nodes[k], selection, projector)
+        except ProjectionFailed as exc:
+            if exc.partial is not None:
+                raise
+            raise ProjectionFailed(str(exc), partial=partial()) from exc
         nodes[k + 1] = x_next
         integrals[k] = integral
         diags.append(diag)
         if not diag.converged and not permissive:
-            partial = Trajectory(
-                grid, nodes[: k + 2], integrals[: k + 1], diags, selection,
-                schedule, eps_n, complete=False,
-            )
             raise ProjectionFailed(
                 f"step {k}: certificate {diag.certified_eps:.3e} exceeds eps_n {eps_n:.3e}",
-                partial=partial,
+                partial=partial(),
             )
 
     return Trajectory(grid, nodes, integrals, diags, selection, schedule, eps_n)

@@ -1,0 +1,33 @@
+import numpy as np
+import pytest
+
+from catchup import oracles
+from catchup.geometry import Ball, MovingSet
+from catchup.perturbation import constant_set_perturbation
+from catchup.solver import SweepingProblem
+
+
+@pytest.fixture
+def drift_in_fixed_ball():
+    """Fixed Ball(0, 10) with the set-valued F = Ball((3, 0), 1), from x0 = 0."""
+    drift = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+    return SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), drift, [0.0, 0.0], 1.0)
+
+
+@pytest.fixture
+def selection_fails_after(monkeypatch):
+    """Make the selection oracle's projection unconverged after `calls` real calls."""
+
+    def install(calls: int) -> None:
+        real = oracles.approx_project
+        seen = []
+
+        def fake(s, x, cfg=None):
+            seen.append(x)
+            if len(seen) <= calls:
+                return real(s, x, cfg)
+            return oracles.ProjectionResult(np.asarray(x, float), 1.0, 7, converged=False)
+
+        monkeypatch.setattr("catchup.perturbation.approx_project", fake)
+
+    return install

@@ -125,6 +125,20 @@ class TestSolveCommand:
         assert payload["complete"] is False
 
 
+    def test_unconverged_selection_writes_partial(self, tmp_path, monkeypatch, capsys,
+                                                  drift_in_fixed_ball, selection_fails_after):
+        monkeypatch.setattr("catchup.cli.make_problem", lambda problem_id: drift_in_fixed_ball)
+        selection_fails_after(3)
+        cfg = write(tmp_path / "s.cfg", "problem = dragging_interval\nn = 8\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_SOLVE
+        assert "selection" in capsys.readouterr().err
+        lines = (out / "trajectory.csv").read_text().strip().split("\n")
+        assert len(lines) == 1 + 4  # header plus nodes t_0 .. t_3
+        payload = json.loads((out / "trajectory.json").read_text())
+        assert payload["complete"] is False
+        assert len(payload["diagnostics"]) == 3
+
     def test_failed_audit_projection_exits_solve(self, tmp_path, monkeypatch, capsys):
         from catchup.solver import ProjectionFailed
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from hypothesis import strategies as st
 
 from catchup.geometry import Ball, Box, Halfspace, Sublevel, affine_fn, ball_fn, max_fn, residual
 from catchup.oracles import (
+    ProjectionFailed,
     ProjectorConfig,
+    _project_polyhedron,
     approx_project,
     cutting_plane_project,
     frank_wolfe_project,
@@ -143,6 +147,123 @@ class TestCuttingPlane:
         assert np.array_equal(res.point, x)
         assert res.certified_eps == 0.0
         assert res.iterations == 0
+
+
+def _solve_rational(g, rhs):
+    """Gauss-Jordan elimination over the rationals; None when g is singular."""
+    k = len(rhs)
+    rows = [list(row) + [rhs[i]] for i, row in enumerate(g)]
+    for c in range(k):
+        pivot = next((i for i in range(c, k) if rows[i][c] != 0), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for i in range(k):
+            if i != c and rows[i][c] != 0:
+                ratio = rows[i][c] / rows[c][c]
+                rows[i] = [vi - ratio * vc for vi, vc in zip(rows[i], rows[c])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+def brute_force_projection(a, b, x):
+    """Projection onto {y : a y <= b} by enumerating active sets, in exact arithmetic.
+
+    Tries every set of at most d cuts with independent normals, solves its
+    equality-constrained projection and returns the first that is feasible
+    with nonnegative multipliers (the KKT point, unique).  Carathéodory gives
+    such a set even at a vertex where more than d cuts are active.
+    """
+    a = [[Fraction(v) for v in row] for row in a]
+    b = [Fraction(v) for v in b]
+    x = [Fraction(v) for v in x]
+    d = len(x)
+
+    def dot(u, v):
+        return sum(ui * vi for ui, vi in zip(u, v))
+
+    for k in range(min(d, len(a)) + 1):
+        for active in itertools.combinations(range(len(a)), k):
+            gram = [[dot(a[i], a[j]) for j in active] for i in active]
+            nu = _solve_rational(gram, [dot(a[i], x) - b[i] for i in active])
+            if nu is None or any(v < 0 for v in nu):
+                continue
+            y = [x[c] - sum(n * a[i][c] for n, i in zip(nu, active)) for c in range(d)]
+            if all(dot(row, y) <= bi for row, bi in zip(a, b)):
+                return np.array([float(v) for v in y])
+    raise AssertionError("no KKT point: the polyhedron is empty")
+
+
+def smallest_sine(a):
+    """Sine of the smallest nonzero angle between two cut normals (1 if none)."""
+    u = a / np.linalg.norm(a, axis=1)[:, None]
+    sines = [math.sqrt(max(0.0, 1.0 - float(u[i] @ u[j]) ** 2))
+             for i in range(len(u)) for j in range(i)]
+    return min((s for s in sines if s > 0.0), default=1.0)
+
+
+@st.composite
+def polyhedra(draw):
+    """Cuts through or near the origin, with duplicates and near-parallel copies.
+
+    Every normal has a positive component along (1, ..., 1), so the polyhedron
+    keeps an interior, as the cuts of a set with a Slater point do.  Offsets
+    of 0 make the origin a vertex with up to 8 active cuts in d <= 3.
+    """
+    d = draw(st.integers(1, 3))
+    ones = np.ones(d)
+    small_ints = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    normals = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "near"])) if normals else "fresh"
+        if kind == "fresh":
+            n = np.array(draw(small_ints), dtype=float)
+            if not n.any():
+                n[0] = 1.0
+        else:
+            n = normals[draw(st.integers(0, len(normals) - 1))].copy()
+            v = np.array(draw(small_ints), dtype=float) if kind == "near" else 0.0 * n
+            if v.any():
+                angle = draw(st.floats(1e-6, 1e-3))
+                n = n + angle * np.linalg.norm(n) * v / np.linalg.norm(v)
+        if n @ ones <= 0.0:
+            n = -n if n @ ones < 0.0 else n + ones
+        normals.append(n)
+    a = np.array(normals)
+    b = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 2.0]),
+                               min_size=len(a), max_size=len(a))))
+    x = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=d, max_size=d)))
+    return a, b, x
+
+
+class TestPolyhedronProjection:
+    @given(polyhedra())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_brute_force(self, case):
+        # Rounding b - A x is a relative perturbation of b that a pair of cuts
+        # at angle theta turns into a 1/theta error in their vertex, so the
+        # bound is 1e-12 relative at theta >= 1e-3 and grows as 1/theta below.
+        a, b, x = case
+        y = _project_polyhedron(list(a), list(b), x)
+        ref = brute_force_projection(a, b, x)
+        scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(ref)
+        assert np.max((a @ y - b) / np.linalg.norm(a, axis=1)) <= 1e-12 * scale
+        assert np.linalg.norm(y - ref) <= 1e-12 * scale * max(1.0, 1e-3 / smallest_sine(a))
+
+    def test_near_parallel_pair_projects_onto_face(self):
+        # cuts y2 >= 0 and y2 >= tan(theta) y1; x lies just off the second
+        # face near the vertex, where capped coordinate sweeps stall
+        theta = 1e-3
+        a = [np.array([0.0, -4.0]), 4.0 * np.array([math.sin(theta), -math.cos(theta)])]
+        x = np.array([0.03, -3.0])
+        y = _project_polyhedron(a, [0.0, 0.0], x)
+        along = 0.03 * math.cos(theta) - 3.0 * math.sin(theta)
+        expected = along * np.array([math.cos(theta), math.sin(theta)])
+        assert np.linalg.norm(y - expected) <= 1e-14 * np.linalg.norm(x)
+        assert max(float(row @ y) / np.linalg.norm(row) for row in a) <= 1e-14 * np.linalg.norm(x)
+
+    def test_empty_intersection_raises(self):
+        with pytest.raises(ProjectionFailed, match="empty"):
+            _project_polyhedron([np.array([1.0]), np.array([-1.0])], [-1.0, -1.0], np.zeros(1))
 
 
 class TestApproxProject:

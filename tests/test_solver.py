@@ -6,7 +6,7 @@ import pytest
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet
 from catchup.harness import make_problem, reference_solution
-from catchup.perturbation import constant_set_perturbation, zero_perturbation
+from catchup.perturbation import zero_perturbation
 from catchup.solver import (
     EpsSchedule,
     Grid,
@@ -120,16 +120,22 @@ class TestSolve:
         assert not partial.complete
         assert partial.steps_taken >= 1
 
-    def test_unconverged_selection_aborts_solve(self, monkeypatch):
-        def unconverged(s, x, cfg=None):
-            return oracles.ProjectionResult(np.asarray(x, float), 1.0, 7, converged=False)
-
-        drift = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
-        prob = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), drift, [0.0, 0.0], 1.0)
-        monkeypatch.setattr("catchup.perturbation.approx_project", unconverged)
+    def test_unconverged_selection_aborts_solve(self, drift_in_fixed_ball, selection_fails_after):
+        selection_fails_after(0)
         assert ProjectionFailed is oracles.ProjectionFailed
         with pytest.raises(ProjectionFailed, match="selection"):
-            solve(prob, 4)
+            solve(drift_in_fixed_ball, 4)
+
+    def test_unconverged_selection_carries_partial(self, drift_in_fixed_ball, selection_fails_after):
+        clean = solve(drift_in_fixed_ball, 8)
+        selection_fails_after(3)
+        with pytest.raises(ProjectionFailed, match="selection") as exc:
+            solve(drift_in_fixed_ball, 8)
+        partial = exc.value.partial
+        assert partial is not None and not partial.complete
+        assert partial.steps_taken == 3
+        assert np.array_equal(partial.nodes, clean.nodes[:4])
+        assert np.array_equal(partial.integrals, clean.integrals[:3])
 
     def test_permissive_completes_with_flagged_steps(self):
         prob = make_problem("translating_disk")
