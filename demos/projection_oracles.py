@@ -25,9 +25,9 @@ def main():
     print(f"point x = {x},  exact projection = {truth}")
 
     for label, target, method in (
-        ("closed form  ", ball, "exact"),
+        ("closed form  ", ball, "auto"),
         ("frank-wolfe  ", ball, "fw"),
-        ("cutting plane", disk, "cutting"),
+        ("cutting plane", disk, "auto"),
     ):
         res = approx_project(target, x, ProjectorConfig(eps=1e-8, method=method))
         gap = np.linalg.norm(res.point - truth)

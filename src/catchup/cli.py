@@ -8,8 +8,12 @@ Configs are flat key = value files with dotted section prefixes, e.g.
     schedule.p = 3.0
     oracle.method = fw
 
-Exit codes: 0 success, 1 config error, 2 projection budget exhausted,
-3 solve aborted on a failed projection step.
+The method is auto or fw.  solve, rate and audit take --out; solve and
+audit take --permissive.
+
+Exit codes: 0 success, 1 config or usage error (including a method the
+set cannot use), 2 projection budget exhausted, 3 solve aborted on a
+failed projection step.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Box, Halfspace, Sublevel, ball_fn
+from .geometry import Ball, Box, Halfspace, Sublevel, UnsupportedKind, ball_fn
 from .harness import DEFAULT_METHOD, UnknownProblem, make_problem, rate_study
 from .oracles import ProjectorConfig, approx_project
 from .solver import (
@@ -41,6 +45,12 @@ EXIT_SOLVE = 3
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error; exit code 2 means budget exhausted
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -91,11 +101,16 @@ def build_set(cfg: dict):
     raise ConfigError(f"unknown set.kind {kind!r}")
 
 
-def _schedule(cfg: dict) -> EpsSchedule:
+def _build(kind, **options):
+    """kind(**options), where a value the constructor rejects is a config error."""
     try:
-        return EpsSchedule(c=_num(cfg, "schedule.c", 1.0), p=_num(cfg, "schedule.p", 3.0))
+        return kind(**options)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def _schedule(cfg: dict) -> EpsSchedule:
+    return _build(EpsSchedule, c=_num(cfg, "schedule.c", 1.0), p=_num(cfg, "schedule.p", 3.0))
 
 
 def _load(path: str) -> dict[str, str]:
@@ -109,7 +124,8 @@ def cmd_project(args) -> int:
     cfg = _load(args.config)
     s = build_set(cfg)
     x = _vec(cfg, "point")
-    pc = ProjectorConfig(
+    pc = _build(
+        ProjectorConfig,
         eps=_num(cfg, "eps", 1e-6),
         max_iter=_num(cfg, "max_iter", 10_000, cast=int),
         method=cfg.get("method", "auto"),
@@ -141,10 +157,13 @@ def _solve_from_config(cfg: dict, permissive: bool):
     if n < 1:
         raise ConfigError("n must be >= 1")
     schedule = _schedule(cfg)
-    method = cfg.get("oracle.method", DEFAULT_METHOD.get(cfg.get("problem", ""), "auto"))
-    max_iter = _num(cfg, "oracle.max_iter", 10_000, cast=int)
-    traj = solve(problem, n, schedule=schedule, method=method,
-                 max_iter=max_iter, permissive=permissive)
+    oracle = _build(
+        ProjectorConfig,
+        method=cfg.get("oracle.method", DEFAULT_METHOD.get(cfg.get("problem", ""), "auto")),
+        max_iter=_num(cfg, "oracle.max_iter", 10_000, cast=int),
+    )
+    traj = solve(problem, n, schedule=schedule, method=oracle.method,
+                 max_iter=oracle.max_iter, permissive=permissive)
     return problem, traj
 
 
@@ -210,7 +229,7 @@ def cmd_rate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="catchup")
+    parser = _Parser(prog="catchup")
     parser.add_argument("--seed", type=int, default=0,
                         help="accepted for scripted runs (acceptance criterion 9 passes it); "
                              "no command reads it yet")
@@ -223,14 +242,16 @@ def main(argv=None) -> int:
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--out", default=".")
-        p.add_argument("--permissive", action="store_true",
-                       help="downgrade failed projection certificates to warnings")
+        if name != "project":  # project prints its result and writes no file
+            p.add_argument("--out", default=".")
+        if name in ("solve", "audit"):  # the commands that stop on a failed step
+            p.add_argument("--permissive", action="store_true",
+                           help="downgrade failed projection certificates to warnings")
         p.set_defaults(func=fn)
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedKind) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

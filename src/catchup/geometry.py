@@ -255,12 +255,12 @@ def dimension(s: SetDescription) -> int:
 # prox-regular scalar threshold
 
 
-def prox_eps0(gamma: float, rho: float, tol: float = 1e-14) -> float:
+def prox_eps0(gamma: float, rho: float) -> float:
     """Largest certificate still covered by the stability threshold equation.
 
     Solves  gamma + 4*s*(1 + gamma + (1 + 4*s)/rho) = 1  for s = sqrt(eps0)
-    by bisection; the left side is strictly increasing in s, so the positive
-    root is unique.  Returns eps0 = s**2.
+    by bisection to a bracket of width 1e-14; the left side is strictly
+    increasing in s, so the positive root is unique.  Returns eps0 = s**2.
     """
     if not 0.0 < gamma < 1.0:
         raise NoRoot(f"gamma must lie in (0, 1), got {gamma}")
@@ -279,7 +279,7 @@ def prox_eps0(gamma: float, rho: float, tol: float = 1e-14) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol:
+        if hi - lo <= 1e-14:
             break
     s = 0.5 * (lo + hi)
     return s * s

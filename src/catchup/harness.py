@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Ball, Box, Halfspace, MovingSet, exact_project
-from .oracles import ProjectorConfig, ProjectionResult, approx_project
+from .oracles import ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
     EpsSchedule,
@@ -104,10 +104,10 @@ def reference_solution(problem_id: str, t: float) -> np.ndarray:
     raise UnknownProblem(problem_id)
 
 
-def fine_grid_reference(problem_id: str, n_ref: int, schedule: EpsSchedule | None = None) -> Trajectory:
-    """Self-consistent reference run: fine grid, exact projections."""
+def fine_grid_reference(problem_id: str, n_ref: int) -> Trajectory:
+    """Self-consistent reference run: fine grid, default schedule, exact projections."""
     problem = make_problem(problem_id)
-    return solve(problem, n_ref, schedule=schedule, method="auto")
+    return solve(problem, n_ref, method="auto")
 
 
 def sup_error(
@@ -249,16 +249,15 @@ def stability_study(
     )
 
 
-def self_consistency_gate(problem_id: str, n_ref: int = 4096, tol_factor: float = 2.0) -> tuple[bool, float]:
+def self_consistency_gate(problem_id: str, n_ref: int = 4096) -> tuple[bool, float]:
     """Fine-grid reference must agree with the closed form before rate studies.
 
-    The comparison threshold is tol_factor times the scheme's error scale at
-    n_ref (mu + sqrt(eps) + sqrt(eps)/mu for the default schedule).
+    The comparison threshold is twice the scheme's error scale at n_ref
+    (mu + sqrt(eps) + sqrt(eps)/mu for the default schedule).
     """
-    schedule = EpsSchedule()
-    traj = fine_grid_reference(problem_id, n_ref, schedule)
+    traj = fine_grid_reference(problem_id, n_ref)
     err = sup_error(traj, lambda t: reference_solution(problem_id, t), grid_size=200)
     mu = traj.grid.mu
     eps = traj.eps_n
-    bound = tol_factor * (mu + math.sqrt(eps) + math.sqrt(eps) / mu)
+    bound = 2.0 * (mu + math.sqrt(eps) + math.sqrt(eps) / mu)
     return err <= bound, err

@@ -21,7 +21,6 @@ from .geometry import (
     Array,
     Ball,
     Box,
-    Halfspace,
     SetDescription,
     Sublevel,
     UnsupportedKind,
@@ -33,6 +32,7 @@ from .geometry import (
 
 FEAS_TOL_CLOSED_FORM = 1e-12
 FEAS_TOL_SUBLEVEL = 1e-10
+METHODS = ("auto", "fw")
 
 
 class ZeroSubgradient(Exception):
@@ -55,13 +55,15 @@ class ProjectionFailed(RuntimeError):
 class ProjectorConfig:
     eps: float = 1e-8
     max_iter: int = 10_000
-    method: str = "auto"  # auto | exact | fw | cutting
+    method: str = "auto"  # auto: the set's kind picks the route | fw: Frank-Wolfe
 
     def __post_init__(self):
         if not self.eps > 0.0:
             raise ValueError("eps must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.method not in METHODS:
+            raise ValueError(f"unknown projection method {self.method!r}, expected one of {METHODS}")
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,7 @@ def lmo_for(s: SetDescription) -> LMO:
 # Frank-Wolfe projection
 
 
-def frank_wolfe_project(
-    lmo: LMO,
-    x,
-    cfg: ProjectorConfig,
-    start: Optional[Array] = None,
-) -> ProjectionResult:
+def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     """Minimize ||x - z||^2 over a compact convex set given by its LMO.
 
     Exact line search on the quadratic; stops when the duality gap
@@ -137,7 +134,7 @@ def frank_wolfe_project(
     """
     x = as_vec(x)
     # deterministic starting atom, independent of x
-    z = as_vec(start) if start is not None else lmo(np.ones_like(x))
+    z = lmo(np.ones_like(x))
     gap = np.inf
     for it in range(cfg.max_iter):
         grad = 2.0 * (z - x)
@@ -147,8 +144,8 @@ def frank_wolfe_project(
             return ProjectionResult(z, max(gap, 0.0), it, converged=True)
         dz = s - z
         denom = float(np.dot(dz, dz))
-        if denom == 0.0:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=gap <= cfg.eps)
+        if denom == 0.0:  # |s - z|^2 underflowed while the gap still exceeds eps
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
         tau = min(1.0, max(0.0, float(np.dot(x - z, dz)) / denom))
         z = z + tau * dz
     return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
@@ -272,11 +269,8 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
             best_val = val
             best_p = p
         cert = max(best_val - lower, 0.0)
-        if cert <= cfg.eps:
+        if cert <= cfg.eps:  # always taken when cut is None: then best_val <= lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)
-        if cut is None:
-            # outer projection already feasible: certificate is exactly 0
-            return ProjectionResult(best_p, 0.0, it + 1, converged=True)
         cuts_a.append(cut.normal)
         cuts_b.append(cut.offset)
     return ProjectionResult(best_p, max(best_val - lower, 0.0), cfg.max_iter, converged=False)
@@ -289,11 +283,11 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
 def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> ProjectionResult:
     """Certified epsilon-projection of x onto s.
 
-    Members short-circuit to themselves.  Otherwise dispatch follows
-    cfg.method: "auto" prefers the closed form, falls back to cutting planes
-    for sublevel sets; "fw" forces Frank-Wolfe on LMO-capable sets; "exact"
-    demands a closed form.  A point whose dimension differs from the set's
-    raises ValueError.
+    Members short-circuit to themselves.  Otherwise cfg.method "fw" runs
+    Frank-Wolfe (UnsupportedKind on a set without a bounded LMO); under
+    "auto" a sublevel set takes cutting planes and every other kind its
+    closed form.  A point whose dimension differs from the set's raises
+    ValueError.
     """
     if cfg is None:
         cfg = ProjectorConfig()
@@ -303,18 +297,11 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
-    method = cfg.method
-    if method == "auto":
-        method = "cutting" if isinstance(s, Sublevel) else "exact"
-    if method == "exact":
-        return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
-    if method == "fw":
+    if cfg.method == "fw":
         return frank_wolfe_project(lmo_for(s), x, cfg)
-    if method == "cutting":
-        if not isinstance(s, Sublevel):
-            raise UnsupportedKind("cutting-plane projection needs a sublevel set")
+    if isinstance(s, Sublevel):
         return cutting_plane_project(s, x, cfg)
-    raise ValueError(f"unknown projection method {cfg.method!r}")
+    return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
 
 
 def feasibility_tolerance(s: SetDescription) -> float:

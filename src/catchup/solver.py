@@ -75,6 +75,14 @@ class Grid:
         return self.node(self.cell_index(t) + 1)
 
 
+def _left_cell(grid: Grid, t: float) -> int:
+    """Index k of the cell (t_k, t_{k+1}] holding t > 0: a node ends its left cell."""
+    k = grid.cell_index(t)
+    if grid.node(k) >= t and k > 0:
+        k -= 1
+    return k
+
+
 @dataclass(frozen=True)
 class EpsSchedule:
     """Per-grid certificate budget eps_n = c * mu_n**p with p > 2.
@@ -136,8 +144,11 @@ class Trajectory:
     diagnostics: list[StepDiagnostics]
     selection: Selection
     schedule: EpsSchedule
-    eps_n: float
     complete: bool = True
+
+    @property
+    def eps_n(self) -> float:
+        return self.schedule.eps(self.grid.mu)
 
     @property
     def steps_taken(self) -> int:
@@ -216,8 +227,7 @@ def solve(
     def partial() -> Trajectory:
         done = len(diags)
         return Trajectory(
-            grid, nodes[: done + 1], integrals[:done], diags, selection,
-            schedule, eps_n, complete=False,
+            grid, nodes[: done + 1], integrals[:done], diags, selection, schedule, complete=False,
         )
 
     for k in range(n):
@@ -236,7 +246,7 @@ def solve(
                 partial=partial(),
             )
 
-    return Trajectory(grid, nodes, integrals, diags, selection, schedule, eps_n)
+    return Trajectory(grid, nodes, integrals, diags, selection, schedule)
 
 
 def interpolate(traj: Trajectory, t: float) -> Array:
@@ -248,14 +258,9 @@ def interpolate(traj: Trajectory, t: float) -> Array:
     telescope exactly.
     """
     grid = traj.grid
-    if t < 0.0 or t > grid.horizon:
-        raise OutOfRange(f"t={t} outside [0, {grid.horizon}]")
     if t == 0.0:
         return traj.nodes[0].copy()
-    # cell (t_k, t_{k+1}]: shift node hits to the left cell
-    k = grid.cell_index(t)
-    if grid.node(k) >= t and k > 0:
-        k -= 1
+    k = _left_cell(grid, t)  # raises OutOfRange outside [0, T]
     t_k = grid.node(k)
     x_k = traj.nodes[k]
     move = traj.nodes[k + 1] - x_k - traj.integrals[k]
@@ -290,7 +295,6 @@ def velocity(traj: Trajectory, t: float, side: Optional[str] = None) -> Array:
             raise OutOfRange(f"t={t} is a grid node; pass side='left' or side='right'")
     else:
         k = grid.cell_index(t)
-        k = min(k, grid.n - 1)
     x_k = traj.nodes[k]
     move = traj.nodes[k + 1] - x_k - traj.integrals[k]
     return move / grid.mu + as_vec(traj.selection.f(t, x_k))
@@ -343,72 +347,58 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     const = audit_constants(problem, traj.schedule)
     checks = []
 
-    def record(name: str, lhs: float, bound: float, cells=None):
+    def record(name: str, values, bound: float, cells: bool = False):
+        """One check: it fails on any value above bound; cells lists those items."""
+        over = np.asarray(values, dtype=float) > bound + _AUDIT_SLACK
         checks.append({
             "name": name,
-            "passed": bool(lhs <= bound + _AUDIT_SLACK),
-            "max_lhs": lhs,
+            "passed": not over.any(),
+            "max_lhs": float(max(values, default=-np.inf)),
             "bound": bound,
-            "cells": cells or [],
+            "cells": [int(i) for i in np.flatnonzero(over)] if cells else [],
         })
 
-    # (a)(i): predictor distance per step
-    worst_i, bad_i = -np.inf, []
-    for k, diag in enumerate(traj.diagnostics):
+    # (a)(i): predictor distance per step, as its margin over the step's bound
+    margins = []
+    for diag in traj.diagnostics:
         bound = (lc + diag.h_at_node + sg) * mu
         if not diag.distance_exact:
             bound += sq_eps  # recorded value is only an upper bound
-        margin = diag.predictor_distance - bound
-        if margin > worst_i:
-            worst_i = margin
-        if margin > _AUDIT_SLACK:
-            bad_i.append(k)
-    record("a_i_predictor_distance", worst_i, 0.0, bad_i)
+        margins.append(diag.predictor_distance - bound)
+    record("a_i_predictor_distance", margins, 0.0, cells=True)
 
-    # (a)(ii): node drift from x0
-    drift = np.linalg.norm(traj.nodes - traj.nodes[0], axis=1)
-    record("a_ii_node_drift", float(drift.max()), const["K1"],
-           [int(i) for i in np.where(drift > const["K1"] + _AUDIT_SLACK)[0]])
+    # (a)(ii): node drift from x0; cells are node indices
+    record("a_ii_node_drift", np.linalg.norm(traj.nodes - traj.nodes[0], axis=1),
+           const["K1"], cells=True)
 
     ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
     interp = np.array([interpolate(traj, float(t)) for t in ts])
 
     # (a)(iii): uniform norm bound of the interpolant
-    record("a_iii_sup_norm", float(np.linalg.norm(interp, axis=1).max()), const["K2"])
+    record("a_iii_sup_norm", np.linalg.norm(interp, axis=1), const["K2"])
 
-    # (a)(iv): consecutive node increments
+    # (a)(iv): consecutive node increments; 0 when no step was taken
     inc = np.linalg.norm(np.diff(traj.nodes[: traj.steps_taken + 1], axis=0), axis=1)
-    record("a_iv_node_increment", float(inc.max()) if inc.size else 0.0,
-           const["K3"] * mu + sq_eps,
-           [int(i) for i in np.where(inc > const["K3"] * mu + sq_eps + _AUDIT_SLACK)[0]])
+    record("a_iv_node_increment", inc if inc.size else [0.0], const["K3"] * mu + sq_eps,
+           cells=True)
 
     # (a)(v): deviation from the right node inside cells
-    dev = -np.inf
-    for t, xt in zip(ts, interp):
-        if t == 0.0:
-            continue
-        k = grid.cell_index(t)
-        if grid.node(k) >= t and k > 0:
-            k -= 1
-        dev = max(dev, float(np.linalg.norm(xt - traj.nodes[k + 1])))
+    dev = [float(np.linalg.norm(xt - traj.nodes[_left_cell(grid, t) + 1]))
+           for t, xt in zip(ts, interp) if t != 0.0]
     record("a_v_cell_deviation", dev, const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t))
-    worst_b = -np.inf
+    set_dist = []
     for t, xt in zip(ts, interp):
         target = problem.moving_set.at(grid.theta(t) if t < grid.horizon else grid.horizon)
-        dist = distance(target, xt)
         slack = 0.0 if isinstance(target, CLOSED_FORM_KINDS) else math.sqrt(DISTANCE_EPS)
-        worst_b = max(worst_b, dist - slack)
-    record("b_set_distance", worst_b, const["K5"] * mu + lc * mu + 2.0 * sq_eps)
+        set_dist.append(distance(target, xt) - slack)
+    record("b_set_distance", set_dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps)
 
     # (c): velocity bound sampled at cell interiors
-    worst_c = -np.inf
-    for k in range(grid.n):
-        for frac in (0.25, 0.5, 0.75):
-            t = grid.node(k) + frac * mu
-            worst_c = max(worst_c, float(np.linalg.norm(velocity(traj, t))))
-    record("c_velocity_bound", worst_c, const["K6"])
+    speeds = [float(np.linalg.norm(velocity(traj, grid.node(k) + frac * mu)))
+              for k in range(grid.n) for frac in (0.25, 0.5, 0.75)]
+    record("c_velocity_bound", speeds, const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]
     return {

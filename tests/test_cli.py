@@ -185,3 +185,51 @@ class TestRateCommand:
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 8,oops\n")
         assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def assert_config_error(argv, capsys):
+    """Exit code 1 with a one-line message, not a traceback or argparse's exit 2."""
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+class TestConfigErrors:
+    def test_unknown_method_fails_before_any_step(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", "problem = interior_ode\nn = 8\noracle.method = bogus\n")
+        assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "rate"])
+    def test_fw_on_halfspace(self, tmp_path, capsys, command):
+        cfg = write(tmp_path / "s.cfg", "problem = translating_halfspace\nn = 8\n"
+                    "ladder = 4,8\noracle.method = fw\n")
+        assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+    @pytest.mark.parametrize("method", ["exact", "cutting"])
+    def test_project_rejects_removed_methods(self, tmp_path, capsys, method):
+        cfg = write(tmp_path / "p.cfg",
+                    "set.kind = ball\nset.center = 0,0\nset.radius = 1\n"
+                    f"point = 2,0\nmethod = {method}\n")
+        assert_config_error(["project", "--config", cfg], capsys)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("project", ["--out", "OUT"]),
+        ("project", ["--permissive"]),
+        ("rate", ["--out", "OUT", "--permissive"]),
+    ])
+    def test_flags_a_command_does_not_read(self, tmp_path, capsys, command, flags):
+        cfg = write(tmp_path / "c.cfg", "set.kind = ball\nset.center = 0\nset.radius = 1\n"
+                    "point = 2\nproblem = dragging_interval\nladder = 4,8\n")
+        flags = [str(tmp_path / "o") if f == "OUT" else f for f in flags]
+        assert_config_error([command, "--config", cfg, *flags], capsys)
+
+    @pytest.mark.parametrize("argv", [["solve", "--out", "o"], []])
+    def test_usage_errors(self, capsys, argv):
+        assert_config_error(argv, capsys)
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "project,solve,rate,audit" in capsys.readouterr().out

@@ -277,6 +277,11 @@ class TestApproxProject:
         assert res.certified_eps <= 1e-8
         assert np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
 
+    @pytest.mark.parametrize("method", ["exact", "cutting", "atuo"])
+    def test_config_rejects_unknown_method(self, method):
+        with pytest.raises(ValueError, match="method"):
+            ProjectorConfig(method=method)
+
     def test_fw_method_on_ball(self):
         res = approx_project(UNIT_BALL, np.array([2.0, 0.0]), ProjectorConfig(eps=1e-8, method="fw"))
         assert res.certified_eps <= 1e-8

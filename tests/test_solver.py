@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -111,6 +112,20 @@ class TestSolve:
             assert dg.converged
             assert dg.certified_eps <= traj.eps_n
 
+    def test_unknown_method_raises_before_any_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr("catchup.solver.step", lambda *args: steps.append(args))
+        with pytest.raises(ValueError, match="method"):
+            solve(make_problem("interior_ode"), 8, method="bogus")
+        assert not steps
+
+    def test_eps_n_follows_schedule(self):
+        sched = EpsSchedule(c=2.0, p=3.0)
+        traj = solve(make_problem("dragging_interval"), 16, sched)
+        assert traj.eps_n == sched.eps(traj.grid.mu)
+        other = dataclasses.replace(traj, schedule=EpsSchedule(c=0.5, p=3.0))
+        assert other.eps_n == 0.5 * traj.grid.mu ** 3
+
     def test_projection_failure_carries_partial(self):
         prob = make_problem("translating_disk")
         with pytest.raises(ProjectionFailed) as exc:
@@ -119,6 +134,7 @@ class TestSolve:
         assert partial is not None
         assert not partial.complete
         assert partial.steps_taken >= 1
+        assert partial.eps_n == EpsSchedule().eps(partial.grid.mu)
 
     def test_unconverged_selection_aborts_solve(self, drift_in_fixed_ball, selection_fails_after):
         selection_fails_after(0)
@@ -151,6 +167,12 @@ class TestInterpolant:
         for k in range(33):
             t = traj.grid.node(k)
             assert np.linalg.norm(interpolate(traj, t) - traj.nodes[k]) <= 1e-12
+
+    def test_out_of_range(self):
+        traj = solve(make_problem("dragging_interval"), 4)
+        for t in (-0.1, 1.1):
+            with pytest.raises(OutOfRange, match="outside"):
+                interpolate(traj, t)
 
     def test_without_perturbation_midpoint_is_mean(self):
         prob = make_problem("dragging_interval")  # zero perturbation
