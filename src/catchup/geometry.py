@@ -32,7 +32,7 @@ def as_vec(x) -> Array:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("point has non-finite coordinates")
     return v
 

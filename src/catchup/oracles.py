@@ -12,6 +12,7 @@ finite NNLS active-set method, so the lower bound is exact up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -92,7 +93,7 @@ def lmo_ball(center, radius: float) -> LMO:
     c = as_vec(center)
 
     def lmo(w: Array) -> Array:
-        nw = float(np.linalg.norm(w))
+        nw = math.sqrt(w.dot(w))  # np.linalg.norm's own arithmetic for a 1-d vector
         if nw == 0.0:
             return c.copy()
         return c - (radius / nw) * w
@@ -137,17 +138,19 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     z = lmo(np.ones_like(x))
     gap = np.inf
     for it in range(cfg.max_iter):
-        grad = 2.0 * (z - x)
+        v = z - x
+        grad = v + v  # not v: 2 <v, zs> and <2v, zs> differ once products are subnormal
         s = lmo(grad)
-        gap = float(np.dot(grad, z - s))
+        zs = z - s
+        gap = float(grad.dot(zs))
         if gap <= cfg.eps:
             return ProjectionResult(z, max(gap, 0.0), it, converged=True)
-        dz = s - z
-        denom = float(np.dot(dz, dz))
+        denom = float(zs.dot(zs))
         if denom == 0.0:  # |s - z|^2 underflowed while the gap still exceeds eps
             return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        tau = min(1.0, max(0.0, float(np.dot(x - z, dz)) / denom))
-        z = z + tau * dz
+        # <x - z, s - z> = <v, zs> exactly: negating both factors is exact
+        tau = min(1.0, max(0.0, float(v.dot(zs)) / denom))
+        z = z - tau * zs
     return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
 
 
@@ -284,21 +287,22 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     """Certified epsilon-projection of x onto s.
 
     Members short-circuit to themselves.  Otherwise cfg.method "fw" runs
-    Frank-Wolfe (UnsupportedKind on a set without a bounded LMO); under
-    "auto" a sublevel set takes cutting planes and every other kind its
-    closed form.  A point whose dimension differs from the set's raises
-    ValueError.
+    Frank-Wolfe; under "auto" a sublevel set takes cutting planes and every
+    other kind its closed form.  "fw" on a set without a bounded LMO raises
+    UnsupportedKind, member or not.  A point whose dimension differs from the
+    set's raises ValueError.
     """
     if cfg is None:
         cfg = ProjectorConfig()
     x = as_vec(x)
     if x.shape[0] != dimension(s):
         raise ValueError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
+    lmo = lmo_for(s) if cfg.method == "fw" else None
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
-    if cfg.method == "fw":
-        return frank_wolfe_project(lmo_for(s), x, cfg)
+    if lmo is not None:
+        return frank_wolfe_project(lmo, x, cfg)
     if isinstance(s, Sublevel):
         return cutting_plane_project(s, x, cfg)
     return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)

@@ -336,7 +336,8 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     Report-only: returns per-bound pass/fail with the worst margin and the
     offending cells, never raises.  Bounds checked with exact distances when
     the moving set has a closed form; otherwise the recorded upper bound is
-    compared against the bound plus its sqrt(eps_n) slack.
+    compared against the bound plus its sqrt(eps_n) slack.  A partial
+    trajectory is sampled up to its last computed node and never passes.
     """
     grid = traj.grid
     mu = grid.mu
@@ -372,6 +373,8 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
            const["K1"], cells=True)
 
     ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
+    if not traj.complete:
+        ts = ts[ts <= grid.node(traj.steps_taken)]
     interp = np.array([interpolate(traj, float(t)) for t in ts])
 
     # (a)(iii): uniform norm bound of the interpolant
@@ -397,7 +400,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
 
     # (c): velocity bound sampled at cell interiors
     speeds = [float(np.linalg.norm(velocity(traj, grid.node(k) + frac * mu)))
-              for k in range(grid.n) for frac in (0.25, 0.5, 0.75)]
+              for k in range(traj.steps_taken) for frac in (0.25, 0.5, 0.75)]
     record("c_velocity_bound", speeds, const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]
@@ -407,7 +410,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
         "eps_n": eps,
         "checks": checks,
         "projection_failures": failed_cells,
-        "passed": all(c["passed"] for c in checks) and not failed_cells,
+        "passed": traj.complete and all(c["passed"] for c in checks) and not failed_cells,
     }
 
 

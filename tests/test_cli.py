@@ -200,11 +200,16 @@ class TestConfigErrors:
         assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "rate"])
+    @pytest.mark.parametrize("command", ["solve", "rate", "audit"])
     def test_fw_on_halfspace(self, tmp_path, capsys, command):
         cfg = write(tmp_path / "s.cfg", "problem = translating_halfspace\nn = 8\n"
                     "ladder = 4,8\noracle.method = fw\n")
         assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+
+    def test_fw_on_halfspace_member(self, tmp_path, capsys):
+        cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1,0\n"
+                    "set.offset = 0\npoint = 1,0\nmethod = fw\n")
+        assert_config_error(["project", "--config", cfg], capsys)
 
     @pytest.mark.parametrize("method", ["exact", "cutting"])
     def test_project_rejects_removed_methods(self, tmp_path, capsys, method):

@@ -14,6 +14,7 @@ from catchup.geometry import (
     NoRoot,
     ball_fn,
     affine_fn,
+    as_vec,
     max_fn,
     distance,
     exact_project,
@@ -21,7 +22,7 @@ from catchup.geometry import (
     prox_eps0,
     residual,
 )
-from catchup.oracles import ProjectionFailed, ProjectionResult
+from catchup.oracles import ProjectionFailed, ProjectionResult, approx_project
 
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
 RIGHT_HALF = Halfspace([1.0, 0.0], 0.0)  # x1 >= 0
@@ -119,6 +120,34 @@ class TestDistanceAndResidual:
                 assert distance(s, x) == 0.0
             elif r > 1e-12:  # squaring subnormal residuals underflows to 0
                 assert distance(s, x) > 0.0
+
+
+class TestAsVec:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vec([0.0, bad])
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            as_vec([[0.0, 1.0]])
+
+    def test_scalar_becomes_1_vector(self):
+        v = as_vec(2.5)
+        assert v.shape == (1,) and v[0] == 2.5
+
+    def test_int_list_becomes_float(self):
+        v = as_vec([1, 2])
+        assert v.dtype == np.float64 and np.array_equal(v, [1.0, 2.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda p: approx_project(UNIT_BALL, p),
+        lambda p: residual(UNIT_BALL, p),
+        lambda p: Ball(p, 1.0),
+    ])
+    def test_callers_reject_nan_point(self, call):
+        with pytest.raises(ValueError, match="non-finite"):
+            call([math.nan, 0.0])
 
 
 class TestConstruction:

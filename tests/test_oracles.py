@@ -4,12 +4,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchup.geometry import Ball, Box, Halfspace, Sublevel, affine_fn, ball_fn, max_fn, residual
+from catchup.geometry import (
+    Ball,
+    Box,
+    Halfspace,
+    Sublevel,
+    UnsupportedKind,
+    affine_fn,
+    ball_fn,
+    max_fn,
+    residual,
+)
 from catchup.oracles import (
     ProjectionFailed,
+    ProjectionResult,
     ProjectorConfig,
     _project_polyhedron,
     approx_project,
@@ -82,6 +93,74 @@ class TestFrankWolfe:
                                   np.array([2.0, 1.0]), cfg)
         assert not res.converged
         assert res.iterations == 2
+
+
+def _reference_lmo_ball(center, radius):
+    """Reference ball LMO, with np.linalg.norm."""
+    c = np.asarray(center, dtype=float)
+
+    def lmo(w):
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return c.copy()
+        return c - (radius / nw) * w
+
+    return lmo
+
+
+def _reference_frank_wolfe(lmo, x, cfg):
+    """Reference Frank-Wolfe loop: the textbook iteration, every quantity recomputed."""
+    x = np.asarray(x, dtype=float)
+    z = lmo(np.ones_like(x))
+    gap = np.inf
+    for it in range(cfg.max_iter):
+        grad = 2.0 * (z - x)
+        s = lmo(grad)
+        gap = float(np.dot(grad, z - s))
+        if gap <= cfg.eps:
+            return ProjectionResult(z, max(gap, 0.0), it, converged=True)
+        dz = s - z
+        denom = float(np.dot(dz, dz))
+        if denom == 0.0:
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
+        tau = min(1.0, max(0.0, float(np.dot(x - z, dz)) / denom))
+        z = z + tau * dz
+    return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
+
+
+@st.composite
+def fw_cases(draw):
+    """A ball or a box in d = 1..4, a point anywhere, eps in [1e-12, 1e-4]."""
+    d = draw(st.integers(1, 4))
+    coords = st.lists(st.floats(-10, 10), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        center = draw(coords)
+        radius = draw(st.floats(1e-3, 10))
+        lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+    else:
+        lo = np.array(draw(coords))
+        hi = lo + np.array(draw(st.lists(st.floats(0, 10), min_size=d, max_size=d)))
+        lmos = (lmo_box(lo, hi),) * 2
+    x = np.array(draw(st.lists(st.floats(-20, 20), min_size=d, max_size=d)))
+    cfg = ProjectorConfig(eps=draw(st.floats(1e-12, 1e-4)), max_iter=draw(st.integers(1, 2000)))
+    return lmos, x, cfg
+
+
+class TestFrankWolfeMatchesReference:
+    """The streamlined loop must reproduce the textbook one bit for bit."""
+
+    # a subnormal gap: dot(2v, s - z) rounds differently from 2 * dot(v, s - z)
+    @example(((lmo_box([0.0], [0.7]),) * 2, np.array([5e-324]), ProjectorConfig(eps=1e-12)))
+    @given(fw_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_iterates(self, case):
+        (lmo, reference_lmo), x, cfg = case
+        got = frank_wolfe_project(lmo, x, cfg)
+        want = _reference_frank_wolfe(reference_lmo, x, cfg)
+        assert np.array_equal(got.point, want.point)
+        assert got.certified_eps == want.certified_eps
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
 
 
 class TestSeparationOracle:
@@ -281,6 +360,15 @@ class TestApproxProject:
     def test_config_rejects_unknown_method(self, method):
         with pytest.raises(ValueError, match="method"):
             ProjectorConfig(method=method)
+
+    @pytest.mark.parametrize("s, x", [
+        (Halfspace([1.0, 0.0], 0.0), [1.0, 0.0]),
+        (Halfspace([1.0, 0.0], 0.0), [-1.0, 0.0]),
+        (DISK, [0.0, 0.0]),
+    ])
+    def test_fw_without_lmo_raises_member_or_not(self, s, x):
+        with pytest.raises(UnsupportedKind):
+            approx_project(s, np.array(x), ProjectorConfig(method="fw"))
 
     def test_fw_method_on_ball(self):
         res = approx_project(UNIT_BALL, np.array([2.0, 0.0]), ProjectorConfig(eps=1e-8, method="fw"))

@@ -224,6 +224,28 @@ class TestAudit:
             report = theorem1_audit(traj, prob)
             assert report["passed"], (pid, [c for c in report["checks"] if not c["passed"]])
 
+    def test_partial_trajectory_audits_without_index_error(self):
+        prob = make_problem("translating_disk")
+        with pytest.raises(ProjectionFailed) as exc:
+            solve(prob, 16, method="fw", max_iter=1)
+        partial = exc.value.partial
+        assert partial.steps_taken < partial.grid.n
+        report = theorem1_audit(partial, prob)
+        assert not report["passed"]
+        assert len(report["checks"]) == 7
+
+    def test_partial_trajectory_never_passes(self, drift_in_fixed_ball):
+        traj = solve(drift_in_fixed_ball, 8)
+        assert theorem1_audit(traj, drift_in_fixed_ball)["passed"]
+        partial = dataclasses.replace(
+            traj, nodes=traj.nodes[:4], integrals=traj.integrals[:3],
+            diagnostics=traj.diagnostics[:3], complete=False,
+        )
+        report = theorem1_audit(partial, drift_in_fixed_ball)
+        assert all(c["passed"] for c in report["checks"])
+        assert not report["projection_failures"]
+        assert not report["passed"]
+
     def test_failed_step_fails_audit(self):
         prob = make_problem("translating_disk")
         traj = solve(prob, 16, method="fw", max_iter=1, permissive=True)
