@@ -14,7 +14,6 @@ from .geometry import (
     max_fn,
     distance,
     exact_project,
-    hausdorff_estimate,
     prox_eps0,
     residual,
 )
@@ -61,7 +60,6 @@ from .harness import (
     make_problem,
     rate_study,
     reference_solution,
-    self_consistency_gate,
     stability_study,
     sup_error,
 )

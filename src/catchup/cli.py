@@ -224,8 +224,7 @@ def cmd_rate(args) -> int:
         raise ConfigError(str(exc))
     (out / "rate.csv").write_text(study.to_csv())
     (out / "rate.json").write_text(study.to_json())
-    decreasing = all(b < a for a, b in zip(study.errors, study.errors[1:]))
-    return EXIT_OK if (study.slope >= 0.25 and decreasing) else EXIT_SOLVE
+    return EXIT_OK if (study.slope >= 0.25 and study.strictly_decreasing) else EXIT_SOLVE
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ certified oracles in :mod:`catchup.oracles`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -225,19 +226,6 @@ def distance(s: SetDescription, x, eps: float = DISTANCE_EPS) -> float:
     raise UnsupportedKind(type(s).__name__)
 
 
-def centroid(s: SetDescription) -> Array:
-    """An interior/anchor point, used to seed boundary sampling."""
-    if isinstance(s, Halfspace):
-        return (s.offset / float(np.dot(s.normal, s.normal))) * s.normal
-    if isinstance(s, Ball):
-        return s.center.copy()
-    if isinstance(s, Box):
-        return 0.5 * (s.lo + s.hi)
-    if isinstance(s, Sublevel):
-        return s.slater.copy()
-    raise UnsupportedKind(type(s).__name__)
-
-
 def dimension(s: SetDescription) -> int:
     """Ambient dimension, read off the vector the set stores."""
     if isinstance(s, Halfspace):
@@ -258,98 +246,16 @@ def dimension(s: SetDescription) -> int:
 def prox_eps0(gamma: float, rho: float) -> float:
     """Largest certificate still covered by the stability threshold equation.
 
-    Solves  gamma + 4*s*(1 + gamma + (1 + 4*s)/rho) = 1  for s = sqrt(eps0)
-    by bisection to a bracket of width 1e-14; the left side is strictly
-    increasing in s, so the positive root is unique.  Returns eps0 = s**2.
+    Solves  gamma + 4*s*(1 + gamma + (1 + 4*s)/rho) = 1  for s = sqrt(eps0).
+    In s this is the quadratic  (16/rho)*s**2 + b*s - (1 - gamma) = 0  with
+    b = 4*(1 + gamma + 1/rho) > 0, whose positive root is taken in the form
+    free of cancellation.  Returns eps0 = s**2.
     """
     if not 0.0 < gamma < 1.0:
         raise NoRoot(f"gamma must lie in (0, 1), got {gamma}")
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-
-    def phi(s: float) -> float:
-        return gamma + 4.0 * s * (1.0 + gamma + (1.0 + 4.0 * s) / rho) - 1.0
-
-    lo, hi = 0.0, 1.0
-    while phi(hi) < 0.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    s = 0.5 * (lo + hi)
+    slack = 1.0 - gamma
+    b = 4.0 * (1.0 + gamma + 1.0 / rho)
+    s = 2.0 * slack / (b + math.sqrt(b * b + 64.0 * slack / rho))
     return s * s
-
-
-# ---------------------------------------------------------------------------
-# Hausdorff distance estimation
-
-
-def _boundary_samples(s: SetDescription, m: int, rng: np.random.Generator) -> Array:
-    d = dimension(s)
-    c = centroid(s)
-    dirs = rng.standard_normal((m, d))
-    norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    dirs /= norms
-
-    if isinstance(s, Ball):
-        return s.center + s.radius * dirs
-    if isinstance(s, Box):
-        reach = float(np.linalg.norm(s.hi - s.lo)) + 1.0
-        return np.array([exact_project(s, c + reach * u) for u in dirs])
-    if isinstance(s, Halfspace):
-        n = s.normal / float(np.linalg.norm(s.normal))
-        spread = 1.0 + float(np.linalg.norm(c))
-        tangents = dirs - np.outer(dirs @ n, n)
-        return c + spread * tangents
-    if isinstance(s, Sublevel):
-        pts = []
-        for u in dirs:
-            step = 1.0
-            hit = None
-            for _ in range(60):
-                if residual(s, c + step * u) > 0.0:
-                    hit = step
-                    break
-                step *= 2.0
-            if hit is None:  # unbounded direction, nothing to sample there
-                continue
-            lo_r, hi_r = 0.0, hit
-            for _ in range(80):
-                mid = 0.5 * (lo_r + hi_r)
-                if residual(s, c + mid * u) > 0.0:
-                    hi_r = mid
-                else:
-                    lo_r = mid
-            pts.append(c + lo_r * u)
-        if not pts:
-            raise UnsupportedKind("could not sample sublevel boundary (set unbounded?)")
-        return np.array(pts)
-    raise UnsupportedKind(type(s).__name__)
-
-
-def hausdorff_estimate(
-    a: SetDescription,
-    b: SetDescription,
-    samples: int,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Sampled lower bound on d_H(a, b).
-
-    Boundary points of each set are drawn in uniform random directions from
-    the set anchor, and the two one-sided excesses are maximized over the
-    samples.  A lower-bound estimator only: unsampled boundary regions can
-    hide excess.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    e_ab = max(distance(b, p) for p in _boundary_samples(a, samples, rng))
-    e_ba = max(distance(a, p) for p in _boundary_samples(b, samples, rng))
-    return max(e_ab, e_ba)

@@ -110,17 +110,13 @@ def fine_grid_reference(problem_id: str, n_ref: int) -> Trajectory:
     return solve(problem, n_ref, method="auto")
 
 
-def sup_error(
-    traj: Trajectory,
-    reference,
-    grid_size: int = EVAL_GRID_SIZE,
-) -> float:
+def sup_error(traj: Trajectory, reference) -> float:
     """Max interpolant error over a fixed evaluation grid of times.
 
     reference is either a callable t -> point or a finer Trajectory.
     """
     horizon = traj.grid.horizon
-    ts = np.linspace(0.0, horizon, grid_size)
+    ts = np.linspace(0.0, horizon, EVAL_GRID_SIZE)
     worst = 0.0
     for t in ts:
         xt = interpolate(traj, float(t))
@@ -142,6 +138,10 @@ class RateStudy:
     slope: float
     ratios: list[float]
 
+    @property
+    def strictly_decreasing(self) -> bool:
+        return all(b < a for a, b in zip(self.errors, self.errors[1:]))
+
     def to_csv(self) -> str:
         lines = ["n,mu,eps_n,sup_error"]
         for n, mu, e, err in zip(self.ladder, self.mus, self.eps, self.errors):
@@ -158,9 +158,7 @@ class RateStudy:
                 "sup_error": self.errors,
                 "slope": self.slope,
                 "ratios": self.ratios,
-                "strictly_decreasing": all(
-                    b < a for a, b in zip(self.errors, self.errors[1:])
-                ),
+                "strictly_decreasing": self.strictly_decreasing,
             },
             indent=2,
             sort_keys=True,
@@ -173,7 +171,6 @@ def rate_study(
     schedule: EpsSchedule | None = None,
     method: str | None = None,
     reference: str = "closed_form",
-    grid_size: int = EVAL_GRID_SIZE,
 ) -> RateStudy:
     """Sup errors along an n-ladder and the fitted log-log slope vs mu_n."""
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
@@ -194,7 +191,7 @@ def rate_study(
     for n in ladder:
         problem = make_problem(problem_id)
         traj = solve(problem, n, schedule=schedule, method=method)
-        errors.append(sup_error(traj, ref, grid_size))
+        errors.append(sup_error(traj, ref))
         mus.append(traj.grid.mu)
         eps.append(traj.eps_n)
 
@@ -247,17 +244,3 @@ def stability_study(
         eps_seq=list(eps_seq),
         gaps=gaps,
     )
-
-
-def self_consistency_gate(problem_id: str, n_ref: int = 4096) -> tuple[bool, float]:
-    """Fine-grid reference must agree with the closed form before rate studies.
-
-    The comparison threshold is twice the scheme's error scale at n_ref
-    (mu + sqrt(eps) + sqrt(eps)/mu for the default schedule).
-    """
-    traj = fine_grid_reference(problem_id, n_ref)
-    err = sup_error(traj, lambda t: reference_solution(problem_id, t), grid_size=200)
-    mu = traj.grid.mu
-    eps = traj.eps_n
-    bound = 2.0 * (mu + math.sqrt(eps) + math.sqrt(eps) / mu)
-    return err <= bound, err

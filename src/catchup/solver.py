@@ -349,12 +349,16 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     checks = []
 
     def record(name: str, values, bound: float, cells: bool = False):
-        """One check: it fails on any value above bound; cells lists those items."""
+        """One check: it fails on any value above bound; cells lists those items.
+
+        max_lhs is None when there are no values (a partial run with no step).
+        """
         over = np.asarray(values, dtype=float) > bound + _AUDIT_SLACK
+        top = max(values, default=None)
         checks.append({
             "name": name,
             "passed": not over.any(),
-            "max_lhs": float(max(values, default=-np.inf)),
+            "max_lhs": None if top is None else float(top),
             "bound": bound,
             "cells": [int(i) for i in np.flatnonzero(over)] if cells else [],
         })
@@ -380,10 +384,9 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     # (a)(iii): uniform norm bound of the interpolant
     record("a_iii_sup_norm", np.linalg.norm(interp, axis=1), const["K2"])
 
-    # (a)(iv): consecutive node increments; 0 when no step was taken
+    # (a)(iv): consecutive node increments
     inc = np.linalg.norm(np.diff(traj.nodes[: traj.steps_taken + 1], axis=0), axis=1)
-    record("a_iv_node_increment", inc if inc.size else [0.0], const["K3"] * mu + sq_eps,
-           cells=True)
+    record("a_iv_node_increment", inc, const["K3"] * mu + sq_eps, cells=True)
 
     # (a)(v): deviation from the right node inside cells
     dev = [float(np.linalg.norm(xt - traj.nodes[_left_cell(grid, t) + 1]))

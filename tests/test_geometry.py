@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from catchup.geometry import (
     max_fn,
     distance,
     exact_project,
-    hausdorff_estimate,
     prox_eps0,
     residual,
 )
@@ -216,20 +216,22 @@ class TestProxEps0:
             vals = [prox_eps0(g, r) for r in rhos]
             assert all(b > a for a, b in zip(vals, vals[1:]))  # increasing in rho
 
+    def test_matches_high_precision_root(self):
+        # reference: the textbook root in 60-digit decimals, from the exact
+        # binary values of gamma and rho
+        for gamma in (0.025, 0.5, 0.9, 0.9999, 1.0 - 1e-8, 1.0 - 1e-12):
+            for rho in (0.01, 1.0, 100.0):
+                s = math.sqrt(prox_eps0(gamma, rho))
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    g, r = Decimal(gamma), Decimal(rho)
+                    a, b = 16 / r, 4 * (1 + g + 1 / r)
+                    ref = (-b + (b * b + 4 * a * (1 - g)).sqrt()) / (2 * a)
+                    rel = float(abs(Decimal(s) - ref) / ref)
+                assert rel <= 1e-15, (gamma, rho, rel)
+                lhs = gamma + 4.0 * s * (1.0 + gamma + (1.0 + 4.0 * s) / rho)
+                assert abs(lhs - 1.0) <= 4 * 2.0**-52, (gamma, rho, lhs)
+
     def test_no_root_for_gamma_ge_one(self):
         with pytest.raises(NoRoot):
             prox_eps0(1.0, 1.0)
-
-
-class TestHausdorffEstimate:
-    def test_identical_sets(self):
-        assert hausdorff_estimate(UNIT_BALL, UNIT_BALL, 100) == pytest.approx(0.0, abs=1e-12)
-
-    def test_translated_balls(self):
-        other = Ball([1.0, 0.0], 1.0)
-        est = hausdorff_estimate(UNIT_BALL, other, 2000, np.random.default_rng(7))
-        assert 0.99 <= est <= 1.0 + 1e-12
-
-    def test_parallel_halfspaces(self):
-        a, b = RIGHT_HALF, Halfspace([1.0, 0.0], 0.5)
-        assert hausdorff_estimate(a, b, 50) == pytest.approx(0.5, abs=1e-9)

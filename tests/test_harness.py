@@ -9,7 +9,6 @@ from catchup.harness import (
     make_problem,
     rate_study,
     reference_solution,
-    self_consistency_gate,
     stability_study,
     sup_error,
 )
@@ -48,30 +47,29 @@ class TestCatalog:
 class TestSupError:
     def test_zero_against_self(self):
         traj = solve(make_problem("dragging_interval"), 16)
-        assert sup_error(traj, traj, grid_size=50) == 0.0
+        assert sup_error(traj, traj) == 0.0
 
     def test_against_closed_form(self):
         traj = solve(make_problem("dragging_interval"), 16)
-        err = sup_error(traj, lambda t: reference_solution("dragging_interval", t),
-                        grid_size=100)
+        err = sup_error(traj, lambda t: reference_solution("dragging_interval", t))
         assert err <= 1e-12
 
     def test_fine_grid_reference_usable(self):
         coarse = solve(make_problem("interior_ode"), 16)
         ref = fine_grid_reference("interior_ode", 256)
-        err = sup_error(coarse, ref, grid_size=50)
+        err = sup_error(coarse, ref)
         assert 0.0 < err < 0.1
 
 
 class TestRateStudy:
     def test_halfspace_small_ladder(self):
-        rs = rate_study("translating_halfspace", [8, 16, 32], grid_size=100)
+        rs = rate_study("translating_halfspace", [8, 16, 32])
         assert len(rs.errors) == 3
         # exact projections track the closed form to rounding error
         assert max(rs.errors) <= 1e-10
 
     def test_disk_errors_shrink(self):
-        rs = rate_study("translating_disk", [16, 32, 64], grid_size=100)
+        rs = rate_study("translating_disk", [16, 32, 64])
         assert rs.errors[-1] < rs.errors[0]
         assert rs.slope > 0.25
 
@@ -82,7 +80,7 @@ class TestRateStudy:
             rate_study("dragging_interval", [])
 
     def test_serialization(self):
-        rs = rate_study("translating_halfspace", [8, 16], grid_size=50)
+        rs = rate_study("translating_halfspace", [8, 16])
         assert rs.to_csv().startswith("n,mu,eps_n,sup_error\n")
         assert '"strictly_decreasing"' in rs.to_json()
 
@@ -105,13 +103,3 @@ class TestStabilityStudy:
         pts = [x] * 5
         study = stability_study(ball, x, pts, [1e-10] * 5)
         assert study.final_gap <= 1e-5
-
-
-class TestSelfConsistency:
-    def test_gate_passes_dragging(self):
-        ok, err = self_consistency_gate("dragging_interval", n_ref=256)
-        assert ok and err <= 1e-10
-
-    def test_gate_passes_interior(self):
-        ok, _ = self_consistency_gate("interior_ode", n_ref=512)
-        assert ok

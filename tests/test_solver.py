@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -244,6 +245,19 @@ class TestAudit:
         report = theorem1_audit(partial, drift_in_fixed_ball)
         assert all(c["passed"] for c in report["checks"])
         assert not report["projection_failures"]
+        assert not report["passed"]
+
+    def test_zero_step_partial_audit_is_valid_json(self):
+        traj = solve(make_problem("dragging_interval"), 8)
+        partial = dataclasses.replace(
+            traj, nodes=traj.nodes[:1], integrals=traj.integrals[:0],
+            diagnostics=[], complete=False,
+        )
+        report = theorem1_audit(partial, make_problem("dragging_interval"))
+        json.dumps(report, allow_nan=False)
+        empty = {c["name"] for c in report["checks"] if c["max_lhs"] is None}
+        assert empty == {"a_i_predictor_distance", "a_iv_node_increment",
+                         "a_v_cell_deviation", "c_velocity_bound"}
         assert not report["passed"]
 
     def test_failed_step_fails_audit(self):
