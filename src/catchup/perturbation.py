@@ -2,7 +2,9 @@
 
 The stepper never sees the set-valued map directly; it consumes a selection
 f(t, x) whose squared norm exceeds the minimum over F(t, x) by less than a
-fixed gamma, together with per-cell time integrals of that selection.
+fixed gamma, together with per-cell time integrals of that selection.  A
+single-valued F(t, x) = {field(t, x)} is its own selection and is returned
+directly; a set-valued F selects by projecting the origin onto F(t, x).
 """
 
 from __future__ import annotations
@@ -25,13 +27,32 @@ class Perturbation:
 
     h bounds the distance from the origin to F(t, x); L_h is its Lipschitz
     constant.  Upper semicontinuity of F(t, .) is a contract on the supplied
-    map, not a runtime check.
+    map, not a runtime check.  field, when set, is the single element of
+    F(t, x); build such a perturbation with single_valued, so that values
+    describes the same set.
     """
 
     values: Callable[[float, Array], SetDescription]
     h: Callable[[Array], float]
     lipschitz_h: float
     time_independent: bool = False
+    field: Callable[[float, Array], Array] | None = None
+
+    @classmethod
+    def single_valued(
+        cls,
+        field: Callable[[float, Array], Array],
+        h: Callable[[Array], float],
+        lipschitz_h: float,
+        time_independent: bool = False,
+    ) -> Perturbation:
+        """F(t, x) = {field(t, x)}, with values the degenerate Box(v, v)."""
+
+        def values(t: float, x: Array) -> SetDescription:
+            v = field(t, x)
+            return Box(v, v)
+
+        return cls(values, h, lipschitz_h, time_independent, field)
 
 
 @dataclass(frozen=True)
@@ -39,28 +60,59 @@ class Selection:
     f: Callable[[float, Array], Array]
     time_independent: bool = False
 
+    def value(self, t: float, x: Array) -> Array:
+        """f(t, x) as a vector; ValueError unless it has the shape of the state x."""
+        v = as_vec(self.f(t, x))
+        if v.shape != x.shape:
+            raise ValueError(f"selection has shape {v.shape}, state has shape {x.shape}")
+        return v
 
-def min_norm_selection(p: Perturbation, t: float, x, gamma: float = DEFAULT_GAMMA) -> Array:
-    """A feasible element of F(t, x) with squared norm within gamma of minimal.
 
-    Raises ProjectionFailed when the projection of the origin onto F(t, x)
-    cannot reach the gamma certificate.
-    """
+def _selection_projector(gamma: float) -> ProjectorConfig:
     if not gamma > 0.0:
         raise ValueError("gamma must be positive")
+    return ProjectorConfig(eps=gamma)
+
+
+def min_norm_selection(
+    p: Perturbation,
+    t: float,
+    x,
+    gamma: float = DEFAULT_GAMMA,
+    *,
+    projector: ProjectorConfig | None = None,
+) -> Array:
+    """A feasible element of F(t, x) with squared norm within gamma of minimal.
+
+    projector, when given, is the ProjectorConfig(eps=gamma) that a
+    Selection builds once, and gamma is not read; otherwise it is built from
+    gamma here.  Raises ProjectionFailed when the projection of the origin
+    onto F(t, x) cannot reach the gamma certificate.
+    """
+    if projector is None:
+        projector = _selection_projector(gamma)
     x = as_vec(x)
-    d = x.shape[0]
-    res = approx_project(p.values(t, x), np.zeros(d), ProjectorConfig(eps=gamma))
+    res = approx_project(p.values(t, x), np.zeros(x.shape[0]), projector)
     if not res.converged:
         raise ProjectionFailed(
-            f"selection at t={t}: certificate {res.certified_eps:.3e} exceeds gamma {gamma:.3e}"
+            f"selection at t={t}: certificate {res.certified_eps:.3e} exceeds gamma {projector.eps:.3e}"
         )
     return res.point
 
 
 def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
+    """The selection of F that the stepper integrates.
+
+    A single-valued F is its own selection: p.field is returned as-is.  A
+    set-valued F selects min_norm_selection with one projector built here;
+    the function is looked up at call time, so a wrapper installed on this
+    module sees every call.
+    """
+    projector = _selection_projector(gamma)
+    if p.field is not None:
+        return Selection(f=p.field, time_independent=p.time_independent)
     return Selection(
-        f=lambda t, x: min_norm_selection(p, t, x, gamma),
+        f=lambda t, x: min_norm_selection(p, t, x, projector=projector),
         time_independent=p.time_independent,
     )
 
@@ -79,11 +131,11 @@ def cell_integral(sel: Selection, x, a: float, b: float, q: int = DEFAULT_QUAD_N
     if a == b:
         return np.zeros_like(x)
     if sel.time_independent:
-        return (b - a) * as_vec(sel.f(a, x))
+        return (b - a) * sel.value(a, x)
     h = (b - a) / q
     total = np.zeros_like(x)
     for j in range(q):
-        total += as_vec(sel.f(a + (j + 0.5) * h, x))
+        total += sel.value(a + (j + 0.5) * h, x)
     return h * total
 
 
@@ -93,23 +145,18 @@ def cell_integral(sel: Selection, x, a: float, b: float, q: int = DEFAULT_QUAD_N
 
 def zero_perturbation() -> Perturbation:
     """F(t, x) = {0}."""
-
-    def values(t: float, x: Array) -> SetDescription:
-        z = np.zeros_like(as_vec(x))
-        return Box(z, z)
-
-    return Perturbation(values=values, h=lambda x: 0.0, lipschitz_h=0.0, time_independent=True)
+    return Perturbation.single_valued(
+        field=lambda t, x: np.zeros_like(as_vec(x)),
+        h=lambda x: 0.0,
+        lipschitz_h=0.0,
+        time_independent=True,
+    )
 
 
 def linear_decay_perturbation() -> Perturbation:
     """F(t, x) = {-x}; drives the interior exponential-decay dynamics."""
-
-    def values(t: float, x: Array) -> SetDescription:
-        v = -as_vec(x)
-        return Box(v, v)
-
-    return Perturbation(
-        values=values,
+    return Perturbation.single_valued(
+        field=lambda t, x: -as_vec(x),
         h=lambda x: float(np.linalg.norm(x)),
         lipschitz_h=1.0,
         time_independent=True,

@@ -297,7 +297,7 @@ def velocity(traj: Trajectory, t: float, side: Optional[str] = None) -> Array:
         k = grid.cell_index(t)
     x_k = traj.nodes[k]
     move = traj.nodes[k + 1] - x_k - traj.integrals[k]
-    return move / grid.mu + as_vec(traj.selection.f(t, x_k))
+    return move / grid.mu + traj.selection.value(t, x_k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from catchup.geometry import Ball, Box
-from catchup.oracles import ProjectionFailed, ProjectionResult
+from catchup.geometry import Ball, Box, MovingSet
+from catchup.oracles import ProjectionFailed, ProjectionResult, ProjectorConfig
 from catchup.perturbation import (
+    Perturbation,
     Selection,
     cell_integral,
     constant_set_perturbation,
@@ -14,6 +17,9 @@ from catchup.perturbation import (
     min_norm_selection,
     zero_perturbation,
 )
+from catchup.solver import SweepingProblem, solve, velocity
+
+SINGLE_VALUED = (zero_perturbation, linear_decay_perturbation)
 
 
 class TestMinNormSelection:
@@ -100,6 +106,34 @@ class TestCellIntegral:
         with pytest.raises(ValueError):
             cell_integral(sel, [0.0], 1.0, 0.0)
 
+    @pytest.mark.parametrize("time_independent", [True, False])
+    def test_rejects_selection_of_wrong_dimension(self, time_independent):
+        sel = Selection(f=lambda t, x: np.array([1.0]), time_independent=time_independent)
+        with pytest.raises(ValueError, match="shape"):
+            cell_integral(sel, [0.0, 0.0], 0.0, 0.5)
+
+
+class TestWrongDimensionField:
+    """A field whose value has another dimension than the state fails loudly."""
+
+    one_vector = Perturbation.single_valued(
+        field=lambda t, x: np.array([1.0]), h=lambda x: 1.0, lipschitz_h=0.0, time_independent=True,
+    )
+
+    def test_solve_rejects_it(self):
+        problem = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), self.one_vector,
+                                  [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            solve(problem, 4)
+
+    def test_velocity_rejects_it(self):
+        problem = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), zero_perturbation(),
+                                  [0.0, 0.0], 1.0)
+        traj = solve(problem, 4)
+        traj.selection = Selection(f=self.one_vector.field, time_independent=True)
+        with pytest.raises(ValueError, match="shape"):
+            velocity(traj, 0.3)
+
 
 class TestCatalog:
     def test_growth_bound_holds_for_selections(self):
@@ -129,3 +163,54 @@ class TestCatalog:
             y, yp = min_norm_selection(p, 0.7, x), min_norm_selection(p, 0.7, xp)
             lhs = float(np.dot(y - yp, x - xp))
             assert lhs <= 0.0 * float(np.dot(x - xp, x - xp)) + 1e-12
+
+
+class TestSingleValued:
+    @pytest.mark.parametrize("make", SINGLE_VALUED)
+    def test_selection_never_projects(self, make, monkeypatch):
+        def no_projection(s, x, cfg=None):
+            raise AssertionError("a single-valued selection called approx_project")
+
+        monkeypatch.setattr("catchup.perturbation.approx_project", no_projection)
+        sel = make_selection(make())
+        x = np.array([0.3, -0.7])
+        assert np.array_equal(sel.f(0.2, x), make().field(0.2, x))
+        cell_integral(sel, x, 0.0, 0.5)
+
+    @pytest.mark.parametrize("make", SINGLE_VALUED)
+    @example(x=[0.0, -0.0], t=0.0)
+    @example(x=[-0.0], t=1.0)
+    @given(x=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+           t=st.floats(0.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_field_is_the_min_norm_selection(self, make, x, t):
+        p = make()
+        x = np.array(x)
+        assert np.array_equal(make_selection(p).f(t, x), min_norm_selection(p, t, x))
+
+    @pytest.mark.parametrize("make", SINGLE_VALUED)
+    def test_values_is_the_degenerate_box_of_field(self, make):
+        p = make()
+        x = np.array([1.5, -2.0, 0.0])
+        s = p.values(0.4, x)
+        v = p.field(0.4, x)
+        assert isinstance(s, Box)
+        assert np.array_equal(s.lo, v) and np.array_equal(s.hi, v)
+
+    def test_set_valued_selection_builds_one_projector(self, monkeypatch):
+        built = []
+
+        def counting(**kwargs):
+            built.append(kwargs)
+            return ProjectorConfig(**kwargs)
+
+        monkeypatch.setattr("catchup.perturbation.ProjectorConfig", counting)
+        sel = make_selection(constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0), 1e-6)
+        for t in (0.0, 0.25, 0.5):
+            sel.f(t, np.zeros(2))
+        assert built == [{"eps": 1e-6}]
+
+    def test_make_selection_rejects_nonpositive_gamma(self):
+        for p in (zero_perturbation(), constant_set_perturbation(Box([1.0], [2.0]), 1.0)):
+            with pytest.raises(ValueError, match="gamma"):
+                make_selection(p, gamma=0.0)
