@@ -5,17 +5,17 @@ table reports the sup-norm error of the interpolant over 1000 sample times
 and whether the a-priori bound audit passed.
 """
 
-from catchup.harness import CATALOG, DEFAULT_METHOD, make_problem, reference_solution, sup_error
+from catchup.harness import CATALOG, make_problem, sup_error
 from catchup.solver import solve, theorem1_audit
 
 
 def main():
     n = 256
     print(f"{'problem':24s} {'n':>5s} {'sup error':>12s} {'audit':>6s}")
-    for pid in CATALOG:
-        prob = make_problem(pid)
-        traj = solve(prob, n, method=DEFAULT_METHOD.get(pid, "auto"))
-        err = sup_error(traj, lambda t: reference_solution(pid, t))
+    for pid, entry in CATALOG.items():
+        prob = entry.build()
+        traj = solve(prob, n, method=entry.method)
+        err = sup_error(traj, entry.solution)
         audit = theorem1_audit(traj, prob)
         print(f"{pid:24s} {n:5d} {err:12.3e} {'pass' if audit['passed'] else 'FAIL':>6s}")
 

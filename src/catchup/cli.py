@@ -8,12 +8,20 @@ Configs are flat key = value files with dotted section prefixes, e.g.
     schedule.p = 3.0
     oracle.method = fw
 
+Each command reads these keys, and any other key is a config error:
+
+    project       set.kind, set.center, set.radius, set.lo, set.hi,
+                  set.normal, set.offset, point, eps, max_iter, method
+    solve, audit  problem, n, gamma, schedule.c, schedule.p,
+                  oracle.method, oracle.max_iter
+    rate          problem, ladder, schedule.c, schedule.p, oracle.method
+
 The method is auto or fw.  solve, rate and audit take --out; solve and
 audit take --permissive.
 
-Exit codes: 0 success, 1 config or usage error (including a method the
-set cannot use), 2 projection budget exhausted, 3 solve aborted on a
-failed projection step.
+Exit codes: 0 success, 1 config or usage error (including an unknown key
+or a method the set cannot use), 2 projection budget exhausted, 3 solve
+aborted on a failed projection step.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Ball, Box, Halfspace, Sublevel, UnsupportedKind, ball_fn
-from .harness import DEFAULT_METHOD, UnknownProblem, make_problem, rate_study
+from .harness import CATALOG, UnknownProblem, make_problem, rate_study
 from .oracles import ProjectorConfig, approx_project
 from .solver import (
     EpsSchedule,
@@ -41,6 +49,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_SOLVE = 3
+
+_SOLVE_KEYS = frozenset({"problem", "n", "gamma", "schedule.c", "schedule.p",
+                         "oracle.method", "oracle.max_iter"})
+_KEYS = {
+    "project": frozenset({"set.kind", "set.center", "set.radius", "set.lo", "set.hi",
+                          "set.normal", "set.offset", "point", "eps", "max_iter", "method"}),
+    "solve": _SOLVE_KEYS,
+    "audit": _SOLVE_KEYS,
+    "rate": frozenset({"problem", "ladder", "schedule.c", "schedule.p", "oracle.method"}),
+}
 
 
 class ConfigError(ValueError):
@@ -113,15 +131,20 @@ def _schedule(cfg: dict) -> EpsSchedule:
     return _build(EpsSchedule, c=_num(cfg, "schedule.c", 1.0), p=_num(cfg, "schedule.p", 3.0))
 
 
-def _load(path: str) -> dict[str, str]:
+def _load(args) -> dict[str, str]:
+    """The command's config; a key the command does not read is a config error."""
     try:
-        return parse_config(Path(path).read_text())
+        cfg = parse_config(Path(args.config).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
+    unknown = sorted(cfg.keys() - _KEYS[args.command])
+    if unknown:
+        raise ConfigError(f"{args.command} reads no key {', '.join(map(repr, unknown))}")
+    return cfg
 
 
 def cmd_project(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args)
     s = build_set(cfg)
     x = _vec(cfg, "point")
     pc = _build(
@@ -131,16 +154,7 @@ def cmd_project(args) -> int:
         method=cfg.get("method", "auto"),
     )
     res = approx_project(s, x, pc)
-    print(json.dumps(
-        {
-            "point": [float(v) for v in res.point],
-            "certified_eps": res.certified_eps,
-            "iterations": res.iterations,
-            "converged": res.converged,
-        },
-        indent=2,
-        sort_keys=True,
-    ))
+    print(json.dumps({**vars(res), "point": res.point.tolist()}, indent=2, sort_keys=True))
     return EXIT_OK if res.converged else EXIT_BUDGET
 
 
@@ -159,7 +173,7 @@ def _solve_from_config(cfg: dict, permissive: bool):
     schedule = _schedule(cfg)
     oracle = _build(
         ProjectorConfig,
-        method=cfg.get("oracle.method", DEFAULT_METHOD.get(cfg.get("problem", ""), "auto")),
+        method=cfg.get("oracle.method", CATALOG[cfg["problem"]].method),
         max_iter=_num(cfg, "oracle.max_iter", 10_000, cast=int),
     )
     traj = solve(problem, n, schedule=schedule, method=oracle.method,
@@ -168,7 +182,7 @@ def _solve_from_config(cfg: dict, permissive: bool):
 
 
 def cmd_solve(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -187,7 +201,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -203,7 +217,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    cfg = _load(args.config)
+    cfg = _load(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if "ladder" not in cfg:
@@ -213,11 +227,9 @@ def cmd_rate(args) -> int:
     except ValueError:
         raise ConfigError(f"ladder is not a comma-separated integer list: {cfg['ladder']!r}")
     schedule = _schedule(cfg)
-    method = cfg.get("oracle.method", None)
-    reference = cfg.get("reference", "closed_form")
     try:
         study = rate_study(cfg.get("problem", ""), ladder, schedule=schedule,
-                           method=method, reference=reference)
+                           method=cfg.get("oracle.method"))
     except UnknownProblem:
         raise ConfigError(f"unknown problem {cfg.get('problem')!r}")
     except ValueError as exc:

@@ -201,26 +201,24 @@ def residual(s: SetDescription, x) -> float:
     raise UnsupportedKind(type(s).__name__)
 
 
-def distance(s: SetDescription, x, eps: float = DISTANCE_EPS) -> float:
+def distance(s: SetDescription, x) -> float:
     """d_s(x), exact for closed-form kinds.
 
     For sublevel sets the value is a certified *upper bound*: the norm gap
     to a feasible point produced by the cutting-plane oracle at certificate
-    eps.  It tightens to the true distance as eps -> 0.  Raises
-    ProjectionFailed when the oracle cannot reach eps.
+    DISTANCE_EPS (0 for a member, which the oracle returns as is).  Raises
+    ProjectionFailed when the oracle cannot reach DISTANCE_EPS.
     """
     x = as_vec(x)
     if isinstance(s, CLOSED_FORM_KINDS):
         return float(np.linalg.norm(x - exact_project(s, x)))
     if isinstance(s, Sublevel):
-        if residual(s, x) <= 0.0:
-            return 0.0
         from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
 
-        res = cutting_plane_project(s, x, ProjectorConfig(eps=eps))
+        res = cutting_plane_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
         if not res.converged:
             raise ProjectionFailed(
-                f"distance: certificate {res.certified_eps:.3e} exceeds eps {eps:.3e}"
+                f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
             )
         return float(np.linalg.norm(x - res.point))
     raise UnsupportedKind(type(s).__name__)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,40 +69,39 @@ def _translating_disk() -> SweepingProblem:
     )
 
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """A catalog problem: its builder, its analytic solution and its preferred projector."""
+
+    build: Callable[[], SweepingProblem]
+    solution: Callable[[float], np.ndarray]
+    method: str
+
+
+# the disk prefers Frank-Wolfe, so catalog runs exercise that route too
 CATALOG = {
-    "dragging_interval": _dragging_interval,
-    "translating_halfspace": _translating_halfspace,
-    "interior_ode": _interior_ode,
-    "translating_disk": _translating_disk,
-}
-
-# preferred projector per problem; the disk exercises the Frank-Wolfe route
-DEFAULT_METHOD = {
-    "dragging_interval": "auto",
-    "translating_halfspace": "auto",
-    "interior_ode": "auto",
-    "translating_disk": "fw",
+    "dragging_interval": CatalogEntry(_dragging_interval, lambda t: np.array([t]), "auto"),
+    "translating_halfspace": CatalogEntry(
+        _translating_halfspace, lambda t: np.array([t, 0.0]), "auto"),
+    "interior_ode": CatalogEntry(_interior_ode, lambda t: np.array([math.exp(-t), 0.0]), "auto"),
+    "translating_disk": CatalogEntry(_translating_disk, lambda t: np.array([t - 1.0, 0.0]), "fw"),
 }
 
 
-def make_problem(problem_id: str) -> SweepingProblem:
+def _entry(problem_id: str) -> CatalogEntry:
     try:
-        return CATALOG[problem_id]()
+        return CATALOG[problem_id]
     except KeyError:
         raise UnknownProblem(problem_id) from None
 
 
+def make_problem(problem_id: str) -> SweepingProblem:
+    return _entry(problem_id).build()
+
+
 def reference_solution(problem_id: str, t: float) -> np.ndarray:
     """Analytic solution of a catalog problem at time t."""
-    if problem_id == "dragging_interval":
-        return np.array([t])
-    if problem_id == "translating_halfspace":
-        return np.array([t, 0.0])
-    if problem_id == "interior_ode":
-        return np.array([math.exp(-t), 0.0])
-    if problem_id == "translating_disk":
-        return np.array([t - 1.0, 0.0])
-    raise UnknownProblem(problem_id)
+    return _entry(problem_id).solution(t)
 
 
 def fine_grid_reference(problem_id: str, n_ref: int) -> Trajectory:
@@ -170,28 +170,21 @@ def rate_study(
     ladder: list[int],
     schedule: EpsSchedule | None = None,
     method: str | None = None,
-    reference: str = "closed_form",
 ) -> RateStudy:
-    """Sup errors along an n-ladder and the fitted log-log slope vs mu_n."""
+    """Sup errors against the analytic solution along an n-ladder, and the
+    fitted log-log slope vs mu_n.  method defaults to the problem's own."""
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
         raise ValueError("ladder must be nonempty and strictly increasing")
     if schedule is None:
         schedule = EpsSchedule()
+    entry = _entry(problem_id)
     if method is None:
-        method = DEFAULT_METHOD.get(problem_id, "auto")
-
-    if reference == "closed_form":
-        ref = lambda t: reference_solution(problem_id, t)
-    elif reference == "fine_grid":
-        ref = fine_grid_reference(problem_id, n_ref=4 * max(ladder))
-    else:
-        raise ValueError(f"unknown reference {reference!r}")
+        method = entry.method
 
     errors, mus, eps = [], [], []
     for n in ladder:
-        problem = make_problem(problem_id)
-        traj = solve(problem, n, schedule=schedule, method=method)
-        errors.append(sup_error(traj, ref))
+        traj = solve(entry.build(), n, schedule=schedule, method=method)
+        errors.append(sup_error(traj, entry.solution))
         mus.append(traj.grid.mu)
         eps.append(traj.eps_n)
 

@@ -218,13 +218,11 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
 
 
 def _restore_feasibility(s: Sublevel, w: Array) -> Array:
-    """Walk from w toward the Slater anchor to a feasible boundary point.
+    """Walk from an infeasible w toward the Slater anchor to a feasible boundary point.
 
     Bisection keeps the feasible endpoint, so the returned point satisfies
     fn(p) <= level exactly (up to floating point in fn itself).
     """
-    if residual(s, w) <= 0.0:
-        return w
     lo, hi = 0.0, 1.0  # w + t*(slater - w); t=1 strictly feasible
     seg = s.slater - w
     seg_norm = float(np.linalg.norm(seg))

@@ -117,13 +117,14 @@ def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
     )
 
 
-def cell_integral(sel: Selection, x, a: float, b: float, q: int = DEFAULT_QUAD_NODES) -> Array:
+def cell_integral(sel: Selection, x, a: float, b: float) -> Array:
     """Approximate integral of s -> sel.f(s, x) over [a, b], x frozen.
 
-    Composite midpoint rule with q sub-nodes; a single evaluation when the
-    selection is declared time-independent, which makes the value exact.
-    The rule is exact on integrands linear in time; otherwise the per-cell
-    error is bounded by (b-a)^3 * M2 / (24 q^2) for |d^2 f/dt^2| <= M2.
+    Composite midpoint rule with q = DEFAULT_QUAD_NODES sub-nodes; a single
+    evaluation when the selection is declared time-independent, which makes
+    the value exact.  The rule is exact on integrands linear in time;
+    otherwise the per-cell error is bounded by (b-a)^3 * M2 / (24 q^2) for
+    |d^2 f/dt^2| <= M2.
     """
     if a > b:
         raise ValueError("need a <= b")
@@ -132,9 +133,9 @@ def cell_integral(sel: Selection, x, a: float, b: float, q: int = DEFAULT_QUAD_N
         return np.zeros_like(x)
     if sel.time_independent:
         return (b - a) * sel.value(a, x)
-    h = (b - a) / q
+    h = (b - a) / DEFAULT_QUAD_NODES
     total = np.zeros_like(x)
-    for j in range(q):
+    for j in range(DEFAULT_QUAD_NODES):
         total += sel.value(a + (j + 0.5) * h, x)
     return h * total
 

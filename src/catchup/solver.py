@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +37,7 @@ _NODE_SNAP = 1e-9
 
 
 class OutOfRange(ValueError):
-    """Time outside [0, T] (or sitting on a node where a side is required)."""
+    """Time outside [0, T], or a grid node where a derivative jumps."""
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,9 @@ class SweepingProblem:
         c0 = self.moving_set.at(0.0)
         if self.x0.shape[0] != dimension(c0):
             raise ValueError(f"x0 has dimension {self.x0.shape[0]}, C(0) has {dimension(c0)}")
+        f0 = self.perturbation.values(0.0, self.x0)
+        if dimension(f0) != self.x0.shape[0]:
+            raise ValueError(f"F(0, x0) has dimension {dimension(f0)}, x0 has {self.x0.shape[0]}")
         if residual(c0, self.x0) > feasibility_tolerance(c0):
             raise ValueError("x0 must belong to C(0)")
 
@@ -268,33 +270,17 @@ def interpolate(traj: Trajectory, t: float) -> Array:
     return x_k + ((t - t_k) / grid.mu) * move + partial
 
 
-def velocity(traj: Trajectory, t: float, side: Optional[str] = None) -> Array:
-    """d/dt of the interpolant; defined in cell interiors.
+def velocity(traj: Trajectory, t: float) -> Array:
+    """d/dt of the interpolant; defined in cell interiors only.
 
-    At a grid node the derivative jumps; pass side="left" or side="right"
-    for the one-sided value.
+    Raises OutOfRange at a grid node, where the derivative jumps, and
+    outside (0, T).
     """
     grid = traj.grid
-    if t <= 0.0 and side != "right":
-        if t < 0.0:
-            raise OutOfRange(f"t={t} outside [0, {grid.horizon}]")
-        raise OutOfRange("t=0 is a grid node; pass side='right'")
-    if t >= grid.horizon and side != "left":
-        if t > grid.horizon:
-            raise OutOfRange(f"t={t} outside [0, {grid.horizon}]")
-        raise OutOfRange("t=T is a grid node; pass side='left'")
-
     r = t * grid.n / grid.horizon
-    on_node = abs(r - round(r)) < _NODE_SNAP and 0 < round(r) < grid.n
-    if on_node:
-        if side == "left":
-            k = int(round(r)) - 1
-        elif side == "right":
-            k = int(round(r))
-        else:
-            raise OutOfRange(f"t={t} is a grid node; pass side='left' or side='right'")
-    else:
-        k = grid.cell_index(t)
+    if not 0.0 < t < grid.horizon or abs(r - round(r)) < _NODE_SNAP:
+        raise OutOfRange(f"t={t} is a grid node or outside (0, {grid.horizon})")
+    k = grid.cell_index(t)
     x_k = traj.nodes[k]
     move = traj.nodes[k + 1] - x_k - traj.integrals[k]
     return move / grid.mu + traj.selection.value(t, x_k)
@@ -447,18 +433,7 @@ def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
         "eps_n": traj.eps_n,
         "complete": traj.complete,
         "nodes": [[float(v) for v in row] for row in traj.nodes],
-        "diagnostics": [
-            {
-                "predictor_distance": dg.predictor_distance,
-                "distance_exact": dg.distance_exact,
-                "certified_eps": dg.certified_eps,
-                "budget_lambda": dg.budget_lambda,
-                "h_at_node": dg.h_at_node,
-                "iterations": dg.iterations,
-                "converged": dg.converged,
-            }
-            for dg in traj.diagnostics
-        ],
+        "diagnostics": [vars(dg) for dg in traj.diagnostics],
     }
     if audit is not None:
         payload["audit"] = audit

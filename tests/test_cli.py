@@ -192,6 +192,7 @@ def assert_config_error(argv, capsys):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
+    return err
 
 
 class TestConfigErrors:
@@ -202,9 +203,23 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["solve", "rate", "audit"])
     def test_fw_on_halfspace(self, tmp_path, capsys, command):
-        cfg = write(tmp_path / "s.cfg", "problem = translating_halfspace\nn = 8\n"
-                    "ladder = 4,8\noracle.method = fw\n")
-        assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        size = "ladder = 4,8" if command == "rate" else "n = 8"
+        cfg = write(tmp_path / "s.cfg",
+                    f"problem = translating_halfspace\n{size}\noracle.method = fw\n")
+        err = assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert "Halfspace" in err
+
+    @pytest.mark.parametrize("command, text", [
+        ("project", "set.kind = ball\nset.center = 0,0\nset.radius = 1\npoint = 2,0\nmethd = fw\n"),
+        ("solve", "problem = interior_ode\nn = 8\noracle.max_iters = 5\n"),
+        ("audit", "problem = interior_ode\nn = 8\noracle.methd = fw\n"),
+        ("rate", "problem = translating_disk\nladder = 4,8\nreference = fine_grid\n"),
+    ], ids=["project", "solve", "audit", "rate"])
+    def test_unknown_key(self, tmp_path, capsys, command, text):
+        cfg = write(tmp_path / "c.cfg", text)
+        out = [] if command == "project" else ["--out", str(tmp_path / "o")]
+        assert_config_error([command, "--config", cfg, *out], capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_fw_on_halfspace_member(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1,0\n"

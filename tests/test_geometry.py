@@ -97,11 +97,9 @@ class TestDistanceAndResidual:
 
     def test_sublevel_distance_is_upper_bound_and_tightens(self):
         # exact disk distance of (0, 2) is 1
-        loose = distance(DISK_SUBLEVEL, [0.0, 2.0], eps=1e-2)
-        tight = distance(DISK_SUBLEVEL, [0.0, 2.0], eps=1e-12)
-        assert loose >= 1.0 - 1e-12
-        assert tight >= 1.0 - 1e-12
-        assert tight == pytest.approx(1.0, abs=1e-6)
+        d = distance(DISK_SUBLEVEL, [0.0, 2.0])
+        assert d >= 1.0 - 1e-12
+        assert d == pytest.approx(1.0, abs=1e-6)
 
     def test_sublevel_distance_raises_when_unconverged(self, monkeypatch):
         def unconverged(s, x, cfg):

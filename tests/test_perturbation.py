@@ -78,24 +78,17 @@ class TestCellIntegral:
 
     def test_exact_on_linear_integrands(self):
         sel = Selection(f=lambda t, x: np.array([3.0 * t + 1.0]))
-        v = cell_integral(sel, [0.0], 0.0, 2.0, q=1)
+        v = cell_integral(sel, [0.0], 0.0, 2.0)
         assert v[0] == pytest.approx(8.0, abs=1e-12)  # int_0^2 (3t+1) dt
 
     def test_quadratic_frozen_value(self):
-        # composite midpoint with q=4 on t^2 over [0,1]:
+        # composite midpoint with the default q=4 on t^2 over [0,1]:
         # (1/4) * sum ((2j+1)/8)^2 = 0.328125 exactly
         sel = Selection(f=lambda t, x: np.array([t * t]))
-        v = cell_integral(sel, [0.0], 0.0, 1.0, q=4)
+        v = cell_integral(sel, [0.0], 0.0, 1.0)
         assert v[0] == 0.328125
         # error against 1/3 obeys the (b-a)^3 M2 / (24 q^2) bound with M2 = 2
         assert abs(v[0] - 1.0 / 3.0) <= 2.0 / (24.0 * 16.0)
-
-    def test_additive_over_adjacent_cells(self):
-        sel = Selection(f=lambda t, x: np.array([math.sin(3.0 * t)]))
-        whole = cell_integral(sel, [0.0], 0.0, 1.0, q=8)
-        parts = (cell_integral(sel, [0.0], 0.0, 0.5, q=4)
-                 + cell_integral(sel, [0.0], 0.5, 1.0, q=4))
-        assert abs(whole[0] - parts[0]) <= 1e-12
 
     def test_empty_cell(self):
         sel = Selection(f=lambda t, x: np.array([1.0]))
@@ -120,8 +113,23 @@ class TestWrongDimensionField:
         field=lambda t, x: np.array([1.0]), h=lambda x: 1.0, lipschitz_h=0.0, time_independent=True,
     )
 
+    def test_construction_rejects_it(self):
+        with pytest.raises(ValueError, match="dimension"):
+            SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), self.one_vector,
+                            [0.0, 0.0], 1.0)
+
+    def test_construction_rejects_set_value_of_other_dimension(self):
+        three_d = constant_set_perturbation(Ball([1.0, 0.0, 0.0], 0.5), h_bound=1.5)
+        with pytest.raises(ValueError, match="dimension"):
+            SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), three_d, [0.0, 0.0], 1.0)
+
     def test_solve_rejects_it(self):
-        problem = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), self.one_vector,
+        # 2-d at t = 0, which construction checks, and 1-d at the quadrature nodes
+        later_one_vector = Perturbation.single_valued(
+            field=lambda t, x: np.zeros(2) if t == 0.0 else np.array([1.0]),
+            h=lambda x: 1.0, lipschitz_h=0.0,
+        )
+        problem = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), later_one_vector,
                                   [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="shape"):
             solve(problem, 4)
