@@ -27,6 +27,7 @@ aborted on a failed projection step.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -119,10 +120,10 @@ def build_set(cfg: dict):
     raise ConfigError(f"unknown set.kind {kind!r}")
 
 
-def _build(kind, **options):
-    """kind(**options), where a value the constructor rejects is a config error."""
+def _build(kind, *args, **options):
+    """kind(*args, **options), where a value the constructor rejects is a config error."""
     try:
-        return kind(**options)
+        return kind(*args, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -164,9 +165,7 @@ def _solve_from_config(cfg: dict, permissive: bool):
     except UnknownProblem:
         raise ConfigError(f"unknown problem {cfg.get('problem')!r}")
     if "gamma" in cfg:
-        problem.gamma = _num(cfg, "gamma")
-        if not problem.gamma > 0:
-            raise ConfigError("gamma must be positive")
+        problem = _build(dataclasses.replace, problem, gamma=_num(cfg, "gamma"))
     n = _num(cfg, "n", cast=int)
     if n < 1:
         raise ConfigError("n must be >= 1")

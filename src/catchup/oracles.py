@@ -8,6 +8,10 @@ cutting-plane scheme driven by the separation oracle of a sublevel set
 (certificate = feasible value minus outer-polyhedron lower bound).  The outer
 projection is Lawson & Hanson's least-distance program, solved by their
 finite NNLS active-set method, so the lower bound is exact up to rounding.
+Each outer projection w is made feasible at the root of the convex function
+phi(t) = g(w + t (slater - w)) - level, bracketed by Newton steps from the
+infeasible end and secant steps through the bracket, which shrink it
+superlinearly down to a few ulps of |w|.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .geometry import (
 FEAS_TOL_CLOSED_FORM = 1e-12
 FEAS_TOL_SUBLEVEL = 1e-10
 METHODS = ("auto", "fw")
+_EPS = float(np.finfo(float).eps)
 
 
 class ZeroSubgradient(Exception):
@@ -77,10 +82,14 @@ class ProjectionResult:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """All members y of the set satisfy <normal, y> <= offset."""
+    """All members y of the set satisfy <normal, y> <= offset.
+
+    violation is g(x) - level > 0 at the separated point x, as evaluated.
+    """
 
     normal: Array
     offset: float
+    violation: float
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +182,7 @@ def separation_oracle(s: Sublevel, x) -> Optional[Hyperplane]:
     g = as_vec(s.fn.subgrad(x))
     if float(np.linalg.norm(g)) == 0.0:
         raise ZeroSubgradient("zero subgradient at an infeasible point")
-    return Hyperplane(normal=g, offset=float(np.dot(g, x)) - viol)
+    return Hyperplane(normal=g, offset=float(np.dot(g, x)) - viol, violation=viol)
 
 
 def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> Array:
@@ -196,7 +205,7 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     for _ in range(3 * m + 1):
         dual = np.where(passive | dropped, -np.inf, e.T @ (f - e @ u))
         t = int(np.argmax(dual))
-        if dual[t] <= (m + d + 1) * np.finfo(float).eps * (1.0 + u.sum()):  # dual's rounding
+        if dual[t] <= (m + d + 1) * _EPS * (1.0 + u.sum()):  # dual's rounding
             q = np.linalg.qr(e[:, passive], mode="complete")[0][:, passive.sum():]
             if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
                 raise ProjectionFailed("cutting planes have an empty intersection")
@@ -217,25 +226,53 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     raise ProjectionFailed(f"least-distance NNLS did not terminate on {m} cuts")
 
 
-def _restore_feasibility(s: Sublevel, w: Array) -> Array:
+def _restore_feasibility(s: Sublevel, w: Array, viol: float, grad: Array) -> Array:
     """Walk from an infeasible w toward the Slater anchor to a feasible boundary point.
 
-    Bisection keeps the feasible endpoint, so the returned point satisfies
-    fn(p) <= level exactly (up to floating point in fn itself).
+    Finds the root of the convex phi(t) = g(w + t (slater - w)) - level, with
+    phi(0) = viol > 0 > phi(1), from viol and a subgradient grad at w.  Each
+    round takes a Newton step from the infeasible end lo and a secant step
+    through the bracket, then a bisection step when the round did not halve
+    the bracket.  The tangent is a minorant of phi, so the Newton point lies
+    at or below the root; the chord is a majorant, so the secant point lies
+    at or above it.  The search stops when the bracket spans a few ulps of
+    |w|, when no float lies inside it, or when a Newton point lands on the
+    feasible side or within that width of hi, which leaves only the step's
+    rounding between hi and the root.  hi moves only to a point whose
+    residual was evaluated <= 0, so the returned point satisfies
+    fn(p) <= level as evaluated.
     """
-    lo, hi = 0.0, 1.0  # w + t*(slater - w); t=1 strictly feasible
     seg = s.slater - w
-    seg_norm = float(np.linalg.norm(seg))
-    stop = 1e-13 * (1.0 + float(np.linalg.norm(w)))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(s, w + mid * seg) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if (hi - lo) * seg_norm <= stop:
-            break
-    return w + hi * seg
+    stop = 4.0 * _EPS * float(np.linalg.norm(w)) / float(np.linalg.norm(seg))
+    lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))
+    hi, f_hi, hi_point = 1.0, residual(s, s.slater), s.slater.copy()  # f_hi < 0: Sublevel checks it
+
+    def probe(t: float) -> bool:
+        """Move the end of the bracket that t falls on; True when hi moved."""
+        nonlocal lo, f_lo, slope, hi, f_hi, hi_point
+        if not (hi - lo > stop and lo < t < hi):
+            return False
+        p = w + t * seg
+        r = residual(s, p)
+        if r <= 0.0:
+            hi, f_hi, hi_point = t, r, p
+            return True
+        lo, f_lo, slope = t, r, float(as_vec(s.fn.subgrad(p)).dot(seg))
+        return False
+
+    while hi - lo > stop:
+        width = hi - lo
+        if slope < 0.0:
+            t = lo - f_lo / slope
+            if t >= hi - stop or probe(t):
+                break
+        probe(max(lo + f_lo * ((hi - lo) / (f_lo - f_hi)), lo + 0.5 * stop))
+        if hi - lo > 0.5 * width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            probe(mid)
+    return hi_point
 
 
 def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionResult:
@@ -246,11 +283,17 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     exactly (up to rounding) by _project_polyhedron.  Each outer projection
     is restored to feasibility along the Slater segment; the gap between the
     best feasible value and the current lower bound is the certificate.
+
+    A restored point replaces the best one only when its value is lower by
+    more than the value's own rounding, (d + 2) eps val: eps for each of x - p,
+    its square and d - 1 sums.  Once successive outer projections differ only
+    in rounding, so do their restored values, and the earlier point is kept.
     """
     x = as_vec(x)
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
+    keep = 1.0 - (x.shape[0] + 2) * _EPS
     cuts_a: list[Array] = []
     cuts_b: list[float] = []
     best_p: Optional[Array] = None
@@ -261,16 +304,14 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
         lower = float(np.dot(x - w, x - w))
         cut = separation_oracle(s, w)
         if cut is None:
-            p = w
-            val = lower
+            best_p, best_val = w, lower
         else:
-            p = _restore_feasibility(s, w)
+            p = _restore_feasibility(s, w, cut.violation, cut.normal)
             val = float(np.dot(x - p, x - p))
-        if val < best_val:
-            best_val = val
-            best_p = p
+            if val < best_val * keep:
+                best_p, best_val = p, val
         cert = max(best_val - lower, 0.0)
-        if cert <= cfg.eps:  # always taken when cut is None: then best_val <= lower
+        if cert <= cfg.eps:  # always taken when cut is None: then best_val = lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)
         cuts_a.append(cut.normal)
         cuts_b.append(cut.offset)

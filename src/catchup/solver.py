@@ -116,6 +116,10 @@ class SweepingProblem:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
+        if not self.horizon > 0.0:
+            raise ValueError("horizon must be positive")
+        if not self.gamma > 0.0:
+            raise ValueError("gamma must be positive")
         self.x0 = as_vec(self.x0)
         c0 = self.moving_set.at(0.0)
         if self.x0.shape[0] != dimension(c0):

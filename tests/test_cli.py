@@ -106,6 +106,12 @@ class TestSolveCommand:
                     "problem = dragging_interval\nn = 8\nschedule.p = 2.0\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("gamma", ["0", "-1"])
+    def test_nonpositive_gamma_is_config_error(self, tmp_path, capsys, gamma):
+        cfg = write(tmp_path / "s.cfg", f"problem = dragging_interval\nn = 8\ngamma = {gamma}\n")
+        err = assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert "gamma must be positive" in err
+
     def test_malformed_config_file(self, tmp_path):
         cfg = write(tmp_path / "s.cfg", "just words\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG

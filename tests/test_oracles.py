@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catchup import oracles
 from catchup.geometry import (
     Ball,
     Box,
@@ -23,6 +24,7 @@ from catchup.oracles import (
     ProjectionResult,
     ProjectorConfig,
     _project_polyhedron,
+    _restore_feasibility,
     approx_project,
     cutting_plane_project,
     frank_wolfe_project,
@@ -34,6 +36,7 @@ from catchup.oracles import (
 
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
 DISK = Sublevel(ball_fn([0.0, 0.0], 1.0), 0.0, slater=[0.0, 0.0])
+EPS = np.finfo(float).eps
 
 
 class TestLinearMinimizationOracles:
@@ -219,6 +222,26 @@ class TestCuttingPlane:
             gap = float(np.dot(x - res.point, x - res.point)) - d_true * d_true
             assert gap <= res.certified_eps + 1e-10
 
+    def test_batch_accuracy_on_turned_disk(self):
+        # criterion 2's points, turned: with an exact restore every restored
+        # point lies on the circle, so what is left is the angular rounding of
+        # the outer projections, which the best-point tie rule keeps out
+        rng = np.random.default_rng(7)
+        points = []
+        while len(points) < 100:
+            x = rng.uniform(-4, 4, size=2)
+            if np.linalg.norm(x) > 1.2:
+                points.append(x)
+        cfg = ProjectorConfig(eps=1e-8)
+        worst = 0.0
+        for degrees in range(0, 360, 45):
+            c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+            for x in np.array(points) @ np.array([[c, -s], [s, c]]).T:
+                res = approx_project(DISK, x, cfg)
+                assert res.converged
+                worst = max(worst, float(np.linalg.norm(res.point - x / np.linalg.norm(x))))
+        assert worst <= 2e-13
+
     def test_member_short_circuit(self):
         cfg = ProjectorConfig(eps=1e-8)
         x = np.array([0.1, -0.2])
@@ -226,6 +249,73 @@ class TestCuttingPlane:
         assert np.array_equal(res.point, x)
         assert res.certified_eps == 0.0
         assert res.iterations == 0
+
+
+def restore(s, w):
+    """_restore_feasibility from an infeasible w, fed as cutting_plane_project feeds it."""
+    cut = separation_oracle(s, w)
+    assert cut is not None
+    return _restore_feasibility(s, w, cut.violation, cut.normal)
+
+
+def assert_on_boundary(s, w, p):
+    """p is feasible, and stepping 4 ulps of |w| from p back toward w is not."""
+    seg = s.slater - w
+    back = p - 4.0 * EPS * np.linalg.norm(w) * seg / np.linalg.norm(seg)
+    assert residual(s, p) <= 0.0
+    assert residual(s, back) > 0.0
+
+
+def _directions(count):
+    return [np.array([math.cos(a), math.sin(a)]) for a in np.linspace(0.0, 2.0 * math.pi, count, endpoint=False)]
+
+
+class TestRestoreFeasibility:
+    # disk and ball_fn: phi is quadratic along the segment; slater off-centre too
+    @pytest.mark.parametrize("slater", [[0.0, 0.0], [0.3, -0.5]])
+    @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1e-2, 1.0, 100.0])
+    def test_ball_fn(self, slater, delta):
+        s = Sublevel(ball_fn([0.0, 0.0], 1.0), 0.0, slater=slater)
+        for u in _directions(12):
+            w = (1.0 + delta) * u
+            assert_on_boundary(s, w, restore(s, w))
+
+    # affine_fn: phi is linear, so one secant step is exact
+    @pytest.mark.parametrize("w", [[3.0, 0.5], [2.75 + 1e-9, -7.0], [40.0, 40.0]])
+    def test_affine_fn(self, w):
+        s = Sublevel(affine_fn([1.0, 0.25], 1.0), 0.0, slater=[-1.0, 2.0])
+        w = np.array(w)
+        assert_on_boundary(s, w, restore(s, w))
+
+    def test_max_fn_root_at_kink(self):
+        # the disk is the top piece outside and y <= 0.6 inside, so phi has its
+        # kink at the root (0.8, 0.6), and each Newton step from outside uses
+        # the disk's subgradient
+        s = Sublevel(max_fn([ball_fn([0.0, 0.0], 1.0), affine_fn([0.0, 1.0], 0.6)]), 0.0,
+                     slater=[0.0, 0.0])
+        for w in ([1.6, 1.2], [0.8 * 1.001, 0.6 * 1.001], [8.0, 6.0]):
+            w = np.array(w)
+            p = restore(s, w)
+            assert_on_boundary(s, w, p)
+            assert np.linalg.norm(p - [0.8, 0.6]) <= 1e-15
+
+    def test_within_an_ulp_of_the_boundary(self):
+        w = np.nextafter(np.array([0.6, 0.8]), 2.0)
+        assert 0.0 < residual(DISK, w) <= 2.0 * EPS
+        assert_on_boundary(DISK, w, restore(DISK, w))
+
+    def test_residual_calls_per_restore_on_disk(self, monkeypatch):
+        # Far out, each round halves the distance to the root (phi is
+        # quadratic) at two calls a round; near it, a few superlinear rounds
+        # end the search.
+        calls = []
+        real = oracles.residual
+        monkeypatch.setattr(oracles, "residual", lambda s, x: calls.append(1) or real(s, x))
+        for delta in (1e-12, 1e-6, 1e-2, 1.0, 10.0):
+            for u in _directions(24):
+                calls.clear()
+                restore(DISK, (1.0 + delta) * u)
+                assert len(calls) <= 12 + 2.0 * math.log2(1.0 + delta), (delta, u)
 
 
 def _solve_rational(g, rhs):

@@ -96,6 +96,13 @@ class TestSweepingProblem:
         with pytest.raises(ValueError, match="dimension"):
             SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["horizon", "gamma"])
+    def test_rejects_nonpositive_scalars(self, name, value):
+        ms = MovingSet.fixed(Ball([0.0, 0.0], 1.0))
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            SweepingProblem(ms, zero_perturbation(), [0.0, 0.0], **{"horizon": 1.0, name: value})
+
 
 class TestSolve:
     def test_dragging_interval_nodes_exact(self):
