@@ -19,9 +19,10 @@ Each command reads these keys, and any other key is a config error:
 The method is auto or fw.  solve, rate and audit take --out; solve and
 audit take --permissive.
 
-Exit codes: 0 success, 1 config or usage error (including an unknown key
-or a method the set cannot use), 2 projection budget exhausted, 3 solve
-aborted on a failed projection step.
+Exit codes: 0 success, 1 config or usage error (including an unknown key,
+a method the set cannot use, a set value its constructor rejects, and a
+point that is not finite or of another dimension than the set), 2
+projection budget exhausted, 3 solve aborted on a failed projection step.
 """
 
 from __future__ import annotations
@@ -34,7 +35,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Box, Halfspace, Sublevel, UnsupportedKind, ball_fn
+from .geometry import (
+    Ball,
+    Box,
+    Halfspace,
+    Sublevel,
+    UnsupportedKind,
+    as_vec,
+    ball_fn,
+    dimension,
+)
 from .harness import CATALOG, UnknownProblem, make_problem, rate_study
 from .oracles import ProjectorConfig, approx_project
 from .solver import (
@@ -105,27 +115,27 @@ def _num(cfg: dict, key: str, default=None, cast=float):
         raise ConfigError(f"key {key!r} is not a number: {cfg[key]!r}")
 
 
-def build_set(cfg: dict):
-    kind = cfg.get("set.kind")
-    if kind == "ball":
-        return Ball(_vec(cfg, "set.center"), _num(cfg, "set.radius"))
-    if kind == "box":
-        return Box(_vec(cfg, "set.lo"), _vec(cfg, "set.hi"))
-    if kind == "halfspace":
-        return Halfspace(_vec(cfg, "set.normal"), _num(cfg, "set.offset"))
-    if kind == "sublevel_ball":
-        center = _vec(cfg, "set.center")
-        radius = _num(cfg, "set.radius")
-        return Sublevel(fn=ball_fn(center, radius), level=0.0, slater=center)
-    raise ConfigError(f"unknown set.kind {kind!r}")
-
-
 def _build(kind, *args, **options):
     """kind(*args, **options), where a value the constructor rejects is a config error."""
     try:
         return kind(*args, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
+
+
+def build_set(cfg: dict):
+    kind = cfg.get("set.kind")
+    if kind == "ball":
+        return _build(Ball, _vec(cfg, "set.center"), _num(cfg, "set.radius"))
+    if kind == "box":
+        return _build(Box, _vec(cfg, "set.lo"), _vec(cfg, "set.hi"))
+    if kind == "halfspace":
+        return _build(Halfspace, _vec(cfg, "set.normal"), _num(cfg, "set.offset"))
+    if kind == "sublevel_ball":
+        center = _vec(cfg, "set.center")
+        fn = _build(ball_fn, center, _num(cfg, "set.radius"))
+        return _build(Sublevel, fn=fn, level=0.0, slater=center)
+    raise ConfigError(f"unknown set.kind {kind!r}")
 
 
 def _schedule(cfg: dict) -> EpsSchedule:
@@ -147,7 +157,9 @@ def _load(args) -> dict[str, str]:
 def cmd_project(args) -> int:
     cfg = _load(args)
     s = build_set(cfg)
-    x = _vec(cfg, "point")
+    x = _build(as_vec, _vec(cfg, "point"))
+    if x.shape[0] != dimension(s):
+        raise ConfigError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
     pc = _build(
         ProjectorConfig,
         eps=_num(cfg, "eps", 1e-6),

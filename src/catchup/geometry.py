@@ -124,6 +124,8 @@ class MovingSet:
 def ball_fn(center, radius: float) -> ConvexFnOracle:
     """g(x) = ||x - center||^2 - radius^2, so [g <= 0] is the closed ball."""
     c = as_vec(center)
+    if not radius > 0.0:
+        raise ValueError("ball radius must be positive")
     return ConvexFnOracle(
         eval=lambda x: float(np.dot(x - c, x - c) - radius * radius),
         subgrad=lambda x: 2.0 * (x - c),

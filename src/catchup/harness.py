@@ -1,9 +1,10 @@
 """Problem catalog, closed-form references, and convergence studies.
 
-Four desk-scale problems with known solutions drive all quantitative
+Five desk-scale problems with known solutions drive all quantitative
 verification: a dragged interval, a translating halfspace, interior
 exponential decay inside a large fixed ball, and a translating disk whose
-state rides the boundary.
+state rides the boundary, given once as a ball and once as the sublevel set
+of a convex function, so that solves run the cutting-plane route end to end.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Box, Halfspace, MovingSet, exact_project
+from .geometry import Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project
 from .oracles import ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
@@ -69,6 +70,19 @@ def _translating_disk() -> SweepingProblem:
     )
 
 
+def _sublevel_disk() -> SweepingProblem:
+    def at(t):
+        center = np.array([t, 0.0])
+        return Sublevel(ball_fn(center, 1.0), 0.0, slater=center)
+
+    return SweepingProblem(
+        moving_set=MovingSet(at=at, lipschitz=1.0),
+        perturbation=zero_perturbation(),
+        x0=[-1.0, 0.0],
+        horizon=1.0,
+    )
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """A catalog problem: its builder, its analytic solution and its preferred projector."""
@@ -85,6 +99,7 @@ CATALOG = {
         _translating_halfspace, lambda t: np.array([t, 0.0]), "auto"),
     "interior_ode": CatalogEntry(_interior_ode, lambda t: np.array([math.exp(-t), 0.0]), "auto"),
     "translating_disk": CatalogEntry(_translating_disk, lambda t: np.array([t - 1.0, 0.0]), "fw"),
+    "sublevel_disk": CatalogEntry(_sublevel_disk, lambda t: np.array([t - 1.0, 0.0]), "auto"),
 }
 
 

@@ -5,10 +5,14 @@ certificate eps_hat such that ||x - z||^2 <= d_C(x)^2 + eps_hat.  Three
 strategies: wrapping the closed-form projection (certificate 0), Frank-Wolfe
 over a linear-minimization oracle (certificate = final duality gap), and a
 cutting-plane scheme driven by the separation oracle of a sublevel set
-(certificate = feasible value minus outer-polyhedron lower bound).  The outer
-projection is Lawson & Hanson's least-distance program, solved by their
-finite NNLS active-set method, so the lower bound is exact up to rounding.
-Each outer projection w is made feasible at the root of the convex function
+(certificate = best feasible value minus a lower bound on d_C(x)^2).  The
+cutting-plane lower bound is the larger of two.  One is the distance to the
+outer polyhedron, Lawson & Hanson's least-distance program solved by their
+finite NNLS active-set method, so it is exact up to rounding.  The other is
+the distance to the supporting halfspace at a restored boundary point, as in
+Veinott's supporting-hyperplane method; it only bounds and never cuts, so
+the iterates are Kelley's and the loop can only stop earlier.  Each outer
+projection w is made feasible at the root of the convex function
 phi(t) = g(w + t (slater - w)) - level, bracketed by Newton steps from the
 infeasible end and secant steps through the bracket, which shrink it
 superlinearly down to a few ulps of |w|.
@@ -226,21 +230,26 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     raise ProjectionFailed(f"least-distance NNLS did not terminate on {m} cuts")
 
 
-def _restore_feasibility(s: Sublevel, w: Array, viol: float, grad: Array) -> Array:
+def _restore_feasibility(
+    s: Sublevel, w: Array, viol: float, grad: Array
+) -> tuple[Array, float]:
     """Walk from an infeasible w toward the Slater anchor to a feasible boundary point.
 
     Finds the root of the convex phi(t) = g(w + t (slater - w)) - level, with
     phi(0) = viol > 0 > phi(1), from viol and a subgradient grad at w.  Each
-    round takes a Newton step from the infeasible end lo and a secant step
-    through the bracket, then a bisection step when the round did not halve
-    the bracket.  The tangent is a minorant of phi, so the Newton point lies
-    at or below the root; the chord is a majorant, so the secant point lies
-    at or above it.  The search stops when the bracket spans a few ulps of
-    |w|, when no float lies inside it, or when a Newton point lands on the
-    feasible side or within that width of hi, which leaves only the step's
-    rounding between hi and the root.  hi moves only to a point whose
-    residual was evaluated <= 0, so the returned point satisfies
-    fn(p) <= level as evaluated.
+    round takes a Newton step from the infeasible end lo; unless that step
+    alone halved the bracket, it then takes a secant step through the
+    bracket, and a bisection step when the round still did not halve it.
+    Far from the root the secant through the Slater end barely moves, while
+    each Newton step halves the distance on a quadratic phi.  The tangent is
+    a minorant of phi, so the Newton point lies at or below the root; the
+    chord is a majorant, so the secant point lies at or above it.  The
+    search stops when the bracket spans a few ulps of |w|, when no float
+    lies inside it, or when a Newton point lands on the feasible side or
+    within that width of hi, which leaves only the step's rounding between
+    hi and the root.  hi moves only to a point whose residual was evaluated
+    <= 0, so the returned point p satisfies fn(p) <= level as evaluated.
+    Returns p and that residual, fn(p) - level.
     """
     seg = s.slater - w
     stop = 4.0 * _EPS * float(np.linalg.norm(w)) / float(np.linalg.norm(seg))
@@ -266,13 +275,15 @@ def _restore_feasibility(s: Sublevel, w: Array, viol: float, grad: Array) -> Arr
             t = lo - f_lo / slope
             if t >= hi - stop or probe(t):
                 break
+        if hi - lo <= 0.5 * width:  # the Newton step alone halved the bracket
+            continue
         probe(max(lo + f_lo * ((hi - lo) / (f_lo - f_hi)), lo + 0.5 * stop))
         if hi - lo > 0.5 * width:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
                 break
             probe(mid)
-    return hi_point
+    return hi_point, f_hi
 
 
 def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionResult:
@@ -281,8 +292,16 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     An outer polyhedron O (intersection of cuts) always contains the set, so
     ||x - proj_O(x)||^2 is a valid lower bound on d^2; proj_O is computed
     exactly (up to rounding) by _project_polyhedron.  Each outer projection
-    is restored to feasibility along the Slater segment; the gap between the
-    best feasible value and the current lower bound is the certificate.
+    is restored to feasibility along the Slater segment, to a point p with
+    r = g(p) - level <= 0 as evaluated.  With n a subgradient at p, the set
+    lies in the supporting halfspace H_p = {y : <n, y - p> <= -r}, so
+    max(0, <n, x - p> + r)^2 / ||n||^2 is a second lower bound; a zero n
+    gives none.  The certificate is the gap between the best feasible value
+    and the larger of the polyhedral bound and the best supporting bound.
+    H_p is not added to the cuts: the cuts alone pick the outer projections
+    that the restore walks from, and with H_p among them the loop took more
+    iterations, not fewer.  Used only as a bound, it leaves the iterates and
+    the best point as they were and can only end the loop earlier.
 
     A restored point replaces the best one only when its value is lower by
     more than the value's own rounding, (d + 2) eps val: eps for each of x - p,
@@ -298,7 +317,7 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     cuts_b: list[float] = []
     best_p: Optional[Array] = None
     best_val = np.inf
-    lower = 0.0
+    lower = support = 0.0
     for it in range(cfg.max_iter):
         w = _project_polyhedron(cuts_a, cuts_b, x)
         lower = float(np.dot(x - w, x - w))
@@ -306,10 +325,16 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
         if cut is None:
             best_p, best_val = w, lower
         else:
-            p = _restore_feasibility(s, w, cut.violation, cut.normal)
+            p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
             val = float(np.dot(x - p, x - p))
             if val < best_val * keep:
                 best_p, best_val = p, val
+            n = as_vec(s.fn.subgrad(p))
+            nn = float(n.dot(n))
+            h = float(n.dot(x - p)) + r
+            if nn > 0.0 and h > 0.0:
+                support = max(support, h * h / nn)
+        lower = max(lower, support)
         cert = max(best_val - lower, 0.0)
         if cert <= cfg.eps:  # always taken when cut is None: then best_val = lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)

@@ -112,6 +112,17 @@ class TestSolveCommand:
         err = assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert "gamma must be positive" in err
 
+    def test_sublevel_disk_runs_cutting_planes_end_to_end(self, tmp_path):
+        cfg = write(tmp_path / "s.cfg", "problem = sublevel_disk\nn = 32\n")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        payload = json.loads((out / "trajectory.json").read_text())
+        assert payload["audit"]["passed"]
+        assert all(d["converged"] and d["iterations"] >= 1 for d in payload["diagnostics"])
+        exact = [[k / 32 - 1.0, 0.0] for k in range(33)]
+        assert max(abs(a - b) for node, ref in zip(payload["nodes"], exact)
+                   for a, b in zip(node, ref)) <= 1e-12
+
     def test_malformed_config_file(self, tmp_path):
         cfg = write(tmp_path / "s.cfg", "just words\n")
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -231,6 +242,25 @@ class TestConfigErrors:
         cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1,0\n"
                     "set.offset = 0\npoint = 1,0\nmethod = fw\n")
         assert_config_error(["project", "--config", cfg], capsys)
+
+    @pytest.mark.parametrize("text", [
+        "set.kind = sublevel_ball\nset.center = 0,0\nset.radius = 0\npoint = 2,0\n",
+        "set.kind = sublevel_ball\nset.center = 0,0\nset.radius = -1\npoint = 2,0\n",
+        "set.kind = ball\nset.center = 0,nan\nset.radius = 1\npoint = 2,0\n",
+        "set.kind = box\nset.lo = 1,0\nset.hi = 0,1\npoint = 2,0\n",
+        "set.kind = halfspace\nset.normal = 0,0\nset.offset = 0\npoint = 2,0\n",
+    ], ids=["sublevel_radius_zero", "sublevel_radius_negative", "nan_center", "box_lo_above_hi",
+            "zero_normal"])
+    def test_project_rejects_invalid_set(self, tmp_path, capsys, text):
+        cfg = write(tmp_path / "p.cfg", text)
+        assert_config_error(["project", "--config", cfg], capsys)
+
+    @pytest.mark.parametrize("point", ["2,0,1", "2", "2,inf"])
+    def test_project_rejects_point_of_other_dimension_or_non_finite(self, tmp_path, capsys, point):
+        cfg = write(tmp_path / "p.cfg", "set.kind = sublevel_ball\nset.center = 0,0\n"
+                    f"set.radius = 1\npoint = {point}\n")
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        assert "dimension" in err or "non-finite" in err
 
     @pytest.mark.parametrize("method", ["exact", "cutting"])
     def test_project_rejects_removed_methods(self, tmp_path, capsys, method):

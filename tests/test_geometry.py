@@ -157,6 +157,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    def test_ball_fn_radius_positive(self, radius):
+        # radius -1 would square to the unit disk
+        with pytest.raises(ValueError, match="radius"):
+            ball_fn([0.0, 0.0], radius)
+
     def test_slater_strictness(self):
         with pytest.raises(ValueError):
             Sublevel(ball_fn([0.0, 0.0], 1.0), 0.0, slater=[1.0, 0.0])

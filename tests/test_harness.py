@@ -32,6 +32,7 @@ class TestCatalog:
         assert np.allclose(reference_solution("translating_halfspace", 0.3), [0.3, 0.0])
         assert np.allclose(reference_solution("interior_ode", 0.0), [1.0, 0.0])
         assert np.allclose(reference_solution("translating_disk", 1.0), [0.0, 0.0])
+        assert np.allclose(reference_solution("sublevel_disk", 0.25), [-0.75, 0.0])
 
     def test_references_stay_feasible(self):
         from catchup.geometry import residual

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from catchup import oracles
 from catchup.geometry import (
     Ball,
+    ConvexFnOracle,
     Box,
     Halfspace,
     Sublevel,
@@ -255,7 +256,9 @@ def restore(s, w):
     """_restore_feasibility from an infeasible w, fed as cutting_plane_project feeds it."""
     cut = separation_oracle(s, w)
     assert cut is not None
-    return _restore_feasibility(s, w, cut.violation, cut.normal)
+    p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
+    assert r == residual(s, p)  # the residual evaluated at the returned point
+    return p
 
 
 def assert_on_boundary(s, w, p):
@@ -264,6 +267,14 @@ def assert_on_boundary(s, w, p):
     back = p - 4.0 * EPS * np.linalg.norm(w) * seg / np.linalg.norm(seg)
     assert residual(s, p) <= 0.0
     assert residual(s, back) > 0.0
+
+
+def count_residual_calls(monkeypatch):
+    """A list that gains one entry per residual call the oracles make."""
+    calls = []
+    real = oracles.residual
+    monkeypatch.setattr(oracles, "residual", lambda s, x: calls.append(1) or real(s, x))
+    return calls
 
 
 def _directions(count):
@@ -306,16 +317,106 @@ class TestRestoreFeasibility:
 
     def test_residual_calls_per_restore_on_disk(self, monkeypatch):
         # Far out, each round halves the distance to the root (phi is
-        # quadratic) at two calls a round; near it, a few superlinear rounds
-        # end the search.
-        calls = []
-        real = oracles.residual
-        monkeypatch.setattr(oracles, "residual", lambda s, x: calls.append(1) or real(s, x))
+        # quadratic); near it, a few superlinear rounds end the search.
+        calls = count_residual_calls(monkeypatch)
         for delta in (1e-12, 1e-6, 1e-2, 1.0, 10.0):
             for u in _directions(24):
                 calls.clear()
                 restore(DISK, (1.0 + delta) * u)
                 assert len(calls) <= 12 + 2.0 * math.log2(1.0 + delta), (delta, u)
+
+    @pytest.mark.parametrize("radius, most", [(11.0, 14), (1001.0, 23)])
+    def test_far_point_skips_the_secant_step(self, monkeypatch, radius, most):
+        # Far out, the Newton step alone halves the bracket, and the secant
+        # step through the Slater end would barely move it; skipping it took
+        # 15-16 calls to 13-14 at |w| = 11 and 27-28 to 22-23 at |w| = 1001.
+        calls = count_residual_calls(monkeypatch)
+        for u in _directions(24):
+            calls.clear()
+            restore(DISK, radius * u)
+            assert len(calls) <= most, u
+
+
+def off_centre_sample(kind, count, seed):
+    """Seeded (set, x, closed-form projection of x) triples, x outside the set.
+
+    "disk2" and "disk3" are balls with a Slater point anywhere in the inner
+    90 % of the radius; "box" is a box as the sublevel set of the max of its
+    four affine faces, with a Slater point anywhere inside.
+    """
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        if kind == "box":
+            lo = rng.uniform(-2.0, 0.0, size=2)
+            hi = lo + rng.uniform(0.1, 3.0, size=2)
+            faces = [affine_fn(e, h) for e, h in zip(np.eye(2), hi)]
+            faces += [affine_fn(-e, -l) for e, l in zip(np.eye(2), lo)]
+            slater = lo + rng.uniform(0.05, 0.95, size=2) * (hi - lo)
+            s = Sublevel(max_fn(faces), 0.0, slater=slater)
+            x = rng.uniform(-6.0, 6.0, size=2)
+            proj = np.clip(x, lo, hi)
+        else:
+            d = int(kind[-1])
+            center, radius = rng.uniform(-2.0, 2.0, size=d), float(rng.uniform(0.5, 3.0))
+            u = rng.normal(size=d)
+            slater = center + rng.uniform(0.0, 0.9) * radius * u / np.linalg.norm(u)
+            s = Sublevel(ball_fn(center, radius), 0.0, slater=slater)
+            x = rng.uniform(-6.0, 6.0, size=d)
+            proj = center + radius * (x - center) / np.linalg.norm(x - center)
+        if residual(s, x) > 0.0:
+            cases.append((s, x, proj))
+    return cases
+
+
+class TestSupportingBound:
+    """The supporting halfspace at each restored point bounds d_C(x)^2 from below."""
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-12])
+    @pytest.mark.parametrize("kind", ["disk2", "disk3", "box"])
+    def test_sound_on_off_centre_sets(self, kind, eps):
+        for s, x, proj in off_centre_sample(kind, 150, seed=2026):
+            res = cutting_plane_project(s, x, ProjectorConfig(eps=eps))
+            assert res.converged and res.certified_eps <= eps
+            assert residual(s, res.point) <= 0.0
+            d2 = float(np.dot(x - proj, x - proj))
+            assert float(np.dot(x - res.point, x - res.point)) <= d2 + res.certified_eps + 1e-12
+
+    def test_fewer_iterations_than_the_polyhedral_bound_alone(self):
+        # 619 in total when only the outer polyhedron's bound certified the
+        # result; 512 with the supporting bound
+        total = sum(cutting_plane_project(s, x, ProjectorConfig(eps=1e-8)).iterations
+                    for s, x, _ in off_centre_sample("disk2", 100, seed=11))
+        assert total < 619
+
+    def test_criterion_2_points_certify_in_one_iteration(self):
+        # the first restored point is x / |x| up to rounding, and its tangent
+        # line is the supporting halfspace that certifies it
+        rng = np.random.default_rng(7)
+        count = 0
+        while count < 100:
+            x = rng.uniform(-4, 4, size=2)
+            if np.linalg.norm(x) <= 1.2:
+                continue
+            count += 1
+            res = cutting_plane_project(DISK, x, ProjectorConfig(eps=1e-8))
+            assert res.converged and res.iterations == 1, x
+
+    def test_zero_subgradient_at_restored_point(self):
+        # an oracle that reports a zero subgradient wherever g <= 0 as
+        # evaluated: every restored point then adds no supporting bound, and
+        # the outer polyhedron's bound alone certifies the result
+        fn = ball_fn([0.0, 0.0], 1.0)
+        flat = Sublevel(
+            ConvexFnOracle(eval=fn.eval, subgrad=lambda y: fn.subgrad(y) * (fn.eval(y) > 0.0)),
+            0.0, slater=[0.3, -0.2])
+        for u in _directions(12):
+            x = 2.5 * u
+            res = cutting_plane_project(flat, x, ProjectorConfig(eps=1e-8))
+            assert res.converged and res.iterations > 1
+            assert residual(flat, res.point) <= 0.0
+            excess = float(np.dot(x - res.point, x - res.point)) - 1.5 ** 2
+            assert excess <= res.certified_eps + 1e-12
 
 
 def _solve_rational(g, rhs):

@@ -224,7 +224,7 @@ class TestAudit:
 
     def test_catalog_runs_pass(self):
         for pid, n in (("dragging_interval", 64), ("translating_halfspace", 64),
-                       ("interior_ode", 64)):
+                       ("interior_ode", 64), ("sublevel_disk", 64)):
             prob = make_problem(pid)
             traj = solve(prob, n)
             report = theorem1_audit(traj, prob)
