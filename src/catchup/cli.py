@@ -41,7 +41,6 @@ from .geometry import (
     Halfspace,
     Sublevel,
     UnsupportedKind,
-    as_vec,
     ball_fn,
     dimension,
 )
@@ -97,11 +96,14 @@ def parse_config(text: str) -> dict[str, str]:
 
 def _vec(cfg: dict, key: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in cfg[key].split(",")])
+        v = np.array([float(v) for v in cfg[key].split(",")])
     except KeyError:
         raise ConfigError(f"missing key {key!r}")
     except ValueError:
         raise ConfigError(f"key {key!r} is not a comma-separated vector: {cfg[key]!r}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"key {key!r} has non-finite values: {cfg[key]!r}")
+    return v
 
 
 def _num(cfg: dict, key: str, default=None, cast=float):
@@ -157,7 +159,7 @@ def _load(args) -> dict[str, str]:
 def cmd_project(args) -> int:
     cfg = _load(args)
     s = build_set(cfg)
-    x = _build(as_vec, _vec(cfg, "point"))
+    x = _vec(cfg, "point")
     if x.shape[0] != dimension(s):
         raise ConfigError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
     pc = _build(

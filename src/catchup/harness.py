@@ -126,19 +126,22 @@ def fine_grid_reference(problem_id: str, n_ref: int) -> Trajectory:
 
 
 def sup_error(traj: Trajectory, reference) -> float:
-    """Max interpolant error over a fixed evaluation grid of times.
+    """Max interpolant error over EVAL_GRID_SIZE uniform times in [0, T].
 
-    reference is either a callable t -> point or a finer Trajectory.
+    The interpolant is sampled in one array call of interpolate, so a
+    time-independent selection is evaluated once per cell, at t_k.
+    reference is either a callable t -> point, called once per time, or a
+    finer Trajectory, sampled in one more array call.  Raises OutOfRange on
+    a partial trajectory whose last computed node is before T.
     """
-    horizon = traj.grid.horizon
-    ts = np.linspace(0.0, horizon, EVAL_GRID_SIZE)
+    ts = np.linspace(0.0, traj.grid.horizon, EVAL_GRID_SIZE)
+    xs = interpolate(traj, ts)
+    if isinstance(reference, Trajectory):
+        refs = interpolate(reference, ts)
+    else:
+        refs = (reference(float(t)) for t in ts)
     worst = 0.0
-    for t in ts:
-        xt = interpolate(traj, float(t))
-        if isinstance(reference, Trajectory):
-            ref = interpolate(reference, float(t))
-        else:
-            ref = reference(float(t))
+    for xt, ref in zip(xs, refs):
         worst = max(worst, float(np.linalg.norm(xt - ref)))
     return worst
 

@@ -194,13 +194,16 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
 
     y = x - r[:d] / r[d] for the residual r = E u - f of the NNLS min ||E u - f||,
     u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
-    program (1974, ch. 23).  Raises ProjectionFailed on r = 0 or an NNLS cycle.
+    program (1974, ch. 23).  The NNLS stops only when no cut outside its passive
+    set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0 or an
+    NNLS cycle.
     """
     if not cuts_a:
         return x.copy()
     a = np.array(cuts_a)
+    b = np.array(cuts_b, dtype=float)
     m, d = a.shape
-    e = -np.vstack([a.T, np.array(cuts_b) - a @ x])
+    e = -np.vstack([a.T, b - a @ x])
     e /= np.linalg.norm(e, axis=0)  # scaling u_i leaves r unchanged
     f = np.eye(d + 1)[d]
     u = np.zeros(m)
@@ -210,10 +213,24 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
         dual = np.where(passive | dropped, -np.inf, e.T @ (f - e @ u))
         t = int(np.argmax(dual))
         if dual[t] <= (m + d + 1) * _EPS * (1.0 + u.sum()):  # dual's rounding
-            q = np.linalg.qr(e[:, passive], mode="complete")[0][:, passive.sum():]
+            ep = e[:, passive]
+            # nearly parallel cuts can leave the passive columns numerically dependent
+            rank = np.linalg.matrix_rank(ep)
+            if rank == ep.shape[1]:
+                q = np.linalg.qr(ep, mode="complete")[0][:, rank:]
+            else:
+                q = np.linalg.svd(ep)[0][:, rank:]
             if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
                 raise ProjectionFailed("cutting planes have an empty intersection")
-            return x - (q[:d] @ q[d]) / (q[d] @ q[d])
+            y = x - (q[:d] @ q[d]) / (q[d] @ q[d])
+            # dual_t is cut t's violation at y times r_d / ||E_t||, so the dual's
+            # rounding can hide a violation that y itself shows
+            viol = np.where(passive | dropped, -np.inf, a @ y - b)
+            t = int(np.argmax(viol))
+            # the least-distance program resolves y to rounding of 1 + ||x|| + ||x - y||
+            reach = 1.0 + np.linalg.norm(x) + np.linalg.norm(x - y)
+            if viol[t] <= (m + d + 1) * _EPS * (np.linalg.norm(a[t]) * reach + abs(b[t])):
+                return y
         passive[t] = True
         while True:  # each pass drops at least one index from passive
             s = np.zeros(m)

@@ -57,29 +57,34 @@ class Grid:
     def mu(self) -> float:
         return self.horizon / self.n
 
-    def node(self, k: int) -> float:
+    def node(self, k):
+        """t_k = k*T/n; elementwise on an int array."""
         return k * self.horizon / self.n
 
-    def cell_index(self, t: float) -> int:
-        """Index k with t in [t_k, t_{k+1}), snapping float-noise at nodes."""
-        if t < 0.0 or t > self.horizon:
-            raise OutOfRange(f"t={t} outside [0, {self.horizon}]")
-        r = t * self.n / self.horizon
-        k = int(math.floor(r))
-        if r - k > 1.0 - _NODE_SNAP:
-            k += 1
-        return min(k, self.n - 1)
+    def cell_index(self, t):
+        """Index k with t in [t_k, t_{k+1}), snapping float-noise at nodes.
 
-    def theta(self, t: float) -> float:
+        Elementwise on a 1-d array of times, which gives an int array; a
+        scalar time gives an int.  Raises OutOfRange if any time lies outside
+        [0, T].
+        """
+        ts = np.asarray(t, dtype=float)
+        outside = ~((ts >= 0.0) & (ts <= self.horizon))
+        if outside.any():
+            raise OutOfRange(f"t={ts[outside][0]} outside [0, {self.horizon}]")
+        r = ts * self.n / self.horizon
+        k = np.floor(r)
+        k = np.minimum(k + (r - k > 1.0 - _NODE_SNAP), self.n - 1).astype(int)
+        return int(k) if k.ndim == 0 else k
+
+    def theta(self, t):
         return self.node(self.cell_index(t) + 1)
 
 
-def _left_cell(grid: Grid, t: float) -> int:
-    """Index k of the cell (t_k, t_{k+1}] holding t > 0: a node ends its left cell."""
-    k = grid.cell_index(t)
-    if grid.node(k) >= t and k > 0:
-        k -= 1
-    return k
+def _left_cells(grid: Grid, ts: Array) -> Array:
+    """Index k of the cell (t_k, t_{k+1}] holding each t > 0: a node ends its left cell."""
+    k = grid.cell_index(ts)
+    return k - ((grid.node(k) >= ts) & (k > 0))
 
 
 @dataclass(frozen=True)
@@ -179,12 +184,14 @@ def step(
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
 
-    if isinstance(target, CLOSED_FORM_KINDS):
+    exact = isinstance(target, CLOSED_FORM_KINDS)
+    if exact and projector.method == "fw":
+        # Frank-Wolfe's point is only near the projection; a_i needs the distance
         dist = distance(target, predictor)
-        exact = True
     else:
+        # a closed form's point is the projection, so this is the distance;
+        # a sublevel set's feasible point gives an upper bound
         dist = float(np.linalg.norm(predictor - res.point))
-        exact = False
     h_k = float(problem.perturbation.h(x_k))
     lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
@@ -255,39 +262,103 @@ def solve(
     return Trajectory(grid, nodes, integrals, diags, selection, schedule)
 
 
-def interpolate(traj: Trajectory, t: float) -> Array:
+def _times(t) -> tuple[Array, bool]:
+    """t as a 1-d array of times, and whether t was a single time."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"expected a time or a 1-d array of times, got shape {ts.shape}")
+    return ts.reshape(-1), ts.ndim == 0
+
+
+def _computed_cells(traj: Trajectory, ts: Array, cells: Array) -> Array:
+    """cells, once each is known to end at or before the last computed node."""
+    past = cells >= traj.steps_taken
+    if past.any():
+        raise OutOfRange(
+            f"t={ts[past][0]} is past the last computed node "
+            f"t={traj.grid.node(traj.steps_taken)}"
+        )
+    return cells
+
+
+def _rows(traj: Trajectory, rows, count: int) -> Array:
+    """The count vectors that rows yields, one per row, filled as they come."""
+    out = np.empty((count, traj.nodes.shape[1]))
+    for i, row in enumerate(rows):
+        out[i] = row
+    return out
+
+
+def _moves(traj: Trajectory) -> Array:
+    """The projection move nodes[k+1] - nodes[k] - integrals[k] of every computed cell k."""
+    return traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
+
+
+def _cell_values(traj: Trajectory, cells: Array) -> Array:
+    """A time-independent selection at (t_k, x_k), evaluated once per distinct cell k."""
+    sampled = np.zeros(traj.steps_taken, dtype=bool)
+    sampled[cells] = True
+    values = np.empty((traj.steps_taken, traj.nodes.shape[1]))
+    for k in np.flatnonzero(sampled).tolist():
+        values[k] = traj.selection.value(traj.grid.node(k), traj.nodes[k])
+    return values[cells]
+
+
+def interpolate(traj: Trajectory, t) -> Array:
     """Evaluate the piecewise interpolant through the stored nodes.
 
     Inside a cell the value is the node plus a linear share of the
     projection move plus the partial selection integral, recomputed with the
     same quadrature as the stored cell integral so node evaluations
-    telescope exactly.
+    telescope exactly.  A time-independent selection is evaluated once per
+    sampled cell, at t_k, as cell_integral evaluates it.
+
+    t is a time or a 1-d array of times; an array gives one row per time.
+    Raises OutOfRange outside [0, T] and, on a partial trajectory, past the
+    last computed node.
     """
-    grid = traj.grid
-    if t == 0.0:
-        return traj.nodes[0].copy()
-    k = _left_cell(grid, t)  # raises OutOfRange outside [0, T]
-    t_k = grid.node(k)
-    x_k = traj.nodes[k]
-    move = traj.nodes[k + 1] - x_k - traj.integrals[k]
-    partial = cell_integral(traj.selection, x_k, t_k, min(t, grid.node(k + 1)))
-    return x_k + ((t - t_k) / grid.mu) * move + partial
+    grid, sel = traj.grid, traj.selection
+    ts, single = _times(t)
+    inside = ts != 0.0
+    out = np.empty((ts.size, traj.nodes.shape[1]))
+    out[~inside] = traj.nodes[0]
+    t_in = ts[inside]
+    cells = _computed_cells(traj, t_in, _left_cells(grid, t_in))
+    t_k = grid.node(cells)
+    ends = np.minimum(t_in, grid.node(cells + 1))
+    if sel.time_independent:
+        partial = (ends - t_k)[:, None] * _cell_values(traj, cells)
+    else:
+        partial = _rows(traj, (cell_integral(sel, traj.nodes[k], float(a), float(b))
+                               for k, a, b in zip(cells, t_k, ends)), cells.size)
+    share = ((t_in - t_k) / grid.mu)[:, None]
+    out[inside] = traj.nodes[cells] + share * _moves(traj)[cells] + partial
+    return out[0] if single else out
 
 
-def velocity(traj: Trajectory, t: float) -> Array:
+def velocity(traj: Trajectory, t) -> Array:
     """d/dt of the interpolant; defined in cell interiors only.
 
-    Raises OutOfRange at a grid node, where the derivative jumps, and
-    outside (0, T).
+    t is a time or a 1-d array of times; an array gives one row per time.  A
+    time-independent selection is evaluated once per sampled cell, at t_k;
+    a time-dependent one at each t.  Raises OutOfRange at a grid node, where
+    the derivative jumps, outside (0, T) and, on a partial trajectory, past
+    the last computed node.
     """
-    grid = traj.grid
-    r = t * grid.n / grid.horizon
-    if not 0.0 < t < grid.horizon or abs(r - round(r)) < _NODE_SNAP:
-        raise OutOfRange(f"t={t} is a grid node or outside (0, {grid.horizon})")
-    k = grid.cell_index(t)
-    x_k = traj.nodes[k]
-    move = traj.nodes[k + 1] - x_k - traj.integrals[k]
-    return move / grid.mu + traj.selection.value(t, x_k)
+    grid, sel = traj.grid, traj.selection
+    ts, single = _times(t)
+    r = ts * grid.n / grid.horizon
+    bad = ~((ts > 0.0) & (ts < grid.horizon)) | (np.abs(r - np.round(r)) < _NODE_SNAP)
+    if bad.any():
+        raise OutOfRange(f"t={ts[bad][0]} is a grid node or outside (0, {grid.horizon})")
+    cells = _computed_cells(traj, ts, grid.cell_index(ts))
+    if sel.time_independent:
+        values = _cell_values(traj, cells)
+    else:
+        values = _rows(traj, (sel.value(float(s), traj.nodes[k]) for s, k in zip(ts, cells)),
+                       cells.size)
+    out = _moves(traj)[cells] / grid.mu + values
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +399,11 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     the moving set has a closed form; otherwise the recorded upper bound is
     compared against the bound plus its sqrt(eps_n) slack.  A partial
     trajectory is sampled up to its last computed node and never passes.
+
+    The interpolant is sampled at AUDIT_TIME_SAMPLES uniform times in one
+    array call of interpolate, and the velocity at three interior points of
+    each cell in one array call of velocity; a time-independent selection is
+    evaluated once per cell, at t_k.
     """
     grid = traj.grid
     mu = grid.mu
@@ -369,7 +445,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
     if not traj.complete:
         ts = ts[ts <= grid.node(traj.steps_taken)]
-    interp = np.array([interpolate(traj, float(t)) for t in ts])
+    interp = interpolate(traj, ts)
 
     # (a)(iii): uniform norm bound of the interpolant
     record("a_iii_sup_norm", np.linalg.norm(interp, axis=1), const["K2"])
@@ -379,21 +455,23 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     record("a_iv_node_increment", inc, const["K3"] * mu + sq_eps, cells=True)
 
     # (a)(v): deviation from the right node inside cells
-    dev = [float(np.linalg.norm(xt - traj.nodes[_left_cell(grid, t) + 1]))
-           for t, xt in zip(ts, interp) if t != 0.0]
-    record("a_v_cell_deviation", dev, const["K4"] * mu + 2.0 * sq_eps)
+    inside = ts != 0.0
+    ahead = interp[inside] - traj.nodes[_left_cells(grid, ts[inside]) + 1]
+    record("a_v_cell_deviation", [float(np.linalg.norm(v)) for v in ahead],
+           const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t))
     set_dist = []
-    for t, xt in zip(ts, interp):
-        target = problem.moving_set.at(grid.theta(t) if t < grid.horizon else grid.horizon)
+    thetas = np.where(ts < grid.horizon, grid.theta(ts), grid.horizon)
+    for theta, xt in zip(thetas, interp):
+        target = problem.moving_set.at(float(theta))
         slack = 0.0 if isinstance(target, CLOSED_FORM_KINDS) else math.sqrt(DISTANCE_EPS)
         set_dist.append(distance(target, xt) - slack)
     record("b_set_distance", set_dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps)
 
-    # (c): velocity bound sampled at cell interiors
-    speeds = [float(np.linalg.norm(velocity(traj, grid.node(k) + frac * mu)))
-              for k in range(traj.steps_taken) for frac in (0.25, 0.5, 0.75)]
+    # (c): velocity bound sampled at three interior points of each cell
+    tv = grid.node(np.arange(traj.steps_taken))[:, None] + np.array([0.25, 0.5, 0.75]) * mu
+    speeds = [float(np.linalg.norm(v)) for v in velocity(traj, tv.reshape(-1))]
     record("c_velocity_bound", speeds, const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]

@@ -243,17 +243,20 @@ class TestConfigErrors:
                     "set.offset = 0\npoint = 1,0\nmethod = fw\n")
         assert_config_error(["project", "--config", cfg], capsys)
 
-    @pytest.mark.parametrize("text", [
-        "set.kind = sublevel_ball\nset.center = 0,0\nset.radius = 0\npoint = 2,0\n",
-        "set.kind = sublevel_ball\nset.center = 0,0\nset.radius = -1\npoint = 2,0\n",
-        "set.kind = ball\nset.center = 0,nan\nset.radius = 1\npoint = 2,0\n",
-        "set.kind = box\nset.lo = 1,0\nset.hi = 0,1\npoint = 2,0\n",
-        "set.kind = halfspace\nset.normal = 0,0\nset.offset = 0\npoint = 2,0\n",
+    @pytest.mark.parametrize("text, names", [
+        ("set.kind = sublevel_ball\nset.center = 0,0\nset.radius = 0\npoint = 2,0\n", ()),
+        ("set.kind = sublevel_ball\nset.center = 0,0\nset.radius = -1\npoint = 2,0\n", ()),
+        ("set.kind = ball\nset.center = 0,nan\nset.radius = 1\npoint = 2,0\n",
+         ("set.center", "non-finite")),
+        ("set.kind = box\nset.lo = 1,0\nset.hi = 0,1\npoint = 2,0\n", ()),
+        ("set.kind = halfspace\nset.normal = 0,0\nset.offset = 0\npoint = 2,0\n", ()),
     ], ids=["sublevel_radius_zero", "sublevel_radius_negative", "nan_center", "box_lo_above_hi",
             "zero_normal"])
-    def test_project_rejects_invalid_set(self, tmp_path, capsys, text):
+    def test_project_rejects_invalid_set(self, tmp_path, capsys, text, names):
         cfg = write(tmp_path / "p.cfg", text)
-        assert_config_error(["project", "--config", cfg], capsys)
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        for name in names:
+            assert name in err
 
     @pytest.mark.parametrize("point", ["2,0,1", "2", "2,inf"])
     def test_project_rejects_point_of_other_dimension_or_non_finite(self, tmp_path, capsys, point):

@@ -12,7 +12,7 @@ from catchup.harness import (
     stability_study,
     sup_error,
 )
-from catchup.solver import solve
+from catchup.solver import OutOfRange, ProjectionFailed, solve
 
 
 class TestCatalog:
@@ -60,6 +60,12 @@ class TestSupError:
         ref = fine_grid_reference("interior_ode", 256)
         err = sup_error(coarse, ref)
         assert 0.0 < err < 0.1
+
+    def test_partial_trajectory_is_out_of_range(self):
+        with pytest.raises(ProjectionFailed) as exc:
+            solve(make_problem("translating_disk"), 16, method="fw", max_iter=1)
+        with pytest.raises(OutOfRange, match="last computed node"):
+            sup_error(exc.value.partial, lambda t: reference_solution("translating_disk", t))
 
 
 class TestRateStudy:

@@ -519,6 +519,18 @@ class TestPolyhedronProjection:
         assert np.max((a @ y - b) / np.linalg.norm(a, axis=1)) <= 1e-12 * scale
         assert np.linalg.norm(y - ref) <= 1e-12 * scale * max(1.0, 1e-3 / smallest_sine(a))
 
+    @pytest.mark.parametrize("tilted", [[3.162277660168379e-07, 1.0000009486832981],
+                                        [4.4721359549995787e-07, 0.999999105572809]])
+    def test_near_parallel_cuts_through_the_projection(self, tilted):
+        # every cut passes through the answer, the origin; y2 <= 0 and a cut
+        # tilted from it by ~4e-7 are both active there.  One case stopped on
+        # the tilted cut alone, 2.6e-7 away; the other found its passive
+        # columns dependent and reported an empty intersection.
+        a = np.array([[0.0, 1.0], tilted] + [[1.0, 0.0]] * 4 + [[0.0, 1.0]])
+        x = np.array([1e-6, 4.0])
+        y = _project_polyhedron(list(a), [0.0] * len(a), x)
+        assert np.linalg.norm(y) <= 1e-12 * (1.0 + np.linalg.norm(x)) * 1e-3 / smallest_sine(a)
+
     def test_near_parallel_pair_projects_onto_face(self):
         # cuts y2 >= 0 and y2 >= tan(theta) y1; x lies just off the second
         # face near the vertex, where capped coordinate sweeps stall

@@ -8,8 +8,9 @@ import pytest
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet
 from catchup.harness import make_problem, reference_solution
-from catchup.perturbation import zero_perturbation
+from catchup.perturbation import Selection, zero_perturbation
 from catchup.solver import (
+    AUDIT_TIME_SAMPLES,
     EpsSchedule,
     Grid,
     OutOfRange,
@@ -207,6 +208,81 @@ class TestInterpolant:
         for t in (0.0, 0.25, 1.0):
             with pytest.raises(OutOfRange):
                 velocity(traj, t)
+
+
+def _fw_partial():
+    """translating_disk by Frank-Wolfe capped at one iteration: a partial run with 1 step."""
+    with pytest.raises(ProjectionFailed) as exc:
+        solve(make_problem("translating_disk"), 16, method="fw", max_iter=1)
+    return exc.value.partial
+
+
+def _cell_interiors(traj):
+    """Three interior times in each computed cell, as the audit samples them."""
+    g = traj.grid
+    return (g.node(np.arange(traj.steps_taken))[:, None]
+            + np.array([0.25, 0.5, 0.75]) * g.mu).reshape(-1)
+
+
+class TestArraySampling:
+    @pytest.fixture(params=["interior_ode", "drift", "drift_time_dependent", "partial"])
+    def traj(self, request, drift_in_fixed_ball):
+        if request.param == "interior_ode":
+            return solve(make_problem("interior_ode"), 16)
+        if request.param == "partial":
+            return _fw_partial()
+        problem = drift_in_fixed_ball
+        if request.param == "drift_time_dependent":
+            problem = dataclasses.replace(problem, perturbation=dataclasses.replace(
+                problem.perturbation, time_independent=False))
+        return solve(problem, 16)
+
+    def test_interpolate_array_equals_stacked_scalars(self, traj):
+        g = traj.grid
+        end = g.node(traj.steps_taken)
+        ts = np.concatenate([np.linspace(0.0, end, 53), g.node(np.arange(traj.steps_taken + 1))])
+        stacked = np.array([interpolate(traj, float(t)) for t in ts])
+        assert np.array_equal(interpolate(traj, ts), stacked)
+
+    def test_velocity_array_equals_stacked_scalars(self, traj):
+        ts = _cell_interiors(traj)
+        stacked = np.array([velocity(traj, float(t)) for t in ts])
+        assert np.array_equal(velocity(traj, ts), stacked)
+
+    def test_one_bad_time_fails_the_array(self):
+        traj = solve(make_problem("interior_ode"), 4)
+        with pytest.raises(OutOfRange, match="outside"):
+            interpolate(traj, np.array([0.1, 0.5, 1.2]))
+        with pytest.raises(OutOfRange, match="grid node"):
+            velocity(traj, np.array([0.1, 0.25, 0.6]))
+
+    def test_interpolate_past_partial_end_is_out_of_range(self):
+        partial = _fw_partial()
+        interpolate(partial, partial.grid.node(partial.steps_taken))
+        for t in (0.53, np.array([0.03, 0.53])):
+            with pytest.raises(OutOfRange, match="last computed node"):
+                interpolate(partial, t)
+
+    def test_velocity_past_partial_end_is_out_of_range(self):
+        partial = _fw_partial()
+        velocity(partial, 0.03)
+        for t in (0.53, np.array([0.03, 0.53])):
+            with pytest.raises(OutOfRange, match="last computed node"):
+                velocity(partial, t)
+
+    def test_audit_evaluates_a_time_independent_selection_once_per_cell(self):
+        n = 64
+        problem = make_problem("interior_ode")
+        traj = solve(problem, n)
+        calls = []
+
+        def counted(t, x):
+            calls.append(t)
+            return traj.selection.f(t, x)
+
+        audited = dataclasses.replace(traj, selection=Selection(counted, time_independent=True))
+        assert theorem1_audit(audited, problem) == theorem1_audit(traj, problem)
+        assert 0 < len(calls) <= n + AUDIT_TIME_SAMPLES
 
 
 class TestAudit:
