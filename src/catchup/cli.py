@@ -249,7 +249,7 @@ def cmd_rate(args) -> int:
         raise ConfigError(str(exc))
     (out / "rate.csv").write_text(study.to_csv())
     (out / "rate.json").write_text(study.to_json())
-    return EXIT_OK if (study.slope >= 0.25 and study.strictly_decreasing) else EXIT_SOLVE
+    return EXIT_OK if study.passed else EXIT_SOLVE
 
 
 def main(argv=None) -> int:

@@ -28,12 +28,18 @@ class NoRoot(ValueError):
 
 
 def as_vec(x) -> Array:
+    """x as a 1-d float64 array of finite coordinates; a 1-d float64 array is returned as is.
+
+    A sum of Python floats is finite only when every term is, and never
+    warns; the elementwise test runs only when the sum is not finite, which
+    finite coordinates reach when their sum overflows.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d point, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
         raise ValueError("point has non-finite coordinates")
     return v
 
@@ -166,13 +172,22 @@ def max_fn(fns: Sequence[ConvexFnOracle]) -> ConvexFnOracle:
 # projections, distances, residuals
 
 
+def point_of(s: SetDescription, x) -> Array:
+    """as_vec(x), which must have s's dimension: a point of another dimension raises ValueError."""
+    x = as_vec(x)
+    d = dimension(s)
+    if x.shape[0] != d:
+        raise ValueError(f"point has dimension {x.shape[0]}, set has {d}")
+    return x
+
+
 def exact_project(s: SetDescription, x) -> Array:
-    """Nearest point in s for the closed-form kinds.
+    """Nearest point in s for the closed-form kinds; a member is returned as is.
 
     Raises UnsupportedKind for sublevel sets; those go through the oracle
     module instead.
     """
-    x = as_vec(x)
+    x = point_of(s, x)
     if isinstance(s, Halfspace):
         gap = s.offset - float(np.dot(s.normal, x))
         if gap <= 0.0:
@@ -191,7 +206,7 @@ def exact_project(s: SetDescription, x) -> Array:
 
 def residual(s: SetDescription, x) -> float:
     """Feasibility measure: <= 0 exactly when x is in the set."""
-    x = as_vec(x)
+    x = point_of(s, x)
     if isinstance(s, Halfspace):
         return (s.offset - float(np.dot(s.normal, x))) / float(np.linalg.norm(s.normal))
     if isinstance(s, Ball):
@@ -211,7 +226,7 @@ def distance(s: SetDescription, x) -> float:
     DISTANCE_EPS (0 for a member, which the oracle returns as is).  Raises
     ProjectionFailed when the oracle cannot reach DISTANCE_EPS.
     """
-    x = as_vec(x)
+    x = point_of(s, x)
     if isinstance(s, CLOSED_FORM_KINDS):
         return float(np.linalg.norm(x - exact_project(s, x)))
     if isinstance(s, Sublevel):

@@ -28,6 +28,7 @@ from .solver import (
 )
 
 EVAL_GRID_SIZE = 1000
+ROUNDING_ULPS = 4  # rate-study errors within this many ulps of the largest node norm are rounding
 
 
 class UnknownProblem(KeyError):
@@ -155,10 +156,19 @@ class RateStudy:
     errors: list[float]
     slope: float
     ratios: list[float]
+    node_scale: float  # largest node norm over the ladder's runs
 
     @property
     def strictly_decreasing(self) -> bool:
         return all(b < a for a, b in zip(self.errors, self.errors[1:]))
+
+    @property
+    def passed(self) -> bool:
+        """The gate of `catchup rate`: errors that fall at a fitted slope >= 0.25,
+        or errors that all lie within a few ulps of the largest node norm, the
+        rounding of a problem the solver gets exactly."""
+        rounding = ROUNDING_ULPS * float(np.spacing(self.node_scale))
+        return max(self.errors) <= rounding or (self.slope >= 0.25 and self.strictly_decreasing)
 
     def to_csv(self) -> str:
         lines = ["n,mu,eps_n,sup_error"]
@@ -200,17 +210,19 @@ def rate_study(
         method = entry.method
 
     errors, mus, eps = [], [], []
+    node_scale = 0.0
     for n in ladder:
         traj = solve(entry.build(), n, schedule=schedule, method=method)
         errors.append(sup_error(traj, entry.solution))
         mus.append(traj.grid.mu)
         eps.append(traj.eps_n)
+        node_scale = max(node_scale, float(np.linalg.norm(traj.nodes, axis=1).max()))
 
     log_mu = np.log(np.array(mus))
     safe_err = np.maximum(np.array(errors), 1e-300)
     slope = float(np.polyfit(log_mu, np.log(safe_err), 1)[0])
     ratios = [errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(len(errors) - 1)]
-    return RateStudy(problem_id, list(ladder), mus, eps, errors, slope, ratios)
+    return RateStudy(problem_id, list(ladder), mus, eps, errors, slope, ratios, node_scale)
 
 
 @dataclass

@@ -28,14 +28,15 @@ import numpy as np
 
 from .geometry import (
     Array,
+    CLOSED_FORM_KINDS,
     Ball,
     Box,
     SetDescription,
     Sublevel,
     UnsupportedKind,
     as_vec,
-    dimension,
     exact_project,
+    point_of,
     residual,
 )
 
@@ -367,26 +368,27 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
 def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> ProjectionResult:
     """Certified epsilon-projection of x onto s.
 
-    Members short-circuit to themselves.  Otherwise cfg.method "fw" runs
-    Frank-Wolfe; under "auto" a sublevel set takes cutting planes and every
-    other kind its closed form.  "fw" on a set without a bounded LMO raises
-    UnsupportedKind, member or not.  A point whose dimension differs from the
-    set's raises ValueError.
+    Under cfg.method "auto" a closed-form kind takes its closed form, which
+    returns a member unchanged and so serves as the membership test; a
+    member comes back as a copy.  Otherwise members short-circuit to a copy
+    of themselves, "fw" runs Frank-Wolfe and a sublevel set takes cutting
+    planes.  "fw" on a set without a bounded LMO raises UnsupportedKind,
+    member or not.  A point whose dimension differs from the set's raises
+    ValueError.
     """
     if cfg is None:
         cfg = ProjectorConfig()
-    x = as_vec(x)
-    if x.shape[0] != dimension(s):
-        raise ValueError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
+    x = point_of(s, x)
+    if cfg.method == "auto" and isinstance(s, CLOSED_FORM_KINDS):
+        p = exact_project(s, x)
+        return ProjectionResult(x.copy() if p is x else p, 0.0, 0, converged=True)
     lmo = lmo_for(s) if cfg.method == "fw" else None
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
     if lmo is not None:
         return frank_wolfe_project(lmo, x, cfg)
-    if isinstance(s, Sublevel):
-        return cutting_plane_project(s, x, cfg)
-    return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
+    return cutting_plane_project(s, x, cfg)
 
 
 def feasibility_tolerance(s: SetDescription) -> float:

@@ -189,6 +189,12 @@ class TestRateCommand:
         assert study["slope"] >= 0.25
         assert study["strictly_decreasing"]
 
+    def test_exact_problem_exits_ok(self, tmp_path):
+        cfg = write(tmp_path / "r.cfg", "problem = sublevel_disk\nladder = 16,32,64,128\n")
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert not json.loads((out / "rate.json").read_text())["strictly_decreasing"]
+
     def test_rate_reruns_byte_identical(self, tmp_path):
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 16,32\n")

@@ -1,10 +1,12 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from catchup.geometry import (
     Ball,
@@ -146,6 +148,55 @@ class TestAsVec:
     def test_callers_reject_nan_point(self, call):
         with pytest.raises(ValueError, match="non-finite"):
             call([math.nan, 0.0])
+
+    @given(arrays(np.float64, st.integers(0, 6), elements=st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        st.floats(1e154, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+        st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+    )))
+    @settings(max_examples=500, deadline=None)
+    def test_rejects_exactly_the_non_finite(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if np.isfinite(v).all():
+                assert as_vec(v) is v
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    as_vec(v)
+
+    @pytest.mark.parametrize("big", [[1e200, 1e200], [1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    def test_accepts_finite_coordinates_whose_sum_or_square_overflows(self, big):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(as_vec(big), big)
+
+    def test_1d_float_array_is_returned_as_is(self):
+        v = np.array([0.5, -2.0])
+        assert as_vec(v) is v
+
+
+OTHER_DIMENSION = [
+    (Ball([0.0], 1.0), [3.0, 4.0]),
+    (Box([0.0], [1.0]), [3.0, 4.0]),
+    (Halfspace([1.0], 0.0), [-2.0, 0.0]),
+    (UNIT_BALL, [2.0]),
+    (Sublevel(ball_fn([0.0], 1.0), 0.0, slater=[0.0]), [2.0, 0.0]),
+]
+
+
+class TestDimensionMismatch:
+    """A point of another dimension than the set raises instead of broadcasting."""
+
+    @pytest.mark.parametrize("s, x", OTHER_DIMENSION)
+    @pytest.mark.parametrize("call", [residual, distance])
+    def test_residual_and_distance_raise(self, call, s, x):
+        with pytest.raises(ValueError, match=f"point has dimension {len(x)}, set has"):
+            call(s, x)
+
+    @pytest.mark.parametrize("s, x", OTHER_DIMENSION[:4])
+    def test_exact_project_raises(self, s, x):
+        with pytest.raises(ValueError, match=f"point has dimension {len(x)}, set has"):
+            exact_project(s, x)
 
 
 class TestConstruction:

@@ -4,6 +4,7 @@ import pytest
 from catchup.geometry import Ball
 from catchup.harness import (
     CATALOG,
+    RateStudy,
     UnknownProblem,
     fine_grid_reference,
     make_problem,
@@ -79,6 +80,29 @@ class TestRateStudy:
         rs = rate_study("translating_disk", [16, 32, 64])
         assert rs.errors[-1] < rs.errors[0]
         assert rs.slope > 0.25
+
+    @pytest.mark.parametrize("pid", ["dragging_interval", "translating_halfspace", "sublevel_disk"])
+    def test_exact_problem_passes_its_gate(self, pid):
+        # errors of 0 or a few ulps neither fall strictly nor give a fitted slope
+        rs = rate_study(pid, [16, 32, 64, 128])
+        assert not (rs.slope >= 0.25 and rs.strictly_decreasing)
+        assert rs.node_scale == 1.0
+        assert rs.passed
+
+    @pytest.mark.parametrize("errors, scale, passed", [
+        ([2.2e-16, 1.1e-16, 2.2e-16, 1.1e-16], 1.0, True),
+        ([0.0, 0.0], 0.0, True),
+        ([1e-16, 8.8e-16], 1.0, True),  # within 4 ulps of 1, though rising
+        ([1e-16, 9e-16], 1.0, False),  # above 4 ulps of 1, and rising
+        ([1.1e-16, 2.2e-16], 1e-3, False),  # rounding of 1 is not rounding of 1e-3
+        ([1e-2, 5e-3], 1.0, True),  # falls at slope 1
+    ])
+    def test_gate(self, errors, scale, passed):
+        mus = [0.5 ** k for k in range(len(errors))]
+        log_mu = np.log(mus)
+        slope = float(np.polyfit(log_mu, np.log(np.maximum(errors, 1e-300)), 1)[0])
+        rs = RateStudy("p", list(range(len(errors))), mus, mus, errors, slope, [], scale)
+        assert rs.passed is passed
 
     def test_ladder_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from catchup.geometry import (
     UnsupportedKind,
     affine_fn,
     ball_fn,
+    exact_project,
     max_fn,
     residual,
 )
@@ -247,7 +248,7 @@ class TestCuttingPlane:
         cfg = ProjectorConfig(eps=1e-8)
         x = np.array([0.1, -0.2])
         res = approx_project(DISK, x, cfg)
-        assert np.array_equal(res.point, x)
+        assert np.array_equal(res.point, x) and res.point is not x
         assert res.certified_eps == 0.0
         assert res.iterations == 0
 
@@ -602,3 +603,39 @@ class TestApproxProject:
         for n in range(5, len(dists)):
             assert dists[n] <= dists[n - 5] + 1e-12
         assert dists[-1] <= 1e-4
+
+
+CLOSED_FORMS = [
+    Halfspace([1.0, 2.0], 1.0),
+    Ball([0.5, -0.5], 1.5),
+    Box([-1.0, 0.0], [1.0, 0.5]),
+]
+
+
+class TestFoldedClosedFormRoute:
+    """Under "auto" the closed form is the membership test: residual is never called."""
+
+    @pytest.fixture(autouse=True)
+    def no_residual(self, monkeypatch):
+        def fail(s, x):
+            raise AssertionError("residual called on the closed-form route")
+
+        monkeypatch.setattr("catchup.oracles.residual", fail)
+
+    @pytest.mark.parametrize("s", CLOSED_FORMS)
+    def test_member_comes_back_as_a_copy(self, s):
+        x = np.array([0.5, 0.5])
+        assert residual(s, x) <= 0.0  # the geometry binding, not the patched one
+        res = approx_project(s, x)
+        assert np.array_equal(res.point, x) and res.point is not x
+        assert (res.certified_eps, res.iterations, res.converged) == (0.0, 0, True)
+
+    @given(coords=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_point_is_the_closed_form_bit_for_bit(self, coords):
+        x = np.array(coords)
+        for s in CLOSED_FORMS:
+            res = approx_project(s, x)
+            expected = exact_project(s, x)
+            assert res.point.tobytes() == expected.tobytes() and res.point is not x
+
