@@ -20,8 +20,9 @@ The method is auto or fw.  solve, rate and audit take --out; solve and
 audit take --permissive.
 
 Exit codes: 0 success, 1 config or usage error (including an unknown key,
-a method the set cannot use, a set value its constructor rejects, and a
-point that is not finite or of another dimension than the set), 2
+a method the set cannot use, a value its constructor rejects, such as one
+that is not finite, an eps_n that underflows to 0, and a point that is not
+finite or of another dimension than the set), 2
 projection budget exhausted, 3 solve aborted on a failed projection step.
 """
 
@@ -42,7 +43,6 @@ from .geometry import (
     Sublevel,
     UnsupportedKind,
     ball_fn,
-    dimension,
 )
 from .harness import CATALOG, UnknownProblem, make_problem, rate_study
 from .oracles import ProjectorConfig, approx_project
@@ -117,10 +117,10 @@ def _num(cfg: dict, key: str, default=None, cast=float):
         raise ConfigError(f"key {key!r} is not a number: {cfg[key]!r}")
 
 
-def _build(kind, *args, **options):
-    """kind(*args, **options), where a value the constructor rejects is a config error."""
+def _build(call, *args, **options):
+    """call(*args, **options), where a value it rejects with ValueError is a config error."""
     try:
-        return kind(*args, **options)
+        return call(*args, **options)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -160,15 +160,13 @@ def cmd_project(args) -> int:
     cfg = _load(args)
     s = build_set(cfg)
     x = _vec(cfg, "point")
-    if x.shape[0] != dimension(s):
-        raise ConfigError(f"point has dimension {x.shape[0]}, set has {dimension(s)}")
     pc = _build(
         ProjectorConfig,
         eps=_num(cfg, "eps", 1e-6),
         max_iter=_num(cfg, "max_iter", 10_000, cast=int),
         method=cfg.get("method", "auto"),
     )
-    res = approx_project(s, x, pc)
+    res = _build(approx_project, s, x, pc)  # a point of another dimension is a config error
     print(json.dumps({**vars(res), "point": res.point.tolist()}, indent=2, sort_keys=True))
     return EXIT_OK if res.converged else EXIT_BUDGET
 
@@ -186,6 +184,7 @@ def _solve_from_config(cfg: dict, permissive: bool):
     schedule = _schedule(cfg)
     oracle = _build(
         ProjectorConfig,
+        eps=schedule.eps(problem.horizon / n),  # eps_n, which underflows to 0 for a large p
         method=cfg.get("oracle.method", CATALOG[cfg["problem"]].method),
         max_iter=_num(cfg, "oracle.max_iter", 10_000, cast=int),
     )

@@ -63,6 +63,8 @@ class Halfspace:
         object.__setattr__(self, "normal", as_vec(self.normal))
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
+        if not math.isfinite(self.offset):
+            raise ValueError("halfspace offset must be finite")
 
 
 @dataclass(frozen=True)
@@ -226,19 +228,17 @@ def distance(s: SetDescription, x) -> float:
     DISTANCE_EPS (0 for a member, which the oracle returns as is).  Raises
     ProjectionFailed when the oracle cannot reach DISTANCE_EPS.
     """
-    x = point_of(s, x)
     if isinstance(s, CLOSED_FORM_KINDS):
-        return float(np.linalg.norm(x - exact_project(s, x)))
-    if isinstance(s, Sublevel):
-        from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
+        return float(np.linalg.norm(x - exact_project(s, x)))  # exact_project checks x
+    from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
 
-        res = cutting_plane_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
-        if not res.converged:
-            raise ProjectionFailed(
-                f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
-            )
-        return float(np.linalg.norm(x - res.point))
-    raise UnsupportedKind(type(s).__name__)
+    x = point_of(s, x)  # a kind without a dimension raises UnsupportedKind
+    res = cutting_plane_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
+    if not res.converged:
+        raise ProjectionFailed(
+            f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
+        )
+    return float(np.linalg.norm(x - res.point))
 
 
 def dimension(s: SetDescription) -> int:

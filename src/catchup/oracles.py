@@ -28,7 +28,6 @@ import numpy as np
 
 from .geometry import (
     Array,
-    CLOSED_FORM_KINDS,
     Ball,
     Box,
     SetDescription,
@@ -69,8 +68,8 @@ class ProjectorConfig:
     method: str = "auto"  # auto: the set's kind picks the route | fw: Frank-Wolfe
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.method not in METHODS:
@@ -145,9 +144,9 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     g = 2 <z - x, z - s> drops to cfg.eps.  Convexity gives
     f(z) - min f <= g, so the final gap certifies z as an approximate
     projection.  Iterates stay feasible because each update is a convex
-    combination of feasible points.
+    combination of feasible points.  x is a 1-d float array that has
+    already been checked.
     """
-    x = as_vec(x)
     # deterministic starting atom, independent of x
     z = lmo(np.ones_like(x))
     gap = np.inf
@@ -178,9 +177,8 @@ def separation_oracle(s: Sublevel, x) -> Optional[Hyperplane]:
     Returns None when x is a member.  Otherwise the subgradient inequality
     gives <g', x - y> >= g(x) - g(y) >= g(x) - level > 0 for every member y,
     so the cut <g', y> <= <g', x> - (g(x) - level) keeps the set and
-    excludes x.
+    excludes x.  x is a 1-d float array that has already been checked.
     """
-    x = as_vec(x)
     viol = s.fn.eval(x) - s.level
     if viol <= 0.0:
         return None
@@ -215,12 +213,10 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
         t = int(np.argmax(dual))
         if dual[t] <= (m + d + 1) * _EPS * (1.0 + u.sum()):  # dual's rounding
             ep = e[:, passive]
-            # nearly parallel cuts can leave the passive columns numerically dependent
-            rank = np.linalg.matrix_rank(ep)
-            if rank == ep.shape[1]:
-                q = np.linalg.qr(ep, mode="complete")[0][:, rank:]
-            else:
-                q = np.linalg.svd(ep)[0][:, rank:]
+            # the complement of the passive columns at their numerical rank, by
+            # matrix_rank's tolerance: nearly parallel cuts can make them dependent
+            basis, sigma = np.linalg.svd(ep)[:2]
+            q = basis[:, int((sigma > sigma.max(initial=0.0) * max(ep.shape) * _EPS).sum()):]
             if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
                 raise ProjectionFailed("cutting planes have an empty intersection")
             y = x - (q[:d] @ q[d]) / (q[d] @ q[d])
@@ -325,8 +321,10 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     more than the value's own rounding, (d + 2) eps val: eps for each of x - p,
     its square and d - 1 sums.  Once successive outer projections differ only
     in rounding, so do their restored values, and the earlier point is kept.
+
+    x is a 1-d float array that has already been checked; the residual at x
+    is the only membership test, and a member comes back as a copy.
     """
-    x = as_vec(x)
     if residual(s, x) <= 0.0:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
@@ -366,29 +364,29 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
 
 
 def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> ProjectionResult:
-    """Certified epsilon-projection of x onto s.
+    """Certified epsilon-projection of x onto s; a member comes back as a copy.
 
-    Under cfg.method "auto" a closed-form kind takes its closed form, which
-    returns a member unchanged and so serves as the membership test; a
-    member comes back as a copy.  Otherwise members short-circuit to a copy
-    of themselves, "fw" runs Frank-Wolfe and a sublevel set takes cutting
-    planes.  "fw" on a set without a bounded LMO raises UnsupportedKind,
-    member or not.  A point whose dimension differs from the set's raises
-    ValueError.
+    Each route checks x once.  Under cfg.method "auto" a closed-form kind
+    hands x to exact_project, which checks it and returns a member
+    unchanged, so the closed form is also the membership test.  A sublevel
+    set checks x here and takes cutting planes, whose residual pre-test is
+    the membership test.  "fw" checks x here, tests membership with
+    residual and runs Frank-Wolfe; on a set without a bounded LMO it raises
+    UnsupportedKind, member or not.  A point whose dimension differs from
+    the set's raises ValueError.
     """
     if cfg is None:
         cfg = ProjectorConfig()
-    x = point_of(s, x)
-    if cfg.method == "auto" and isinstance(s, CLOSED_FORM_KINDS):
-        p = exact_project(s, x)
-        return ProjectionResult(x.copy() if p is x else p, 0.0, 0, converged=True)
-    lmo = lmo_for(s) if cfg.method == "fw" else None
-    if residual(s, x) <= 0.0:
-        return ProjectionResult(x.copy(), 0.0, 0, converged=True)
-
-    if lmo is not None:
+    if cfg.method == "fw":
+        x = point_of(s, x)
+        lmo = lmo_for(s)
+        if residual(s, x) <= 0.0:
+            return ProjectionResult(x.copy(), 0.0, 0, converged=True)
         return frank_wolfe_project(lmo, x, cfg)
-    return cutting_plane_project(s, x, cfg)
+    if isinstance(s, Sublevel):
+        return cutting_plane_project(s, point_of(s, x), cfg)
+    p = exact_project(s, x)  # a member is x itself, or a view of x when the check reshaped it
+    return ProjectionResult(p.copy() if p is x or p.base is x else p, 0.0, 0, converged=True)
 
 
 def feasibility_tolerance(s: SetDescription) -> float:

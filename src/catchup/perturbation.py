@@ -141,13 +141,14 @@ def cell_integral(sel: Selection, x, a: float, b: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# built-in catalog
+# built-in catalog: the fields take the state as given (a node or x0, checked
+# on entry), and Selection.value checks what they return
 
 
 def zero_perturbation() -> Perturbation:
     """F(t, x) = {0}."""
     return Perturbation.single_valued(
-        field=lambda t, x: np.zeros_like(as_vec(x)),
+        field=lambda t, x: np.zeros_like(x),
         h=lambda x: 0.0,
         lipschitz_h=0.0,
         time_independent=True,
@@ -157,7 +158,7 @@ def zero_perturbation() -> Perturbation:
 def linear_decay_perturbation() -> Perturbation:
     """F(t, x) = {-x}; drives the interior exponential-decay dynamics."""
     return Perturbation.single_valued(
-        field=lambda t, x: -as_vec(x),
+        field=lambda t, x: -x,
         h=lambda x: float(np.linalg.norm(x)),
         lipschitz_h=1.0,
         time_independent=True,

@@ -99,10 +99,10 @@ class EpsSchedule:
     p: float = 3.0
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("schedule coefficient must be positive")
-        if not self.p > 2.0:
-            raise ValueError("schedule exponent must exceed 2 (eps_n/mu_n^2 -> 0)")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("schedule coefficient must be positive and finite")
+        if not 2.0 < self.p < math.inf:
+            raise ValueError("schedule exponent must be finite and exceed 2 (eps_n/mu_n^2 -> 0)")
 
     def eps(self, mu: float) -> float:
         return self.c * mu**self.p
@@ -121,10 +121,10 @@ class SweepingProblem:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         self.x0 = as_vec(self.x0)
         c0 = self.moving_set.at(0.0)
         if self.x0.shape[0] != dimension(c0):

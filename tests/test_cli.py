@@ -298,3 +298,41 @@ class TestConfigErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "project,solve,rate,audit" in capsys.readouterr().out
+
+
+class TestNonFiniteValues:
+    """A value that is not finite, or an eps_n that underflows, is a config error."""
+
+    @pytest.mark.parametrize("offset", ["nan", "inf"])
+    def test_project_rejects_non_finite_offset(self, tmp_path, capsys, offset):
+        cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1,0\n"
+                    f"set.offset = {offset}\npoint = -1,0\n")
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        assert "offset must be finite" in err
+
+    def test_project_rejects_infinite_eps(self, tmp_path, capsys):
+        cfg = write(tmp_path / "p.cfg", "set.kind = ball\nset.center = 0,0\nset.radius = 1\n"
+                    "point = 5,0\neps = inf\nmethod = fw\n")
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        assert "eps must be positive and finite" in err
+
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    @pytest.mark.parametrize("line, message", [
+        ("schedule.c = inf", "schedule coefficient must be positive and finite"),
+        ("gamma = inf", "gamma must be positive and finite"),
+        ("schedule.p = 1000", "eps must be positive"),
+    ], ids=["c_inf", "gamma_inf", "p_underflow"])
+    def test_solve_and_audit_reject_before_any_output(self, tmp_path, capsys, command,
+                                                      line, message):
+        cfg = write(tmp_path / "s.cfg", f"problem = translating_disk\nn = 64\n{line}\n")
+        err = assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")],
+                                  capsys)
+        assert message in err
+        assert list((tmp_path / "o").iterdir()) == []
+
+    def test_rate_rejects_infinite_coefficient(self, tmp_path, capsys):
+        cfg = write(tmp_path / "r.cfg",
+                    "problem = translating_disk\nladder = 16,32\nschedule.c = inf\n")
+        err = assert_config_error(["rate", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
+        assert "schedule coefficient must be positive and finite" in err
+        assert list((tmp_path / "o").iterdir()) == []

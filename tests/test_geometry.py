@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from catchup import geometry
 from catchup.geometry import (
     Ball,
     Box,
@@ -96,6 +97,14 @@ class TestDistanceAndResidual:
     def test_halfspace_residual_is_normalized(self):
         scaled = Halfspace([2.0, 0.0], 0.0)
         assert residual(scaled, [-3.0, 1.0]) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("x", [[2.0, 0.5], [0.5, 0.5]], ids=["outside", "member"])
+    def test_closed_form_distance_checks_the_point_once(self, monkeypatch, x):
+        calls = []
+        real = geometry.as_vec
+        monkeypatch.setattr("catchup.geometry.as_vec", lambda v: calls.append(v) or real(v))
+        assert distance(UNIT_BOX, np.array(x)) == max(x[0] - 1.0, 0.0)
+        assert len(calls) == 1
 
     def test_sublevel_distance_is_upper_bound_and_tightens(self):
         # exact disk distance of (0, 2) is 1
@@ -207,6 +216,11 @@ class TestConstruction:
     def test_halfspace_nonzero_normal(self):
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_halfspace_finite_offset(self, offset):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            Halfspace([1.0, 0.0], offset)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
     def test_ball_fn_radius_positive(self, radius):

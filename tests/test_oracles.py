@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchup import oracles
+from catchup import geometry, oracles
 from catchup.geometry import (
     Ball,
     ConvexFnOracle,
@@ -560,6 +560,12 @@ class TestApproxProject:
         assert res.certified_eps <= 1e-8
         assert np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_config_rejects_eps_that_is_not_positive_and_finite(self, eps):
+        # eps = inf once let Frank-Wolfe's start atom pass as a converged projection
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            ProjectorConfig(eps=eps)
+
     @pytest.mark.parametrize("method", ["exact", "cutting", "atuo"])
     def test_config_rejects_unknown_method(self, method):
         with pytest.raises(ValueError, match="method"):
@@ -603,6 +609,38 @@ class TestApproxProject:
         for n in range(5, len(dists)):
             assert dists[n] <= dists[n - 5] + 1e-12
         assert dists[-1] <= 1e-4
+
+
+class TestCheckedOnce:
+    """approx_project checks a point once and tests membership once."""
+
+    @pytest.fixture
+    def as_vec_calls(self, monkeypatch):
+        calls = []
+        real = geometry.as_vec
+        monkeypatch.setattr("catchup.geometry.as_vec", lambda x: calls.append(x) or real(x))
+        return calls
+
+    @pytest.mark.parametrize("x", [[2.0, 0.0], [0.5, 0.0]], ids=["outside", "member"])
+    def test_closed_form_route_checks_the_point_once(self, as_vec_calls, x):
+        approx_project(UNIT_BALL, np.array(x))
+        assert len(as_vec_calls) == 1
+
+    @pytest.mark.parametrize("s", [Ball([0.0], 1.0), Box([0.0], [1.0]), Halfspace([1.0], 0.0)])
+    def test_member_given_as_a_scalar_array_comes_back_as_a_copy(self, s):
+        x = np.array(0.5)
+        res = approx_project(s, x)
+        assert res.point.tolist() == [0.5] and not np.shares_memory(res.point, x)
+
+    def test_sublevel_route_evaluates_g_at_x_once(self):
+        at_x = []
+        x = np.array([0.0, 2.0])
+        fn = ball_fn([0.0, 0.0], 1.0)
+        counted = ConvexFnOracle(eval=lambda y: at_x.append(y is x) or fn.eval(y),
+                                 subgrad=fn.subgrad)
+        res = approx_project(Sublevel(counted, 0.0, slater=[0.0, 0.0]), x)
+        assert res.converged and np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
+        assert at_x.count(True) == 1
 
 
 CLOSED_FORMS = [

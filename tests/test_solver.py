@@ -76,6 +76,12 @@ class TestEpsSchedule:
         with pytest.raises(ValueError):
             EpsSchedule(c=1.0, p=1.5)
 
+    @pytest.mark.parametrize("c, p", [(math.inf, 3.0), (math.nan, 3.0), (1.0, math.inf),
+                                      (1.0, math.nan)])
+    def test_rejects_non_finite(self, c, p):
+        with pytest.raises(ValueError, match="finite"):
+            EpsSchedule(c=c, p=p)
+
     def test_sup_is_over_grid_family(self):
         # sqrt(eps_n)/mu_n is maximal at the coarsest grid (n = 1)
         s = EpsSchedule(c=1.0, p=3.0)
@@ -103,6 +109,12 @@ class TestSweepingProblem:
         ms = MovingSet.fixed(Ball([0.0, 0.0], 1.0))
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             SweepingProblem(ms, zero_perturbation(), [0.0, 0.0], **{"horizon": 1.0, name: value})
+
+    @pytest.mark.parametrize("name", ["horizon", "gamma"])
+    def test_rejects_infinite_scalars(self, name):
+        ms = MovingSet.fixed(Ball([0.0, 0.0], 1.0))
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SweepingProblem(ms, zero_perturbation(), [0.0, 0.0], **{"horizon": 1.0, name: math.inf})
 
 
 class TestSolve:
