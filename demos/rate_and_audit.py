@@ -22,8 +22,8 @@ def main():
     traj = solve(prob, ladder[-1], method="fw")
     report = theorem1_audit(traj, prob)
     for check in report["checks"]:
-        status = "pass" if check["passed"] else "FAIL"
-        print(f"  {check['name']:24s} {status}  lhs={check['max_lhs']:.4e}  bound={check['bound']:.4e}")
+        print(f"  {check['name']:24s} {check['verdict']:12s} "
+              f"lhs={check['max_lhs']:.4e}  bound={check['bound']:.4e}")
     print(f"overall: {'pass' if report['passed'] else 'FAIL'}")
 
 

@@ -189,7 +189,7 @@ def separation_oracle(s: Sublevel, x) -> Optional[Hyperplane]:
 
 
 def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> Array:
-    """Nearest point to x in the intersection of halfspaces <a_i, y> <= b_i, exactly.
+    """Nearest point to x in the intersection of one or more halfspaces <a_i, y> <= b_i, exactly.
 
     y = x - r[:d] / r[d] for the residual r = E u - f of the NNLS min ||E u - f||,
     u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
@@ -197,8 +197,6 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0 or an
     NNLS cycle.
     """
-    if not cuts_a:
-        return x.copy()
     a = np.array(cuts_a)
     b = np.array(cuts_b, dtype=float)
     m, d = a.shape
@@ -322,10 +320,12 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     its square and d - 1 sums.  Once successive outer projections differ only
     in rounding, so do their restored values, and the earlier point is kept.
 
-    x is a 1-d float array that has already been checked; the residual at x
-    is the only membership test, and a member comes back as a copy.
+    x is a 1-d float array that has already been checked.  The separation
+    oracle at x is the membership test, and a member comes back as a copy;
+    otherwise its cut is the first, at the outer projection x itself.
     """
-    if residual(s, x) <= 0.0:
+    cut = separation_oracle(s, x)
+    if cut is None:
         return ProjectionResult(x.copy(), 0.0, 0, converged=True)
 
     keep = 1.0 - (x.shape[0] + 2) * _EPS
@@ -334,10 +334,12 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     best_p: Optional[Array] = None
     best_val = np.inf
     lower = support = 0.0
+    w = x
     for it in range(cfg.max_iter):
-        w = _project_polyhedron(cuts_a, cuts_b, x)
+        if it:
+            w = _project_polyhedron(cuts_a, cuts_b, x)
+            cut = separation_oracle(s, w)
         lower = float(np.dot(x - w, x - w))
-        cut = separation_oracle(s, w)
         if cut is None:
             best_p, best_val = w, lower
         else:
@@ -369,8 +371,8 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     Each route checks x once.  Under cfg.method "auto" a closed-form kind
     hands x to exact_project, which checks it and returns a member
     unchanged, so the closed form is also the membership test.  A sublevel
-    set checks x here and takes cutting planes, whose residual pre-test is
-    the membership test.  "fw" checks x here, tests membership with
+    set checks x here and takes cutting planes, whose separation oracle at x
+    is the membership test.  "fw" checks x here, tests membership with
     residual and runs Frank-Wolfe; on a set without a bounded LMO it raises
     UnsupportedKind, member or not.  A point whose dimension differs from
     the set's raises ValueError.

@@ -14,16 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DISTANCE_EPS,
-    Array,
-    CLOSED_FORM_KINDS,
-    MovingSet,
-    as_vec,
-    dimension,
-    distance,
-    residual,
-)
+from .geometry import DISTANCE_EPS, Array, MovingSet, as_vec, dimension, residual
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project, feasibility_tolerance
 from .perturbation import (
     DEFAULT_GAMMA,
@@ -105,7 +96,12 @@ class EpsSchedule:
             raise ValueError("schedule exponent must be finite and exceed 2 (eps_n/mu_n^2 -> 0)")
 
     def eps(self, mu: float) -> float:
-        return self.c * mu**self.p
+        try:
+            return self.c * mu**self.p
+        except OverflowError:
+            raise ValueError(
+                f"eps_n = c * mu**p overflows for c={self.c}, p={self.p}, mu={mu}"
+            ) from None
 
     def sqrt_eps_over_mu_sup(self, horizon: float) -> float:
         # sqrt(eps_n)/mu_n = sqrt(c) * mu^{(p-2)/2}, maximal at n = 1
@@ -138,9 +134,8 @@ class SweepingProblem:
 
 @dataclass
 class StepDiagnostics:
-    predictor_distance: float  # d_{C(t_{k+1})}(predictor), or an upper bound
-    distance_exact: bool
-    certified_eps: float
+    predictor_distance: float  # ||predictor - point||, an upper bound on d_{C(t_{k+1})}(predictor)
+    certified_eps: float  # d^2 >= predictor_distance^2 - certified_eps
     budget_lambda: float  # 4 sqrt(eps) + (L_C + h(x_k) + sqrt(gamma)) mu
     h_at_node: float
     iterations: int
@@ -183,22 +178,12 @@ def step(
     predictor = x_k + integral
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
-
-    exact = isinstance(target, CLOSED_FORM_KINDS)
-    if exact and projector.method == "fw":
-        # Frank-Wolfe's point is only near the projection; a_i needs the distance
-        dist = distance(target, predictor)
-    else:
-        # a closed form's point is the projection, so this is the distance;
-        # a sublevel set's feasible point gives an upper bound
-        dist = float(np.linalg.norm(predictor - res.point))
     h_k = float(problem.perturbation.h(x_k))
     lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
     diag = StepDiagnostics(
-        predictor_distance=dist,
-        distance_exact=exact,
+        predictor_distance=float(np.linalg.norm(predictor - res.point)),
         certified_eps=res.certified_eps,
         budget_lambda=lam,
         h_at_node=h_k,
@@ -394,11 +379,14 @@ def audit_constants(problem: SweepingProblem, schedule: EpsSchedule) -> dict:
 def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     """Check every recorded quantity of a run against its proved bound.
 
-    Report-only: returns per-bound pass/fail with the worst margin and the
-    offending cells, never raises.  Bounds checked with exact distances when
-    the moving set has a closed form; otherwise the recorded upper bound is
-    compared against the bound plus its sqrt(eps_n) slack.  A partial
-    trajectory is sampled up to its last computed node and never passes.
+    Report-only: returns a verdict per bound with the worst value and the
+    refuted cells.  A projection z with certificate eps_hat brackets the
+    distance d between sqrt(max(||x - z||^2 - eps_hat, 0)) and ||x - z||;
+    a_i and b read d off that bracket, and every other value is exact.  A
+    check is refuted when a lower end exceeds the bound, certified when it
+    has values and every upper end is within it, inconclusive otherwise, and
+    passes unless refuted.  A partial trajectory is sampled up to its last
+    computed node and never passes.
 
     The interpolant is sampled at AUDIT_TIME_SAMPLES uniform times in one
     array call of interpolate, and the velocity at three interior points of
@@ -414,29 +402,35 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     const = audit_constants(problem, traj.schedule)
     checks = []
 
-    def record(name: str, values, bound: float, cells: bool = False):
-        """One check: it fails on any value above bound; cells lists those items.
+    def record(name: str, values, bound: float, lower=None, cells: bool = False):
+        """One check of the upper ends values, whose lower ends default to values.
 
-        max_lhs is None when there are no values (a partial run with no step).
+        cells lists the refuted items; max_lhs, the largest upper end, is None
+        when there are no values (a partial run with no step).
         """
-        over = np.asarray(values, dtype=float) > bound + _AUDIT_SLACK
-        top = max(values, default=None)
+        upper = np.asarray(values, dtype=float)
+        refuted = (upper if lower is None else lower) > bound + _AUDIT_SLACK
+        certified = upper.size and (upper <= bound + _AUDIT_SLACK).all()
+        verdict = "refuted" if refuted.any() else "certified" if certified else "inconclusive"
         checks.append({
             "name": name,
-            "passed": not over.any(),
-            "max_lhs": None if top is None else float(top),
+            "verdict": verdict,
+            "passed": verdict != "refuted",
+            "max_lhs": float(upper.max()) if upper.size else None,
             "bound": bound,
-            "cells": [int(i) for i in np.flatnonzero(over)] if cells else [],
+            "cells": [int(i) for i in np.flatnonzero(refuted)] if cells else [],
         })
 
+    def lower_ends(dist: Array, certs: Array) -> Array:
+        return np.sqrt(np.maximum(dist * dist - certs, 0.0))
+
     # (a)(i): predictor distance per step, as its margin over the step's bound
-    margins = []
-    for diag in traj.diagnostics:
-        bound = (lc + diag.h_at_node + sg) * mu
-        if not diag.distance_exact:
-            bound += sq_eps  # recorded value is only an upper bound
-        margins.append(diag.predictor_distance - bound)
-    record("a_i_predictor_distance", margins, 0.0, cells=True)
+    diags = traj.diagnostics
+    dist = np.array([dg.predictor_distance for dg in diags])
+    certs = np.array([dg.certified_eps for dg in diags])
+    bounds = (lc + np.array([dg.h_at_node for dg in diags]) + sg) * mu
+    record("a_i_predictor_distance", dist - bounds, 0.0,
+           lower=lower_ends(dist, certs) - bounds, cells=True)
 
     # (a)(ii): node drift from x0; cells are node indices
     record("a_ii_node_drift", np.linalg.norm(traj.nodes - traj.nodes[0], axis=1),
@@ -461,13 +455,16 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
            const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t))
-    set_dist = []
+    cfg = ProjectorConfig(eps=DISTANCE_EPS)
+    dist = np.empty(ts.size)
+    certs = np.empty(ts.size)
     thetas = np.where(ts < grid.horizon, grid.theta(ts), grid.horizon)
-    for theta, xt in zip(thetas, interp):
-        target = problem.moving_set.at(float(theta))
-        slack = 0.0 if isinstance(target, CLOSED_FORM_KINDS) else math.sqrt(DISTANCE_EPS)
-        set_dist.append(distance(target, xt) - slack)
-    record("b_set_distance", set_dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps)
+    for i, (theta, xt) in enumerate(zip(thetas, interp)):
+        res = approx_project(problem.moving_set.at(float(theta)), xt, cfg)
+        dist[i] = np.linalg.norm(xt - res.point)
+        certs[i] = res.certified_eps
+    record("b_set_distance", dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
+           lower=lower_ends(dist, certs))
 
     # (c): velocity bound sampled at three interior points of each cell
     tv = grid.node(np.arange(traj.steps_taken))[:, None] + np.array([0.25, 0.5, 0.75]) * mu

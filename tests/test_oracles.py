@@ -642,6 +642,18 @@ class TestCheckedOnce:
         assert res.converged and np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
         assert at_x.count(True) == 1
 
+    def test_cutting_planes_evaluate_g_once_at_the_value_x(self):
+        # the separation oracle at x is the membership test and the first cut
+        x = np.array([0.0, 2.0])
+        fn = ball_fn([0.0, 0.0], 1.0)
+        at_x = []
+        counted = ConvexFnOracle(eval=lambda y: at_x.append(np.array_equal(y, x)) or fn.eval(y),
+                                 subgrad=fn.subgrad)
+        res = cutting_plane_project(Sublevel(counted, 0.0, slater=[0.0, 0.0]), x,
+                                    ProjectorConfig())
+        assert res.converged and np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
+        assert at_x.count(True) == 1
+
 
 CLOSED_FORMS = [
     Halfspace([1.0, 2.0], 1.0),

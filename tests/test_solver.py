@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catchup import oracles
-from catchup.geometry import Ball, MovingSet
+from catchup.geometry import Ball, MovingSet, Sublevel, ball_fn
 from catchup.harness import make_problem, reference_solution
 from catchup.perturbation import Selection, zero_perturbation
 from catchup.solver import (
@@ -81,6 +81,12 @@ class TestEpsSchedule:
     def test_rejects_non_finite(self, c, p):
         with pytest.raises(ValueError, match="finite"):
             EpsSchedule(c=c, p=p)
+
+    def test_overflow_is_a_value_error_naming_the_schedule(self):
+        problem = SweepingProblem(MovingSet.fixed(Ball([0.0], 1.0)), zero_perturbation(),
+                                  [0.0], 2.0)
+        with pytest.raises(ValueError, match=r"c=1\.0, p=2000\.0, mu=2\.0"):
+            solve(problem, 1, schedule=EpsSchedule(c=1.0, p=2000.0))
 
     def test_sup_is_over_grid_family(self):
         # sqrt(eps_n)/mu_n is maximal at the coarsest grid (n = 1)
@@ -351,6 +357,41 @@ class TestAudit:
         empty = {c["name"] for c in report["checks"] if c["max_lhs"] is None}
         assert empty == {"a_i_predictor_distance", "a_iv_node_increment",
                          "a_v_cell_deviation", "c_velocity_bound"}
+        assert all(c["verdict"] == "inconclusive" and c["passed"]
+                   for c in report["checks"] if c["name"] in empty)
+        assert not report["passed"]
+
+    @pytest.mark.parametrize("pid", ["dragging_interval", "translating_halfspace",
+                                     "interior_ode", "translating_disk"])
+    def test_closed_form_runs_are_certified(self, pid):
+        prob = make_problem(pid)
+        report = theorem1_audit(solve(prob, 64), prob)
+        assert [c["verdict"] for c in report["checks"]] == ["certified"] * 7
+        assert report["passed"]
+
+    def test_frank_wolfe_bracket_leaves_a_i_inconclusive(self):
+        prob = make_problem("translating_disk")
+        report = theorem1_audit(solve(prob, 64, method="fw"), prob)
+        a_i = report["checks"][0]
+        assert a_i["name"] == "a_i_predictor_distance"
+        assert a_i["verdict"] == "inconclusive" and a_i["passed"] and not a_i["cells"]
+        assert report["passed"]
+
+    @pytest.mark.parametrize("kind, method", [("ball", "auto"), ("ball", "fw"),
+                                              ("sublevel", "auto")])
+    def test_wrong_lipschitz_constant_refutes_a_i(self, kind, method):
+        # the disk moves at speed 3 but declares L_C = 1
+        def at(t):
+            center = np.array([3.0 * t, 0.0])
+            if kind == "ball":
+                return Ball(center, 1.0)
+            return Sublevel(ball_fn(center, 1.0), 0.0, slater=center)
+
+        prob = SweepingProblem(MovingSet(at, lipschitz=1.0), zero_perturbation(),
+                               [-1.0, 0.0], 1.0)
+        report = theorem1_audit(solve(prob, 64, method=method), prob)
+        a_i = report["checks"][0]
+        assert a_i["verdict"] == "refuted" and not a_i["passed"] and a_i["cells"]
         assert not report["passed"]
 
     def test_failed_step_fails_audit(self):
