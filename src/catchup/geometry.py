@@ -27,21 +27,34 @@ class NoRoot(ValueError):
     """The scalar equation has no positive root for these parameters."""
 
 
+_FLOAT = np.dtype(float)
+
+
 def as_vec(x) -> Array:
     """x as a 1-d float64 array of finite coordinates; a 1-d float64 array is returned as is.
 
-    A sum of Python floats is finite only when every term is, and never
-    warns; the elementwise test runs only when the sum is not finite, which
-    finite coordinates reach when their sum overflows.
+    An exact ndarray of native float64 with one axis skips the conversion,
+    so only the finiteness test runs on it.  A sum of Python floats is
+    finite only when every term is, and never warns; the elementwise test
+    runs only when the sum is not finite, which finite coordinates reach
+    when their sum overflows.
     """
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d point, got shape {v.shape}")
+    if type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1:
+        v = x
+    else:
+        v = np.asarray(x, dtype=float)
+        if v.ndim == 0:
+            v = v.reshape(1)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-d point, got shape {v.shape}")
     if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
         raise ValueError("point has non-finite coordinates")
     return v
+
+
+def norm(v: Array) -> float:
+    """||v|| of a 1-d float array: np.linalg.norm's own sqrt(v.dot(v)), without its wrapper."""
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,7 @@ class Halfspace:
 
     def __post_init__(self):
         object.__setattr__(self, "normal", as_vec(self.normal))
-        if np.linalg.norm(self.normal) == 0.0:
+        if norm(self.normal) == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
@@ -191,13 +204,13 @@ def exact_project(s: SetDescription, x) -> Array:
     """
     x = point_of(s, x)
     if isinstance(s, Halfspace):
-        gap = s.offset - float(np.dot(s.normal, x))
+        gap = s.offset - float(s.normal.dot(x))
         if gap <= 0.0:
             return x
-        return x + (gap / float(np.dot(s.normal, s.normal))) * s.normal
+        return x + (gap / float(s.normal.dot(s.normal))) * s.normal
     if isinstance(s, Ball):
         v = x - s.center
-        r = float(np.linalg.norm(v))
+        r = norm(v)
         if r <= s.radius:
             return x
         return s.center + (s.radius / r) * v
@@ -210,9 +223,9 @@ def residual(s: SetDescription, x) -> float:
     """Feasibility measure: <= 0 exactly when x is in the set."""
     x = point_of(s, x)
     if isinstance(s, Halfspace):
-        return (s.offset - float(np.dot(s.normal, x))) / float(np.linalg.norm(s.normal))
+        return (s.offset - float(s.normal.dot(x))) / norm(s.normal)
     if isinstance(s, Ball):
-        return float(np.linalg.norm(x - s.center)) - s.radius
+        return norm(x - s.center) - s.radius
     if isinstance(s, Box):
         return float(np.max(np.maximum(s.lo - x, x - s.hi)))
     if isinstance(s, Sublevel):
@@ -229,7 +242,7 @@ def distance(s: SetDescription, x) -> float:
     ProjectionFailed when the oracle cannot reach DISTANCE_EPS.
     """
     if isinstance(s, CLOSED_FORM_KINDS):
-        return float(np.linalg.norm(x - exact_project(s, x)))  # exact_project checks x
+        return norm(x - exact_project(s, x))  # exact_project checks x
     from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
 
     x = point_of(s, x)  # a kind without a dimension raises UnsupportedKind
@@ -238,7 +251,7 @@ def distance(s: SetDescription, x) -> float:
         raise ProjectionFailed(
             f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
         )
-    return float(np.linalg.norm(x - res.point))
+    return norm(x - res.point)
 
 
 def dimension(s: SetDescription) -> int:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project
+from .geometry import Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project, norm
 from .oracles import ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
@@ -143,7 +143,7 @@ def sup_error(traj: Trajectory, reference) -> float:
         refs = (reference(float(t)) for t in ts)
     worst = 0.0
     for xt, ref in zip(xs, refs):
-        worst = max(worst, float(np.linalg.norm(xt - ref)))
+        worst = max(worst, norm(xt - ref))
     return worst
 
 
@@ -261,7 +261,7 @@ def stability_study(
     gaps = []
     for p, eps in zip(points, eps_seq):
         res = approx_project(s, p, ProjectorConfig(eps=eps, method=method))
-        gaps.append(float(np.linalg.norm(res.point - target)))
+        gaps.append(norm(res.point - target))
     return StabilityStudy(
         set_kind=type(s).__name__,
         eps_seq=list(eps_seq),

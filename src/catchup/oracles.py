@@ -35,6 +35,7 @@ from .geometry import (
     UnsupportedKind,
     as_vec,
     exact_project,
+    norm,
     point_of,
     residual,
 )
@@ -106,7 +107,7 @@ def lmo_ball(center, radius: float) -> LMO:
     c = as_vec(center)
 
     def lmo(w: Array) -> Array:
-        nw = math.sqrt(w.dot(w))  # np.linalg.norm's own arithmetic for a 1-d vector
+        nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
         if nw == 0.0:
             return c.copy()
         return c - (radius / nw) * w
@@ -183,9 +184,9 @@ def separation_oracle(s: Sublevel, x) -> Optional[Hyperplane]:
     if viol <= 0.0:
         return None
     g = as_vec(s.fn.subgrad(x))
-    if float(np.linalg.norm(g)) == 0.0:
+    if norm(g) == 0.0:
         raise ZeroSubgradient("zero subgradient at an infeasible point")
-    return Hyperplane(normal=g, offset=float(np.dot(g, x)) - viol, violation=viol)
+    return Hyperplane(normal=g, offset=float(g.dot(x)) - viol, violation=viol)
 
 
 def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> Array:
@@ -223,8 +224,8 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
             viol = np.where(passive | dropped, -np.inf, a @ y - b)
             t = int(np.argmax(viol))
             # the least-distance program resolves y to rounding of 1 + ||x|| + ||x - y||
-            reach = 1.0 + np.linalg.norm(x) + np.linalg.norm(x - y)
-            if viol[t] <= (m + d + 1) * _EPS * (np.linalg.norm(a[t]) * reach + abs(b[t])):
+            reach = 1.0 + norm(x) + norm(x - y)
+            if viol[t] <= (m + d + 1) * _EPS * (norm(a[t]) * reach + abs(b[t])):
                 return y
         passive[t] = True
         while True:  # each pass drops at least one index from passive
@@ -264,7 +265,7 @@ def _restore_feasibility(
     Returns p and that residual, fn(p) - level.
     """
     seg = s.slater - w
-    stop = 4.0 * _EPS * float(np.linalg.norm(w)) / float(np.linalg.norm(seg))
+    stop = 4.0 * _EPS * norm(w) / norm(seg)
     lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))
     hi, f_hi, hi_point = 1.0, residual(s, s.slater), s.slater.copy()  # f_hi < 0: Sublevel checks it
 

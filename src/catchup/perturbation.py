@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Array, Box, SetDescription, as_vec
+from .geometry import Array, Box, SetDescription, as_vec, norm
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 
 DEFAULT_GAMMA = 1e-8
@@ -130,11 +130,11 @@ def cell_integral(sel: Selection, x, a: float, b: float) -> Array:
         raise ValueError("need a <= b")
     x = as_vec(x)
     if a == b:
-        return np.zeros_like(x)
+        return np.zeros(x.shape[0])
     if sel.time_independent:
         return (b - a) * sel.value(a, x)
     h = (b - a) / DEFAULT_QUAD_NODES
-    total = np.zeros_like(x)
+    total = np.zeros(x.shape[0])
     for j in range(DEFAULT_QUAD_NODES):
         total += sel.value(a + (j + 0.5) * h, x)
     return h * total
@@ -148,7 +148,7 @@ def cell_integral(sel: Selection, x, a: float, b: float) -> Array:
 def zero_perturbation() -> Perturbation:
     """F(t, x) = {0}."""
     return Perturbation.single_valued(
-        field=lambda t, x: np.zeros_like(x),
+        field=lambda t, x: np.zeros(x.shape[0]),
         h=lambda x: 0.0,
         lipschitz_h=0.0,
         time_independent=True,
@@ -159,7 +159,7 @@ def linear_decay_perturbation() -> Perturbation:
     """F(t, x) = {-x}; drives the interior exponential-decay dynamics."""
     return Perturbation.single_valued(
         field=lambda t, x: -x,
-        h=lambda x: float(np.linalg.norm(x)),
+        h=norm,
         lipschitz_h=1.0,
         time_independent=True,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DISTANCE_EPS, Array, MovingSet, as_vec, dimension, residual
+from .geometry import DISTANCE_EPS, Array, MovingSet, as_vec, dimension, norm, residual
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project, feasibility_tolerance
 from .perturbation import (
     DEFAULT_GAMMA,
@@ -105,7 +105,16 @@ class EpsSchedule:
 
     def sqrt_eps_over_mu_sup(self, horizon: float) -> float:
         # sqrt(eps_n)/mu_n = sqrt(c) * mu^{(p-2)/2}, maximal at n = 1
-        return math.sqrt(self.c) * horizon ** ((self.p - 2.0) / 2.0)
+        try:
+            sup = math.sqrt(self.c) * horizon ** ((self.p - 2.0) / 2.0)
+        except OverflowError:
+            sup = math.inf
+        if sup == math.inf:
+            raise ValueError(
+                f"sup sqrt(eps_n)/mu_n = sqrt(c) * horizon**((p-2)/2) overflows for "
+                f"c={self.c}, p={self.p}, horizon={horizon}"
+            )
+        return sup
 
 
 @dataclass
@@ -183,7 +192,7 @@ def step(
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
     diag = StepDiagnostics(
-        predictor_distance=float(np.linalg.norm(predictor - res.point)),
+        predictor_distance=norm(predictor - res.point),
         certified_eps=res.certified_eps,
         budget_lambda=lam,
         h_at_node=h_k,
@@ -363,7 +372,7 @@ def audit_constants(problem: SweepingProblem, schedule: EpsSchedule) -> dict:
     frak_c = schedule.sqrt_eps_over_mu_sup(t_hor)
 
     k1 = t_hor * (lc + 2.0 * h0 + sg + frak_c) * math.exp(2.0 * lh * t_hor)
-    k2 = k1 + float(np.linalg.norm(problem.x0)) + t_hor * (
+    k2 = k1 + norm(problem.x0) + t_hor * (
         lc + 2.0 * (h0 + lh * k1 + sg) + frak_c
     )
     k3 = lc + 2.0 * h0 + 2.0 * sg + 2.0 * lh * k1
@@ -451,7 +460,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     # (a)(v): deviation from the right node inside cells
     inside = ts != 0.0
     ahead = interp[inside] - traj.nodes[_left_cells(grid, ts[inside]) + 1]
-    record("a_v_cell_deviation", [float(np.linalg.norm(v)) for v in ahead],
+    record("a_v_cell_deviation", [norm(v) for v in ahead],
            const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t))
@@ -461,14 +470,14 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     thetas = np.where(ts < grid.horizon, grid.theta(ts), grid.horizon)
     for i, (theta, xt) in enumerate(zip(thetas, interp)):
         res = approx_project(problem.moving_set.at(float(theta)), xt, cfg)
-        dist[i] = np.linalg.norm(xt - res.point)
+        dist[i] = norm(xt - res.point)
         certs[i] = res.certified_eps
     record("b_set_distance", dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
            lower=lower_ends(dist, certs))
 
     # (c): velocity bound sampled at three interior points of each cell
     tv = grid.node(np.arange(traj.steps_taken))[:, None] + np.array([0.25, 0.5, 0.75]) * mu
-    speeds = [float(np.linalg.norm(v)) for v in velocity(traj, tv.reshape(-1))]
+    speeds = [norm(v) for v in velocity(traj, tv.reshape(-1))]
     record("c_velocity_bound", speeds, const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]
@@ -488,19 +497,16 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
 _FMT = "%.17g"
 
 
-def _fmt(v: float) -> str:
-    return _FMT % v
-
-
 def trajectory_to_csv(traj: Trajectory) -> str:
+    """One row per node: t, the coordinates, certified_eps and budget_lambda, each as %.17g."""
     d = traj.nodes.shape[1]
     header = ["t"] + [f"x{i}" for i in range(d)] + ["certified_eps", "budget_lambda"]
+    row = ",".join([_FMT] * (d + 3))
     lines = [",".join(header)]
-    for k in range(traj.nodes.shape[0]):
+    for k, node in enumerate(traj.nodes.tolist()):
         cert = traj.diagnostics[k - 1].certified_eps if k >= 1 else 0.0
         lam = traj.diagnostics[k - 1].budget_lambda if k >= 1 else 0.0
-        row = [_fmt(traj.grid.node(k))] + [_fmt(v) for v in traj.nodes[k]] + [_fmt(cert), _fmt(lam)]
-        lines.append(",".join(row))
+        lines.append(row % (traj.grid.node(k), *node, cert, lam))
     return "\n".join(lines) + "\n"
 
 
@@ -511,7 +517,7 @@ def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
         "mu": traj.grid.mu,
         "eps_n": traj.eps_n,
         "complete": traj.complete,
-        "nodes": [[float(v) for v in row] for row in traj.nodes],
+        "nodes": traj.nodes.tolist(),
         "diagnostics": [vars(dg) for dg in traj.diagnostics],
     }
     if audit is not None:

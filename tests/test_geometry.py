@@ -141,6 +141,10 @@ class TestAsVec:
         with pytest.raises(ValueError, match="1-d"):
             as_vec([[0.0, 1.0]])
 
+    def test_rejects_2d_float_array(self):
+        with pytest.raises(ValueError, match="1-d"):
+            as_vec(np.zeros((1, 2)))
+
     def test_scalar_becomes_1_vector(self):
         v = as_vec(2.5)
         assert v.shape == (1,) and v[0] == 2.5
@@ -182,6 +186,86 @@ class TestAsVec:
     def test_1d_float_array_is_returned_as_is(self):
         v = np.array([0.5, -2.0])
         assert as_vec(v) is v
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_fast_path_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vec(np.array([0.0, bad]))
+
+    @pytest.mark.parametrize("x, shape", [
+        (np.float64(2.5), (1,)),
+        (np.array(2.5), (1,)),
+        (np.array([1, 2]), (2,)),
+        (np.array([1.0, 2.0], dtype=">f8"), (2,)),
+        (np.array([1.0, 2.0], dtype=np.float32), (2,)),
+    ], ids=["scalar", "0d", "int", "big_endian", "float32"])
+    def test_other_arrays_become_new_native_float_vectors(self, x, shape):
+        v = as_vec(x)
+        assert v is not x and type(v) is np.ndarray
+        assert v.dtype == np.dtype(float) and v.dtype.isnative and v.shape == shape
+        assert np.array_equal(v, np.reshape(x, shape))
+
+    def test_subclass_becomes_a_plain_array(self):
+        class Tagged(np.ndarray):
+            pass
+
+        x = np.array([0.5, -2.0]).view(Tagged)
+        v = as_vec(x)
+        assert type(v) is np.ndarray and np.array_equal(v, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vec(np.array([0.5, math.nan]).view(Tagged))
+
+
+# the closed forms as written with np.linalg.norm and np.dot, which
+# geometry.norm and the module's .dot calls must match bit for bit
+
+
+def _reference_project(s, x):
+    if isinstance(s, Halfspace):
+        gap = s.offset - float(np.dot(s.normal, x))
+        if gap <= 0.0:
+            return x
+        return x + (gap / float(np.dot(s.normal, s.normal))) * s.normal
+    v = x - s.center
+    r = float(np.linalg.norm(v))
+    if r <= s.radius:
+        return x
+    return s.center + (s.radius / r) * v
+
+
+def _reference_residual(s, x):
+    if isinstance(s, Halfspace):
+        return (s.offset - float(np.dot(s.normal, x))) / float(np.linalg.norm(s.normal))
+    return float(np.linalg.norm(x - s.center)) - s.radius
+
+
+def _vectors(d, scale):
+    return arrays(np.float64, d, elements=st.floats(-scale, scale))
+
+
+@st.composite
+def _sets_and_points(draw):
+    d = draw(st.integers(1, 17))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x = draw(_vectors(d, 10.0 * scale))
+    if draw(st.booleans()):
+        s = Ball(draw(_vectors(d, scale)), draw(st.floats(1e-3 * scale, 10.0 * scale)))
+    else:
+        normal = draw(_vectors(d, 10.0).filter(lambda n: n.dot(n) > 0.0))
+        s = Halfspace(normal, draw(st.floats(-10.0 * scale, 10.0 * scale)))
+    return s, x
+
+
+class TestMatchesNumpyReference:
+    @given(_sets_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit(self, case):
+        s, x = case
+        want = _reference_project(s, x)
+        assert np.array_equal(exact_project(s, x), want)
+        assert residual(s, x) == _reference_residual(s, x)
+        assert distance(s, x) == float(np.linalg.norm(x - want))
+        assert geometry.norm(x) == float(np.linalg.norm(x))
 
 
 OTHER_DIMENSION = [

@@ -82,6 +82,19 @@ class TestEpsSchedule:
         with pytest.raises(ValueError, match="finite"):
             EpsSchedule(c=c, p=p)
 
+    def test_audit_overflow_is_a_value_error_naming_the_schedule(self):
+        # eps_n = 1 on this grid, but sqrt(c) * horizon**((p-2)/2) overflows
+        problem = SweepingProblem(MovingSet.fixed(Ball([0.0], 1.0)), zero_perturbation(),
+                                  [0.0], 10.0)
+        traj = solve(problem, 10, schedule=EpsSchedule(c=1.0, p=1200.0))
+        with pytest.raises(ValueError, match=r"c=1\.0, p=1200\.0, horizon=10\.0"):
+            theorem1_audit(traj, problem)
+
+    def test_sup_whose_product_overflows_is_a_value_error(self):
+        # horizon**((p-2)/2) = 1e200 is finite, sqrt(c) * 1e200 is not
+        with pytest.raises(ValueError, match="overflows"):
+            EpsSchedule(c=1e300, p=402.0).sqrt_eps_over_mu_sup(10.0)
+
     def test_overflow_is_a_value_error_naming_the_schedule(self):
         problem = SweepingProblem(MovingSet.fixed(Ball([0.0], 1.0)), zero_perturbation(),
                                   [0.0], 2.0)
@@ -402,7 +415,35 @@ class TestAudit:
         assert report["projection_failures"]
 
 
+def _csv_reference(traj):
+    """trajectory_to_csv as one %.17g per value, each row joined by commas."""
+    d = traj.nodes.shape[1]
+    header = ["t"] + [f"x{i}" for i in range(d)] + ["certified_eps", "budget_lambda"]
+    lines = [",".join(header)]
+    for k in range(traj.nodes.shape[0]):
+        cert = traj.diagnostics[k - 1].certified_eps if k >= 1 else 0.0
+        lam = traj.diagnostics[k - 1].budget_lambda if k >= 1 else 0.0
+        row = (["%.17g" % traj.grid.node(k)] + ["%.17g" % v for v in traj.nodes[k]]
+               + ["%.17g" % cert, "%.17g" % lam])
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
 class TestExport:
+    @pytest.mark.parametrize("run", [
+        lambda: solve(make_problem("dragging_interval"), 64),
+        lambda: solve(make_problem("interior_ode"), 64),
+        _fw_partial,
+    ], ids=["1d", "2d", "partial"])
+    def test_csv_matches_per_value_formatting(self, run):
+        traj = run()
+        assert trajectory_to_csv(traj) == _csv_reference(traj)
+
+    def test_json_nodes_are_the_node_floats(self):
+        traj = _fw_partial()
+        nodes = json.loads(trajectory_to_json(traj))["nodes"]
+        assert nodes == [[float(v) for v in row] for row in traj.nodes]
+
     def test_csv_shape_and_header(self):
         traj = solve(make_problem("dragging_interval"), 8)
         text = trajectory_to_csv(traj)
