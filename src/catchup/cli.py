@@ -22,8 +22,9 @@ audit take --permissive.
 Exit codes: 0 success, 1 config or usage error (including an unknown key,
 a method the set cannot use, a value its constructor rejects, such as one
 that is not finite, an eps_n that underflows to 0, and a point that is not
-finite or of another dimension than the set), 2
-projection budget exhausted, 3 solve aborted on a failed projection step.
+finite or of another dimension than the set), 2 projection budget exhausted
+or a non-finite projection (project, which then prints nothing to stdout),
+3 solve aborted on a failed projection step, a non-finite one among them.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -166,7 +168,12 @@ def cmd_project(args) -> int:
         max_iter=_num(cfg, "max_iter", 10_000, cast=int),
         method=cfg.get("method", "auto"),
     )
-    res = _build(approx_project, s, x, pc)  # a point of another dimension is a config error
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+        res = _build(approx_project, s, x, pc)  # a point of another dimension is a config error
+    if not all(map(math.isfinite, [*res.point.tolist(), res.certified_eps])):
+        print(f"projection failed: non-finite result {res.point.tolist()}, "
+              f"certificate {res.certified_eps}", file=sys.stderr)
+        return EXIT_BUDGET
     print(json.dumps({**vars(res), "point": res.point.tolist()}, indent=2, sort_keys=True))
     return EXIT_OK if res.converged else EXIT_BUDGET
 
@@ -178,18 +185,11 @@ def _solve_from_config(cfg: dict, permissive: bool):
         raise ConfigError(f"unknown problem {cfg.get('problem')!r}")
     if "gamma" in cfg:
         problem = _build(dataclasses.replace, problem, gamma=_num(cfg, "gamma"))
-    n = _num(cfg, "n", cast=int)
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    schedule = _schedule(cfg)
-    oracle = _build(
-        ProjectorConfig,
-        eps=schedule.eps(problem.horizon / n),  # eps_n, which underflows to 0 for a large p
-        method=cfg.get("oracle.method", CATALOG[cfg["problem"]].method),
-        max_iter=_num(cfg, "oracle.max_iter", 10_000, cast=int),
-    )
-    traj = solve(problem, n, schedule=schedule, method=oracle.method,
-                 max_iter=oracle.max_iter, permissive=permissive)
+    # solve rejects n < 1, an eps_n that underflows to 0, the method and
+    # max_iter before its first step, and no catalog problem raises ValueError after it
+    traj = _build(solve, problem, _num(cfg, "n", cast=int), schedule=_schedule(cfg),
+                  method=cfg.get("oracle.method", CATALOG[cfg["problem"]].method),
+                  max_iter=_num(cfg, "oracle.max_iter", 10_000, cast=int), permissive=permissive)
     return problem, traj
 
 

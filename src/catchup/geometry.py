@@ -15,7 +15,7 @@ import numpy as np
 
 Array = np.ndarray
 
-# certificate of the cutting-plane distance to a sublevel set
+# certificate of distance(), which only the cutting planes on a sublevel set can miss
 DISTANCE_EPS = 1e-10
 
 
@@ -67,17 +67,32 @@ class ConvexFnOracle:
 
 @dataclass(frozen=True)
 class Halfspace:
-    """{x : <normal, x> >= offset}."""
+    """{x : <normal, x> >= offset}, stored with both sides scaled by one power of two.
+
+    The scale 2**k puts the largest |normal_i| in [1, 2), so normal.normal
+    is never subnormal or infinite.  Scaling by a power of two is exact, and
+    a normal already in that range, such as a unit one, is stored as is.
+    """
 
     normal: Array
     offset: float
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", as_vec(self.normal))
-        if norm(self.normal) == 0.0:
+        normal = as_vec(self.normal)
+        top = max(map(abs, normal.tolist()), default=0.0)
+        if top == 0.0:
             raise ValueError("halfspace normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
+        k = 1 - math.frexp(top)[1]  # 2**k * top lies in [1, 2)
+        try:
+            offset = math.ldexp(self.offset, k)
+        except OverflowError:
+            raise ValueError(
+                f"halfspace offset {self.offset} is not finite once scaled by 2**{k}"
+            ) from None
+        object.__setattr__(self, "normal", np.ldexp(normal, k) if k else normal)
+        object.__setattr__(self, "offset", offset)
 
 
 @dataclass(frozen=True)
@@ -122,8 +137,6 @@ class Sublevel:
 
 
 SetDescription = Union[Halfspace, Ball, Box, Sublevel]
-
-CLOSED_FORM_KINDS = (Halfspace, Ball, Box)
 
 
 @dataclass(frozen=True)
@@ -197,7 +210,7 @@ def point_of(s: SetDescription, x) -> Array:
 
 
 def exact_project(s: SetDescription, x) -> Array:
-    """Nearest point in s for the closed-form kinds; a member is returned as is.
+    """Nearest point in s for the closed-form kinds; a member comes back as a copy.
 
     Raises UnsupportedKind for sublevel sets; those go through the oracle
     module instead.
@@ -206,13 +219,13 @@ def exact_project(s: SetDescription, x) -> Array:
     if isinstance(s, Halfspace):
         gap = s.offset - float(s.normal.dot(x))
         if gap <= 0.0:
-            return x
+            return x.copy()
         return x + (gap / float(s.normal.dot(s.normal))) * s.normal
     if isinstance(s, Ball):
         v = x - s.center
         r = norm(v)
         if r <= s.radius:
-            return x
+            return x.copy()
         return s.center + (s.radius / r) * v
     if isinstance(s, Box):
         return np.clip(x, s.lo, s.hi)
@@ -234,24 +247,26 @@ def residual(s: SetDescription, x) -> float:
 
 
 def distance(s: SetDescription, x) -> float:
-    """d_s(x), exact for closed-form kinds.
+    """d_s(x) as ||x - z||, for the point z that approx_project certifies at DISTANCE_EPS.
 
-    For sublevel sets the value is a certified *upper bound*: the norm gap
-    to a feasible point produced by the cutting-plane oracle at certificate
-    DISTANCE_EPS (0 for a member, which the oracle returns as is).  Raises
-    ProjectionFailed when the oracle cannot reach DISTANCE_EPS.
+    Exact for the closed-form kinds, whose certificate is 0.  For sublevel
+    sets the value is a certified *upper bound*: the norm gap to a feasible
+    point of the cutting-plane oracle (0 for a member).  approx_project
+    checks x.  Raises ProjectionFailed when the oracle cannot reach
+    DISTANCE_EPS or z is not finite; a finite z whose squared distance
+    overflows gives inf, as np.linalg.norm does.
     """
-    if isinstance(s, CLOSED_FORM_KINDS):
-        return norm(x - exact_project(s, x))  # exact_project checks x
-    from .oracles import ProjectionFailed, ProjectorConfig, cutting_plane_project
+    from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 
-    x = point_of(s, x)  # a kind without a dimension raises UnsupportedKind
-    res = cutting_plane_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
+    res = approx_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
     if not res.converged:
         raise ProjectionFailed(
             f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
         )
-    return norm(x - res.point)
+    d = norm(x - res.point)
+    if not math.isfinite(d) and not np.isfinite(res.point).all():  # finite x: z is not finite
+        raise ProjectionFailed(f"distance: projection {res.point.tolist()} is not finite")
+    return d
 
 
 def dimension(s: SetDescription) -> int:

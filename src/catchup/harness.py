@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project, norm
-from .oracles import ProjectorConfig, approx_project
+from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
     EpsSchedule,
@@ -227,8 +227,6 @@ def rate_study(
 
 @dataclass
 class StabilityStudy:
-    set_kind: str
-    eps_seq: list[float]
     gaps: list[float]  # ||z_n - proj(x)||
 
     @property
@@ -255,15 +253,15 @@ def stability_study(
     """Track approximate projections of x_n -> x with certificates eps_n -> 0.
 
     Ground truth is the closed-form projection of the limit point; records
-    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).
+    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).  A gap that
+    is not finite raises ProjectionFailed.
     """
     target = exact_project(s, x)
     gaps = []
     for p, eps in zip(points, eps_seq):
         res = approx_project(s, p, ProjectorConfig(eps=eps, method=method))
-        gaps.append(norm(res.point - target))
-    return StabilityStudy(
-        set_kind=type(s).__name__,
-        eps_seq=list(eps_seq),
-        gaps=gaps,
-    )
+        gap = norm(res.point - target)
+        if not math.isfinite(gap):
+            raise ProjectionFailed(f"stability study: ||z_n - proj(x)|| = {gap} is not finite")
+        gaps.append(gap)
+    return StabilityStudy(gaps)

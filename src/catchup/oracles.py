@@ -370,13 +370,14 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     """Certified epsilon-projection of x onto s; a member comes back as a copy.
 
     Each route checks x once.  Under cfg.method "auto" a closed-form kind
-    hands x to exact_project, which checks it and returns a member
-    unchanged, so the closed form is also the membership test.  A sublevel
-    set checks x here and takes cutting planes, whose separation oracle at x
-    is the membership test.  "fw" checks x here, tests membership with
-    residual and runs Frank-Wolfe; on a set without a bounded LMO it raises
+    hands x to exact_project, which checks it and returns a member as a
+    copy, so the closed form is also the membership test.  A sublevel set
+    checks x here and takes cutting planes, whose separation oracle at x is
+    the membership test.  "fw" checks x here, tests membership with residual
+    and runs Frank-Wolfe; on a set without a bounded LMO it raises
     UnsupportedKind, member or not.  A point whose dimension differs from
-    the set's raises ValueError.
+    the set's raises ValueError.  Callers that take ||x - z|| check that it
+    is finite.
     """
     if cfg is None:
         cfg = ProjectorConfig()
@@ -388,8 +389,7 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
         return frank_wolfe_project(lmo, x, cfg)
     if isinstance(s, Sublevel):
         return cutting_plane_project(s, point_of(s, x), cfg)
-    p = exact_project(s, x)  # a member is x itself, or a view of x when the check reshaped it
-    return ProjectionResult(p.copy() if p is x or p.base is x else p, 0.0, 0, converged=True)
+    return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
 
 
 def feasibility_tolerance(s: SetDescription) -> float:

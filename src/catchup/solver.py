@@ -180,19 +180,23 @@ def step(
 ) -> tuple[Array, StepDiagnostics, Array]:
     """One catching-up update: integrate the frozen selection, then project.
 
-    The projector's eps is the grid's certificate budget eps_n.
+    The projector's eps is the grid's certificate budget eps_n.  Raises
+    ProjectionFailed when ||predictor - point|| is not finite.
     """
     t_k, t_k1 = grid.node(k), grid.node(k + 1)
     integral = cell_integral(selection, x_k, t_k, t_k1)
     predictor = x_k + integral
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
+    dist = norm(predictor - res.point)
+    if not math.isfinite(dist):
+        raise ProjectionFailed(f"step {k}: ||predictor - point|| = {dist} is not finite")
     h_k = float(problem.perturbation.h(x_k))
     lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
     diag = StepDiagnostics(
-        predictor_distance=norm(predictor - res.point),
+        predictor_distance=dist,
         certified_eps=res.certified_eps,
         budget_lambda=lam,
         h_at_node=h_k,
@@ -215,8 +219,9 @@ def solve(
     Deterministic for fixed inputs.  A step whose achieved certificate
     exceeds eps_n raises ProjectionFailed with the partial trajectory
     attached, unless permissive is set.  A ProjectionFailed raised inside a
-    step, such as an unconverged selection, is re-raised with the partial
-    trajectory up to the step's start node, permissive or not.
+    step, such as an unconverged selection or a non-finite projection, is
+    re-raised with the partial trajectory up to the step's start node,
+    permissive or not.
     """
     if schedule is None:
         schedule = EpsSchedule()
@@ -241,8 +246,6 @@ def solve(
         try:
             x_next, diag, integral = step(problem, grid, k, nodes[k], selection, projector)
         except ProjectionFailed as exc:
-            if exc.partial is not None:
-                raise
             raise ProjectionFailed(str(exc), partial=partial()) from exc
         nodes[k + 1] = x_next
         integrals[k] = integral
@@ -395,7 +398,8 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     check is refuted when a lower end exceeds the bound, certified when it
     has values and every upper end is within it, inconclusive otherwise, and
     passes unless refuted.  A partial trajectory is sampled up to its last
-    computed node and never passes.
+    computed node and never passes.  A b distance that is not finite raises
+    ProjectionFailed.
 
     The interpolant is sampled at AUDIT_TIME_SAMPLES uniform times in one
     array call of interpolate, and the velocity at three interior points of
@@ -470,8 +474,10 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     thetas = np.where(ts < grid.horizon, grid.theta(ts), grid.horizon)
     for i, (theta, xt) in enumerate(zip(thetas, interp)):
         res = approx_project(problem.moving_set.at(float(theta)), xt, cfg)
-        dist[i] = norm(xt - res.point)
-        certs[i] = res.certified_eps
+        d = norm(xt - res.point)
+        if not math.isfinite(d):
+            raise ProjectionFailed(f"audit b at t={ts[i]}: ||x - z|| = {d} is not finite")
+        dist[i], certs[i] = d, res.certified_eps
     record("b_set_distance", dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
            lower=lower_ends(dist, certs))
 

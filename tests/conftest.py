@@ -3,7 +3,7 @@ import pytest
 
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet
-from catchup.perturbation import constant_set_perturbation
+from catchup.perturbation import constant_set_perturbation, zero_perturbation
 from catchup.solver import SweepingProblem
 
 
@@ -12,6 +12,18 @@ def drift_in_fixed_ball():
     """Fixed Ball(0, 10) with the set-valued F = Ball((3, 0), 1), from x0 = 0."""
     drift = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
     return SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), drift, [0.0, 0.0], 1.0)
+
+
+@pytest.fixture
+def jumping_ball():
+    """x0 = (-1e308, 0) in C(0) = Ball(x0, 1), then C(t) = Ball((1e308, 0), 1) for t > 0.
+
+    x0 minus the later center overflows, so its closed-form projection is (nan, 0).
+    """
+    def at(t):
+        return Ball([1e308 if t > 0.0 else -1e308, 0.0], 1.0)
+
+    return SweepingProblem(MovingSet(at), zero_perturbation(), [-1e308, 0.0], 1.0)
 
 
 @pytest.fixture

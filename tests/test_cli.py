@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from catchup.cli import (
@@ -65,6 +66,23 @@ class TestProjectCommand:
                     "set.kind = ball\nset.center = 0,0\nset.radius = 1\n"
                     "point = 2,0\neps = 1e-16\nmethod = fw\nmax_iter = 2\n")
         assert main(["project", "--config", cfg]) == EXIT_BUDGET
+
+    def test_non_finite_projection_prints_nothing(self, tmp_path, capsys):
+        # point - center overflows, so the closed form returns (nan, 0)
+        cfg = write(tmp_path / "p.cfg", "set.kind = ball\nset.center = 1e308,0\n"
+                    "set.radius = 1\npoint = -1e308,0\n")
+        assert main(["project", "--config", cfg]) == EXIT_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("projection failed: non-finite result [nan, 0.0]")
+
+    def test_tiny_halfspace_normal_gives_a_finite_point(self, tmp_path, capsys):
+        cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1e-160,0\n"
+                    "set.offset = 1\npoint = 0,0\n")
+        assert main(["project", "--config", cfg]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["point"] == pytest.approx([1e160, 0.0], rel=1e-15)
 
     def test_missing_point_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg",
@@ -155,6 +173,22 @@ class TestSolveCommand:
         payload = json.loads((out / "trajectory.json").read_text())
         assert payload["complete"] is False
         assert len(payload["diagnostics"]) == 3
+
+    @pytest.mark.parametrize("command", ["solve", "audit"])
+    def test_non_finite_step_exits_solve(self, tmp_path, monkeypatch, capsys, command,
+                                         jumping_ball):
+        monkeypatch.setattr("catchup.cli.make_problem", lambda problem_id: jumping_ball)
+        cfg = write(tmp_path / "s.cfg", "problem = dragging_interval\nn = 1\n")
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_SOLVE
+        captured = capsys.readouterr()
+        assert "solve aborted: step 0" in captured.err and "not finite" in captured.err
+        assert captured.out == ""
+        assert not (out / "audit.json").exists()
+        if command == "solve":
+            payload = json.loads((out / "trajectory.json").read_text())
+            assert payload["complete"] is False and payload["nodes"] == [[-1e308, 0.0]]
 
     def test_failed_audit_projection_exits_solve(self, tmp_path, monkeypatch, capsys):
         from catchup.solver import ProjectionFailed

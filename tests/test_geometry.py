@@ -120,6 +120,16 @@ class TestDistanceAndResidual:
         with pytest.raises(ProjectionFailed):
             distance(DISK_SUBLEVEL, [0.0, 2.0])
 
+    def test_non_finite_projection_raises(self):
+        # x - center overflows, so the closed form returns (nan, 0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProjectionFailed, match="not finite"):
+            distance(Ball([1e308, 0.0], 1.0), [-1e308, 0.0])
+
+    def test_finite_projection_whose_square_overflows_gives_inf(self):
+        with np.errstate(over="ignore"):
+            assert distance(Ball([0.0, 0.0], 1.0), [1e200, 0.0]) == math.inf
+
     @given(coords())
     @settings(max_examples=200, deadline=None)
     def test_residual_sign_iff_zero_distance(self, x):
@@ -329,6 +339,57 @@ class TestConstruction:
         g = max_fn(fns)
         assert g.eval(np.array([0.0, 0.0])) == pytest.approx(-1.0)
         assert g.eval(np.array([3.0, 0.0])) == pytest.approx(2.0)
+
+
+class TestHalfspaceScaling:
+    """Normal and offset are stored scaled by 2**k, with the largest |normal_i| in [1, 2)."""
+
+    @pytest.mark.parametrize("normal, offset, x, want", [
+        ([1e-160, 0.0], 1.0, [0.0, 0.0], [1e160, 0.0]),  # n.n was subnormal: [inf, nan]
+        ([1e-153, 0.0], 1000.0, [0.0, 0.0], [1e156, 0.0]),  # gap / n.n overflowed: [inf, nan]
+        ([1e200, 1e200], 1.0, [-1e200, 0.0], [-5e199, 5e199]),  # n.n overflowed: [nan, nan]
+        ([1e-200, 0.0], 1.0, [0.0, 0.0], [1e200, 0.0]),  # n.n underflowed to 0: rejected
+    ])
+    def test_projection_is_finite(self, normal, offset, x, want):
+        s = Halfspace(normal, offset)
+        assert 1.0 <= np.abs(s.normal).max() < 2.0
+        assert exact_project(s, x) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("normal, offset, stored_normal, stored_offset", [
+        ([1.0, 0.0], 0.3, [1.0, 0.0], 0.3),  # a unit normal is stored as is
+        ([3.0, -4.0], 2.5, [0.75, -1.0], 0.625),
+    ])
+    def test_scaling_is_exact(self, normal, offset, stored_normal, stored_offset):
+        s = Halfspace(normal, offset)
+        assert np.array_equal(s.normal, stored_normal) and s.offset == stored_offset
+
+    def test_offset_that_overflows_once_scaled_is_rejected(self):
+        with pytest.raises(ValueError, match="offset 10000.0 is not finite once scaled"):
+            Halfspace([5e-324, 0.0], 1e4)
+
+    def test_keeps_the_bits_of_every_finite_unscaled_projection(self):
+        rng = np.random.default_rng(7)
+        compared = 0
+        for _ in range(2000):
+            d = int(rng.integers(1, 6))
+            n, x = (rng.normal(size=d) * 10.0 ** rng.uniform(-100, 100) for _ in range(2))
+            b = float(rng.normal() * 10.0 ** rng.uniform(-100, 100))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _reference_project(_Unscaled(n, b), x)
+                want_residual = _reference_residual(_Unscaled(n, b), x)
+            if np.isfinite(want).all() and math.isfinite(want_residual):
+                s = Halfspace(n, b)
+                assert np.array_equal(exact_project(s, x), want)
+                assert residual(s, x) == want_residual
+                compared += 1
+        assert compared > 1900
+
+
+class _Unscaled(Halfspace):
+    """A halfspace whose normal and offset are stored as given."""
+
+    def __post_init__(self):
+        pass
 
 
 class TestProxEps0:

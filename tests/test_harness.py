@@ -128,6 +128,13 @@ class TestStabilityStudy:
         assert study.final_gap <= 1e-2
         assert study.monotone_within(factor=2.0)
 
+    def test_non_finite_gap_raises(self):
+        # x - center overflows, so the projections are (nan, 0)
+        x = np.array([-1e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProjectionFailed, match="not finite"):
+            stability_study(Ball([1e308, 0.0], 1.0), x, [x], [1e-8])
+
     def test_requires_convergence_when_eps_fixed_small(self):
         ball = Ball([0.0, 0.0], 1.0)
         x = np.array([0.0, 3.0])

@@ -193,6 +193,16 @@ class TestSolve:
         assert np.array_equal(partial.nodes, clean.nodes[:4])
         assert np.array_equal(partial.integrals, clean.integrals[:3])
 
+    @pytest.mark.parametrize("permissive", [False, True])
+    def test_non_finite_projection_fails_the_step(self, jumping_ball, permissive):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProjectionFailed, match="step 0: .* is not finite") as exc:
+            solve(jumping_ball, 1, permissive=permissive)
+        partial = exc.value.partial
+        assert partial is not None and not partial.complete
+        assert partial.steps_taken == 0
+        assert np.array_equal(partial.nodes, [[-1e308, 0.0]])
+
     def test_permissive_completes_with_flagged_steps(self):
         prob = make_problem("translating_disk")
         traj = solve(prob, 32, method="fw", max_iter=1, permissive=True)
@@ -406,6 +416,15 @@ class TestAudit:
         a_i = report["checks"][0]
         assert a_i["verdict"] == "refuted" and not a_i["passed"] and a_i["cells"]
         assert not report["passed"]
+
+    def test_non_finite_set_distance_raises(self, jumping_ball):
+        # a run that stays in C(0), audited against the sets C(t > 0) it never met
+        fixed = dataclasses.replace(jumping_ball,
+                                    moving_set=MovingSet.fixed(jumping_ball.moving_set.at(0.0)))
+        traj = solve(fixed, 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProjectionFailed, match="audit b at t=0.0: .* is not finite"):
+            theorem1_audit(traj, jumping_ball)
 
     def test_failed_step_fails_audit(self):
         prob = make_problem("translating_disk")
