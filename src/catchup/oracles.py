@@ -120,7 +120,7 @@ def lmo_box(lo, hi) -> LMO:
     hi = as_vec(hi)
 
     def lmo(w: Array) -> Array:
-        # ties (w_i == 0) resolve to lo for determinism
+        # ties (w_i == 0, either sign of zero) resolve to hi for determinism
         return np.where(w > 0.0, lo, hi)
 
     return lmo
@@ -146,11 +146,49 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     f(z) - min f <= g, so the final gap certifies z as an approximate
     projection.  Iterates stay feasible because each update is a convex
     combination of feasible points.  x is a 1-d float array that has
-    already been checked.
+    already been checked, and the LMO returns a float64 array of its shape.
+
+    In the plane (two coordinates) the loop keeps x, z, v and z - s as
+    Python floats and writes g = 2v, z - s and v into three buffers: g's is
+    what the LMO is handed, so the LMO must not keep its argument, and every
+    inner product is the same float64 dot as in the loop for other
+    dimensions.  Each element-wise step is one IEEE operation, which rounds
+    the same in a Python float as in a numpy element, so both loops give the
+    same bits; only numpy's per-call dispatch on 2-vectors is saved (and its
+    overflow warnings: a float overflows to inf silently).  A sum in Python
+    would not do for the dots: a 2-element BLAS dot may fuse its
+    multiply-add and round once.
     """
     # deterministic starting atom, independent of x
     z = lmo(np.ones_like(x))
     gap = np.inf
+    if x.shape[0] == 2:
+        eps = cfg.eps
+        x0, x1 = x.tolist()
+        z0, z1 = z.tolist()
+        g, zs, v = np.empty(2), np.empty(2), np.empty(2)
+        for it in range(cfg.max_iter):
+            v0 = z0 - x0
+            v1 = z1 - x1
+            g[0] = v0 + v0
+            g[1] = v1 + v1
+            s0, s1 = lmo(g).tolist()
+            zs0 = z0 - s0
+            zs1 = z1 - s1
+            zs[0] = zs0
+            zs[1] = zs1
+            gap = float(g.dot(zs))
+            if gap <= eps:
+                return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=True)
+            denom = float(zs.dot(zs))
+            if denom == 0.0:
+                return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=False)
+            v[0] = v0
+            v[1] = v1
+            tau = min(1.0, max(0.0, float(v.dot(zs)) / denom))
+            z0 = z0 - tau * zs0
+            z1 = z1 - tau * zs1
+        return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), cfg.max_iter, converged=False)
     for it in range(cfg.max_iter):
         v = z - x
         grad = v + v  # not v: 2 <v, zs> and <2v, zs> differ once products are subnormal

@@ -54,6 +54,11 @@ class TestLinearMinimizationOracles:
         s = lmo_box(box.lo, box.hi)(np.array([-1.0, 1.0]))
         assert np.allclose(s, [2.0, 0.0])
 
+    def test_box_ties_resolve_to_hi(self):
+        # w_i = 0 of either sign picks hi; Frank-Wolfe's iterates on boxes rest on it
+        s = lmo_box([0.0, 0.0], [2.0, 3.0])(np.array([0.0, -0.0]))
+        assert s.tolist() == [2.0, 3.0]
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_lmo_optimality_on_ball(self, d):
@@ -156,6 +161,16 @@ class TestFrankWolfeMatchesReference:
 
     # a subnormal gap: dot(2v, s - z) rounds differently from 2 * dot(v, s - z)
     @example(((lmo_box([0.0], [0.7]),) * 2, np.array([5e-324]), ProjectorConfig(eps=1e-12)))
+    # the same in the plane, where the loop runs on Python floats
+    @example(((lmo_box([0.0, 0.0], [0.7, 0.7]),) * 2, np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
+    # |s - z|^2 underflows to 0 while the gap exceeds eps: unconverged at iteration 0
+    @example(((lmo_box([0.0, 0.0], [1e-170, 1e-170]),) * 2, np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
+    # x is the start atom, so the LMO gets the zero direction
+    @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
+              lmo_ball([0.0, 0.0], 1.0)(np.ones(2)), ProjectorConfig()))
+    # the iteration cap
+    @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
+              np.array([2.0, 1.0]), ProjectorConfig(eps=1e-16, max_iter=1)))
     @given(fw_cases())
     @settings(max_examples=300, deadline=None)
     def test_same_iterates(self, case):
