@@ -44,6 +44,7 @@ FEAS_TOL_CLOSED_FORM = 1e-12
 FEAS_TOL_SUBLEVEL = 1e-10
 METHODS = ("auto", "fw")
 _EPS = float(np.finfo(float).eps)
+_TINY = 2.0**-1020  # four times the least normal double, 2**-1022
 
 
 class ZeroSubgradient(Exception):
@@ -100,28 +101,60 @@ class Hyperplane:
 # ---------------------------------------------------------------------------
 # linear-minimization oracles
 
-LMO = Callable[[Array], Array]
+LMO = Callable[[Array], tuple[float, ...]]
+"""Maps a direction w to an atom s minimizing <w, s> over the set, as a tuple of floats."""
 
 
 def lmo_ball(center, radius: float) -> LMO:
-    c = as_vec(center)
+    """The ball's LMO: c - (radius / ||w||) w, and the centre for w = 0.
 
-    def lmo(w: Array) -> Array:
-        nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
+    Each coordinate is the same IEEE operation as the numpy expression, and
+    ||w|| is one float64 dot; in the plane the closure is unrolled on floats.
+    """
+    c = as_vec(center)
+    radius = float(radius)
+    if c.shape[0] == 2:
+        c0, c1 = c.tolist()
+
+        def lmo2(w: Array) -> tuple[float, float]:
+            nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
+            if nw == 0.0:
+                return c0, c1
+            k = radius / nw
+            w0, w1 = w.tolist()
+            return c0 - k * w0, c1 - k * w1
+
+        return lmo2
+
+    def lmo(w: Array) -> tuple[float, ...]:
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
-            return c.copy()
-        return c - (radius / nw) * w
+            return tuple(c.tolist())
+        return tuple((c - (radius / nw) * w).tolist())
 
     return lmo
 
 
 def lmo_box(lo, hi) -> LMO:
+    """The box's LMO: lo_i where w_i > 0, else hi_i.
+
+    Ties (w_i == 0, either sign of zero) resolve to hi for determinism.  In
+    the plane the closure is unrolled on floats.
+    """
     lo = as_vec(lo)
     hi = as_vec(hi)
+    if lo.shape[0] == 2:
+        lo0, lo1 = lo.tolist()
+        hi0, hi1 = hi.tolist()
 
-    def lmo(w: Array) -> Array:
-        # ties (w_i == 0, either sign of zero) resolve to hi for determinism
-        return np.where(w > 0.0, lo, hi)
+        def lmo2(w: Array) -> tuple[float, float]:
+            w0, w1 = w.tolist()
+            return (lo0 if w0 > 0.0 else hi0), (lo1 if w1 > 0.0 else hi1)
+
+        return lmo2
+
+    def lmo(w: Array) -> tuple[float, ...]:
+        return tuple(np.where(w > 0.0, lo, hi).tolist())
 
     return lmo
 
@@ -146,11 +179,11 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     f(z) - min f <= g, so the final gap certifies z as an approximate
     projection.  Iterates stay feasible because each update is a convex
     combination of feasible points.  x is a 1-d float array that has
-    already been checked, and the LMO returns a float64 array of its shape.
+    already been checked, and the LMO returns its atom as a tuple of floats.
 
-    In the plane (two coordinates) the loop keeps x, z, v and z - s as
-    Python floats and writes g = 2v, z - s and v into three buffers: g's is
-    what the LMO is handed, so the LMO must not keep its argument, and every
+    In the plane (two coordinates) the loop keeps x, z, v, s and z - s as
+    Python floats and writes g = 2v and z - s into two buffers: g's is what
+    the LMO is handed, so the LMO must not keep its argument, and every
     inner product is the same float64 dot as in the loop for other
     dimensions.  Each element-wise step is one IEEE operation, which rounds
     the same in a Python float as in a numpy element, so both loops give the
@@ -158,21 +191,31 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     overflow warnings: a float overflows to inf silently).  A sum in Python
     would not do for the dots: a 2-element BLAS dot may fuse its
     multiply-add and round once.
+
+    The plane's line search also reads its numerator <v, z - s> off the gap
+    as gap / 2, which saves a dot.  g = 2v is exact, so <g, z - s> is the
+    numerator's dot with every product and sum scaled by 2.  When the gap is
+    finite and at least _TINY, and each |v_i (z_i - s_i)| is at least _TINY
+    too, no product, rounded product or sum of either dot is subnormal or
+    infinite.  Scaling
+    by 2 then commutes with every rounding, in any summation order and with
+    or without a fused multiply-add, so gap / 2 is that dot's value bit for
+    bit.  Otherwise the numerator is the dot itself.
     """
     # deterministic starting atom, independent of x
-    z = lmo(np.ones_like(x))
+    start = lmo(np.ones_like(x))
     gap = np.inf
     if x.shape[0] == 2:
         eps = cfg.eps
         x0, x1 = x.tolist()
-        z0, z1 = z.tolist()
-        g, zs, v = np.empty(2), np.empty(2), np.empty(2)
+        z0, z1 = start
+        g, zs = np.empty(2), np.empty(2)
         for it in range(cfg.max_iter):
             v0 = z0 - x0
             v1 = z1 - x1
             g[0] = v0 + v0
             g[1] = v1 + v1
-            s0, s1 = lmo(g).tolist()
+            s0, s1 = lmo(g)
             zs0 = z0 - s0
             zs1 = z1 - s1
             zs[0] = zs0
@@ -183,17 +226,19 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
             denom = float(zs.dot(zs))
             if denom == 0.0:
                 return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=False)
-            v[0] = v0
-            v[1] = v1
-            tau = min(1.0, max(0.0, float(v.dot(zs)) / denom))
+            if _TINY <= gap < math.inf and abs(v0 * zs0) >= _TINY and abs(v1 * zs1) >= _TINY:
+                num = 0.5 * gap
+            else:
+                num = float(np.array((v0, v1)).dot(zs))
+            tau = min(1.0, max(0.0, num / denom))
             z0 = z0 - tau * zs0
             z1 = z1 - tau * zs1
         return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), cfg.max_iter, converged=False)
+    z = np.array(start)
     for it in range(cfg.max_iter):
         v = z - x
         grad = v + v  # not v: 2 <v, zs> and <2v, zs> differ once products are subnormal
-        s = lmo(grad)
-        zs = z - s
+        zs = z - lmo(grad)
         gap = float(grad.dot(zs))
         if gap <= cfg.eps:
             return ProjectionResult(z, max(gap, 0.0), it, converged=True)

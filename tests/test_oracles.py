@@ -57,7 +57,7 @@ class TestLinearMinimizationOracles:
     def test_box_ties_resolve_to_hi(self):
         # w_i = 0 of either sign picks hi; Frank-Wolfe's iterates on boxes rest on it
         s = lmo_box([0.0, 0.0], [2.0, 3.0])(np.array([0.0, -0.0]))
-        assert s.tolist() == [2.0, 3.0]
+        assert list(s) == [2.0, 3.0]
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
@@ -118,8 +118,20 @@ def _reference_lmo_ball(center, radius):
     return lmo
 
 
+def _reference_lmo_box(lo, hi):
+    """Reference box LMO, with np.where."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def lmo(w):
+        return np.where(w > 0.0, lo, hi)
+
+    return lmo
+
+
 def _reference_frank_wolfe(lmo, x, cfg):
     """Reference Frank-Wolfe loop: the textbook iteration, every quantity recomputed."""
+    lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
     x = np.asarray(x, dtype=float)
     z = lmo(np.ones_like(x))
     gap = np.inf
@@ -150,7 +162,7 @@ def fw_cases(draw):
     else:
         lo = np.array(draw(coords))
         hi = lo + np.array(draw(st.lists(st.floats(0, 10), min_size=d, max_size=d)))
-        lmos = (lmo_box(lo, hi),) * 2
+        lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
     x = np.array(draw(st.lists(st.floats(-20, 20), min_size=d, max_size=d)))
     cfg = ProjectorConfig(eps=draw(st.floats(1e-12, 1e-4)), max_iter=draw(st.integers(1, 2000)))
     return lmos, x, cfg
@@ -160,17 +172,30 @@ class TestFrankWolfeMatchesReference:
     """The streamlined loop must reproduce the textbook one bit for bit."""
 
     # a subnormal gap: dot(2v, s - z) rounds differently from 2 * dot(v, s - z)
-    @example(((lmo_box([0.0], [0.7]),) * 2, np.array([5e-324]), ProjectorConfig(eps=1e-12)))
+    @example(((lmo_box([0.0], [0.7]), _reference_lmo_box([0.0], [0.7])),
+              np.array([5e-324]), ProjectorConfig(eps=1e-12)))
     # the same in the plane, where the loop runs on Python floats
-    @example(((lmo_box([0.0, 0.0], [0.7, 0.7]),) * 2, np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
+    @example(((lmo_box([0.0, 0.0], [0.7, 0.7]), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
+              np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
     # |s - z|^2 underflows to 0 while the gap exceeds eps: unconverged at iteration 0
-    @example(((lmo_box([0.0, 0.0], [1e-170, 1e-170]),) * 2, np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
+    @example(((lmo_box([0.0, 0.0], [1e-170, 1e-170]), _reference_lmo_box([0.0, 0.0], [1e-170, 1e-170])),
+              np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
     # x is the start atom, so the LMO gets the zero direction
     @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
-              lmo_ball([0.0, 0.0], 1.0)(np.ones(2)), ProjectorConfig()))
+              np.array(lmo_ball([0.0, 0.0], 1.0)(np.ones(2))), ProjectorConfig()))
     # the iteration cap
     @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
               np.array([2.0, 1.0]), ProjectorConfig(eps=1e-16, max_iter=1)))
+    # subnormal products v_i (z_i - s_i): the line search takes the dot on every iteration
+    @example(((lmo_ball([0.0, 0.0], 1e-160), _reference_lmo_ball([0.0, 0.0], 1e-160)),
+              np.array([3e-160, 1e-161]), ProjectorConfig(eps=5e-324)))
+    # a zero product on the first iteration takes the dot, the second step reads it off the gap
+    @example(((lmo_box([0.0, 0.0], [1.0, 1.0]), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
+              np.array([0.5, 3.0]), ProjectorConfig(eps=1e-14)))
+    # a subnormal product under a normal gap: halving the gap would round the numerator differently
+    @example(((lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152),
+               _reference_lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152)),
+              np.array([-1.2155261538884718e-152, 8.847370707222149e-159]), ProjectorConfig(eps=5e-324, max_iter=7)))
     @given(fw_cases())
     @settings(max_examples=300, deadline=None)
     def test_same_iterates(self, case):
@@ -181,6 +206,76 @@ class TestFrankWolfeMatchesReference:
         assert got.certified_eps == want.certified_eps
         assert got.iterations == want.iterations
         assert got.converged == want.converged
+
+    def test_same_iterates_across_scales(self):
+        # planar balls and boxes from 1e-160 to 1e150 and on the subnormal grid,
+        # where the line search's numerator is read off the gap or falls back to the dot
+        rng = np.random.default_rng(18)
+        for _ in range(1000):
+            if rng.random() < 0.2:
+                scale = 5e-324
+                coords = lambda: scale * rng.integers(-64, 65, size=2).astype(float)
+                width = lambda: scale * rng.integers(1, 65, size=2).astype(float)
+            else:
+                scale = 10.0 ** rng.uniform(-160, 150)
+                coords = lambda: scale * rng.normal(size=2)
+                width = lambda: scale * rng.uniform(0.1, 2.0, size=2)
+            if rng.random() < 0.5:
+                center, radius = coords(), float(width()[0])
+                lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+            else:
+                lo = coords()
+                hi = lo + width()
+                lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
+            x = 4.0 * coords()
+            eps = max(scale * scale * 10.0 ** rng.uniform(-10, -2), 5e-324)
+            cfg = ProjectorConfig(eps=eps, max_iter=int(rng.integers(1, 40)))
+            got = frank_wolfe_project(lmos[0], x, cfg)
+            want = _reference_frank_wolfe(lmos[1], x, cfg)
+            assert np.array_equal(got.point, want.point)
+            assert got.certified_eps == want.certified_eps
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+
+
+class TestLmoAtoms:
+    """Each LMO returns its atom as a tuple of Python floats, with the numpy formula's bits."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("w", ["zero", "nonzero"])
+    def test_atom_is_a_tuple_of_floats(self, d, w):
+        w = np.zeros(d) if w == "zero" else np.linspace(-1.0, 2.0, d)
+        for lmo in (lmo_ball(np.arange(d, dtype=float), np.float64(1.5)), lmo_ball(np.zeros(d), 2),
+                    lmo_box(-np.ones(d), np.ones(d))):
+            s = lmo(w)
+            assert type(s) is tuple and len(s) == d
+            assert all(type(c) is float for c in s)
+
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2),  # w.dot(w) stays finite
+           st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.floats(1e-3, 1e100))  # radius / ||w|| stays finite
+    @example([0.0, 0.0], [1.0, -2.0], 3.0)
+    @example([-0.0, 0.0], [0.0, 0.0], 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_plane_ball_atom_is_the_numpy_formula(self, w, center, radius):
+        w = np.array(w)
+        c = np.array(center)
+        nw = math.sqrt(w.dot(w))
+        want = c.copy() if nw == 0.0 else c - (radius / nw) * w
+        assert np.array(lmo_ball(center, radius)(w)).tobytes() == want.tobytes()
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
+           st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.lists(st.floats(0.0, 1e6), min_size=2, max_size=2))
+    @example([0.0, -0.0], [0.0, 1.0], [2.0, 3.0])
+    @example([-0.0, 0.0], [-1.0, 0.0], [0.0, 5.0])
+    @settings(max_examples=300, deadline=None)
+    def test_plane_box_atom_is_the_numpy_formula(self, w, lo, width):
+        w = np.array(w)
+        lo = np.array(lo)
+        hi = lo + np.array(width)
+        want = np.where(w > 0.0, lo, hi)
+        assert np.array(lmo_box(lo, hi)(w)).tobytes() == want.tobytes()
 
 
 class TestSeparationOracle:
