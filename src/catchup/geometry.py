@@ -160,10 +160,12 @@ def ball_fn(center, radius: float) -> ConvexFnOracle:
     c = as_vec(center)
     if not radius > 0.0:
         raise ValueError("ball radius must be positive")
-    return ConvexFnOracle(
-        eval=lambda x: float(np.dot(x - c, x - c) - radius * radius),
-        subgrad=lambda x: 2.0 * (x - c),
-    )
+
+    def ev(x: Array) -> float:
+        d = x - c
+        return float(d.dot(d) - radius * radius)
+
+    return ConvexFnOracle(eval=ev, subgrad=lambda x: 2.0 * (x - c))
 
 
 def affine_fn(a, b: float) -> ConvexFnOracle:

@@ -516,16 +516,69 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_float(v: float) -> str:
+    """A float as json writes it: its repr, or NaN/Infinity/-Infinity where not finite.
+
+    float.__repr__ raises TypeError on any other type, so an int in a float
+    field fails instead of silently changing its format.
+    """
+    if v - v == 0.0:
+        return float.__repr__(v)
+    return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as json's two-space indented list, closed at indent."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + "  " + (",\n" + indent + "  ").join(items) + "\n" + indent + "]"
+
+
+# a StepDiagnostics record at depth 2, its fields in sorted key order
+_DIAG_ROW = """{
+      "budget_lambda": %s,
+      "certified_eps": %s,
+      "converged": %s,
+      "h_at_node": %s,
+      "iterations": %d,
+      "predictor_distance": %s
+    }"""
+
+
 def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
-    payload = {
-        "horizon": traj.grid.horizon,
-        "n": traj.grid.n,
-        "mu": traj.grid.mu,
-        "eps_n": traj.eps_n,
-        "complete": traj.complete,
-        "nodes": traj.nodes.tolist(),
-        "diagnostics": [vars(dg) for dg in traj.diagnostics],
-    }
-    if audit is not None:
-        payload["audit"] = audit
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The run, and its audit if given, as one JSON document.
+
+    The bytes are exactly those of json.dumps(payload, indent=2,
+    sort_keys=True) + "\n" on the dict of horizon, n, mu, eps_n, complete,
+    nodes, vars() of each diagnostic and audit.  json only uses its C encoder
+    when indent is None, so that call runs a pure-Python generator over every
+    float; here each node row and each diagnostic is one string template
+    instead, and only the scalars and the audit go through json.dumps.
+    """
+    row = _json_list(["%s"] * traj.nodes.shape[1], "    ")
+    nodes = [row % tuple(map(_json_float, r)) for r in traj.nodes.tolist()]
+    diags = [
+        _DIAG_ROW % (
+            _json_float(dg.budget_lambda),
+            _json_float(dg.certified_eps),
+            "true" if dg.converged else "false",
+            _json_float(dg.h_at_node),
+            dg.iterations,
+            _json_float(dg.predictor_distance),
+        )
+        for dg in traj.diagnostics
+    ]
+    # json escapes every newline inside a string, so each raw newline of the
+    # audit's own encoding is indentation, one level shallower than here
+    fields = [] if audit is None else [
+        '"audit": ' + json.dumps(audit, indent=2, sort_keys=True).replace("\n", "\n  ")]
+    fields += [
+        '"complete": ' + json.dumps(traj.complete),
+        '"diagnostics": ' + _json_list(diags, "  "),
+        '"eps_n": ' + json.dumps(traj.eps_n),
+        '"horizon": ' + json.dumps(traj.grid.horizon),
+        '"mu": ' + json.dumps(traj.grid.mu),
+        '"n": ' + json.dumps(traj.grid.n),
+        '"nodes": ' + _json_list(nodes, "  "),
+    ]
+    return "{\n  " + ",\n  ".join(fields) + "\n}\n"

@@ -277,6 +277,16 @@ class TestMatchesNumpyReference:
         assert distance(s, x) == float(np.linalg.norm(x - want))
         assert geometry.norm(x) == float(np.linalg.norm(x))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_ball_fn_bit_for_bit(self, data):
+        d = data.draw(st.integers(1, 17))
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
+        x, c = data.draw(_vectors(d, 10.0 * scale)), data.draw(_vectors(d, scale))
+        radius = data.draw(st.floats(1e-3 * scale, 10.0 * scale))
+        want = float(np.dot(x - c, x - c) - radius * radius)
+        assert ball_fn(c, radius).eval(x).hex() == want.hex()
+
 
 OTHER_DIMENSION = [
     (Ball([0.0], 1.0), [3.0, 4.0]),

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet, Sublevel, ball_fn
@@ -14,7 +18,9 @@ from catchup.solver import (
     EpsSchedule,
     Grid,
     OutOfRange,
+    _DIAG_ROW,
     ProjectionFailed,
+    StepDiagnostics,
     SweepingProblem,
     audit_constants,
     interpolate,
@@ -483,3 +489,91 @@ class TestExport:
         a = trajectory_to_json(solve(prob, 8))
         b = trajectory_to_json(solve(make_problem("translating_halfspace"), 8))
         assert a == b
+
+
+def _json_reference(traj, audit=None):
+    """trajectory_to_json as json.dumps of the payload dict, diagnostics by vars()."""
+    payload = {
+        "horizon": traj.grid.horizon,
+        "n": traj.grid.n,
+        "mu": traj.grid.mu,
+        "eps_n": traj.eps_n,
+        "complete": traj.complete,
+        "nodes": traj.nodes.tolist(),
+        "diagnostics": [vars(dg) for dg in traj.diagnostics],
+    }
+    if audit is not None:
+        payload["audit"] = audit
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@functools.cache
+def _base_run():
+    return solve(make_problem("dragging_interval"), 8)
+
+
+@functools.cache
+def _audits():
+    """A full audit and a zero-step partial audit, whose empty checks have max_lhs None."""
+    prob = make_problem("dragging_interval")
+    traj = _base_run()
+    partial = dataclasses.replace(traj, nodes=traj.nodes[:1], integrals=traj.integrals[:0],
+                                  diagnostics=[], complete=False)
+    return theorem1_audit(traj, prob), theorem1_audit(partial, prob)
+
+
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]),
+    st.floats(),
+)
+
+
+@st.composite
+def _trajectories(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 6))
+    nodes = np.array(draw(st.lists(st.lists(_JSON_FLOATS, min_size=d, max_size=d),
+                                   min_size=rows, max_size=rows)))
+    diags = draw(st.lists(st.builds(
+        StepDiagnostics, predictor_distance=_JSON_FLOATS, certified_eps=_JSON_FLOATS,
+        budget_lambda=_JSON_FLOATS, h_at_node=_JSON_FLOATS,
+        iterations=st.integers(0, 10**6), converged=st.booleans()), max_size=rows))
+    grid = Grid(draw(st.floats(1e-3, 1e3)), draw(st.integers(1, 10**6)))
+    traj = dataclasses.replace(_base_run(), grid=grid, nodes=nodes, diagnostics=diags,
+                               complete=draw(st.booleans()))
+    return traj, draw(st.sampled_from((None, *_audits())))
+
+
+class TestJsonWriter:
+    """trajectory_to_json writes the bytes of json.dumps(payload, indent=2, sort_keys=True)."""
+
+    @given(_trajectories())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib_encoder(self, case):
+        traj, audit = case
+        assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
+
+    @pytest.mark.parametrize("pid, run", [
+        ("interior_ode", lambda prob: solve(prob, 7)),
+        ("sublevel_disk", lambda prob: solve(prob, 7)),
+        ("translating_disk", lambda prob: solve(prob, 7, method="fw")),
+        ("translating_disk", lambda prob: _fw_partial()),
+    ], ids=["closed_form", "cutting", "fw", "partial"])
+    def test_runs_match_stdlib_encoder(self, pid, run):
+        prob = make_problem(pid)
+        traj = run(prob)
+        audit = theorem1_audit(traj, prob)
+        assert trajectory_to_json(traj) == _json_reference(traj)
+        assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
+
+    def test_template_keys_are_the_diagnostic_fields(self):
+        dg = StepDiagnostics(predictor_distance=0.0, certified_eps=0.0, budget_lambda=0.0,
+                             h_at_node=0.0, iterations=0, converged=True)
+        assert re.findall(r'"(\w+)":', _DIAG_ROW) == sorted(vars(dg))
+
+    def test_int_in_a_float_field_raises(self):
+        dg = StepDiagnostics(predictor_distance=0.0, certified_eps=0, budget_lambda=0.0,
+                             h_at_node=0.0, iterations=0, converged=True)
+        traj = dataclasses.replace(_base_run(), diagnostics=[dg] * 8)
+        with pytest.raises(TypeError):
+            trajectory_to_json(traj)
