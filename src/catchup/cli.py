@@ -51,6 +51,7 @@ from .oracles import ProjectorConfig, approx_project
 from .solver import (
     EpsSchedule,
     ProjectionFailed,
+    audit_to_json,
     solve,
     theorem1_audit,
     trajectory_to_csv,
@@ -206,9 +207,10 @@ def cmd_solve(args) -> int:
             (out / "trajectory.json").write_text(trajectory_to_json(exc.partial))
         print(f"solve aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    report = audit_to_json(audit)
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
-    (out / "trajectory.json").write_text(trajectory_to_json(traj, audit))
-    (out / "audit.json").write_text(json.dumps(audit, indent=2, sort_keys=True) + "\n")
+    (out / "trajectory.json").write_text(trajectory_to_json(traj, report))
+    (out / "audit.json").write_text(report)
     return EXIT_OK if audit["passed"] else EXIT_SOLVE
 
 
@@ -222,7 +224,7 @@ def cmd_audit(args) -> int:
     except ProjectionFailed as exc:
         print(f"solve aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
-    report = json.dumps(audit, indent=2, sort_keys=True) + "\n"
+    report = audit_to_json(audit)
     (out / "audit.json").write_text(report)
     print(report, end="")
     return EXIT_OK if audit["passed"] else EXIT_SOLVE

@@ -178,22 +178,34 @@ def max_fn(fns: Sequence[ConvexFnOracle]) -> ConvexFnOracle:
     """Pointwise maximum; finite intersections of sublevels reduce to this.
 
     Subgradient at a kink: lowest-index active function, so repeated calls
-    are deterministic.
+    are deterministic.  A NaN component makes the maximum NaN, whatever its
+    index, and its subgradient raises ValueError naming that component.
     """
     fns = tuple(fns)
     if not fns:
         raise ValueError("max_fn needs at least one function")
 
+    def top(x: Array) -> tuple[int, float]:
+        """The index and value of the lowest-index largest component, or of the first NaN one."""
+        best, top_val = 0, fns[0].eval(x)
+        if top_val != top_val:
+            return 0, top_val
+        for j in range(1, len(fns)):
+            v = fns[j].eval(x)
+            if v > top_val:
+                best, top_val = j, v
+            elif v != v:  # comparisons with NaN are False: max() would drop it
+                return j, v
+        return best, top_val
+
     def ev(x: Array) -> float:
-        return max(f.eval(x) for f in fns)
+        return top(x)[1]
 
     def sg_lowest(x: Array) -> Array:
-        vals = [f.eval(x) for f in fns]
-        top = max(vals)
-        for j, v in enumerate(vals):
-            if v == top:
-                return fns[j].subgrad(x)
-        raise AssertionError("unreachable")
+        j, v = top(x)
+        if v != v:
+            raise ValueError(f"max_fn component {j} evaluates to NaN")
+        return fns[j].subgrad(x)
 
     return ConvexFnOracle(eval=ev, subgrad=sg_lowest)
 

@@ -133,7 +133,8 @@ def sup_error(traj: Trajectory, reference) -> float:
     time-independent selection is evaluated once per cell, at t_k.
     reference is either a callable t -> point, called once per time, or a
     finer Trajectory, sampled in one more array call.  Raises OutOfRange on
-    a partial trajectory whose last computed node is before T.
+    a partial trajectory whose last computed node is before T.  A NaN error
+    at any time makes the result NaN, so no err <= bound check can pass on it.
     """
     ts = np.linspace(0.0, traj.grid.horizon, EVAL_GRID_SIZE)
     xs = interpolate(traj, ts)
@@ -143,7 +144,11 @@ def sup_error(traj: Trajectory, reference) -> float:
         refs = (reference(float(t)) for t in ts)
     worst = 0.0
     for xt, ref in zip(xs, refs):
-        worst = max(worst, norm(xt - ref))
+        err = norm(xt - ref)
+        if err > worst:
+            worst = err
+        elif err != err:  # max(worst, NaN) would keep worst
+            return err
     return worst
 
 

@@ -545,7 +545,12 @@ _DIAG_ROW = """{
     }"""
 
 
-def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
+def audit_to_json(audit: dict) -> str:
+    """The audit as audit.json holds it: json.dumps(audit, indent=2, sort_keys=True) + "\n"."""
+    return json.dumps(audit, indent=2, sort_keys=True) + "\n"
+
+
+def trajectory_to_json(traj: Trajectory, audit: dict | str | None = None) -> str:
     """The run, and its audit if given, as one JSON document.
 
     The bytes are exactly those of json.dumps(payload, indent=2,
@@ -553,7 +558,9 @@ def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
     nodes, vars() of each diagnostic and audit.  json only uses its C encoder
     when indent is None, so that call runs a pure-Python generator over every
     float; here each node row and each diagnostic is one string template
-    instead, and only the scalars and the audit go through json.dumps.
+    instead, and only the scalars and the audit go through json.dumps.  The
+    audit may be given already encoded, as audit_to_json's string, so that a
+    caller writing audit.json too encodes it once.
     """
     row = _json_list(["%s"] * traj.nodes.shape[1], "    ")
     nodes = [row % tuple(map(_json_float, r)) for r in traj.nodes.tolist()]
@@ -570,8 +577,9 @@ def trajectory_to_json(traj: Trajectory, audit: dict | None = None) -> str:
     ]
     # json escapes every newline inside a string, so each raw newline of the
     # audit's own encoding is indentation, one level shallower than here
-    fields = [] if audit is None else [
-        '"audit": ' + json.dumps(audit, indent=2, sort_keys=True).replace("\n", "\n  ")]
+    if isinstance(audit, dict):
+        audit = audit_to_json(audit)
+    fields = [] if audit is None else ['"audit": ' + audit[:-1].replace("\n", "\n  ")]
     fields += [
         '"complete": ' + json.dumps(traj.complete),
         '"diagnostics": ' + _json_list(diags, "  "),

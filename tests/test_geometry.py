@@ -351,6 +351,38 @@ class TestConstruction:
         assert g.eval(np.array([3.0, 0.0])) == pytest.approx(2.0)
 
 
+def _constant(value, j):
+    """A constant component whose subgradient names its index."""
+    return geometry.ConvexFnOracle(eval=lambda x: value, subgrad=lambda x: np.array([float(j), 0.0]))
+
+
+class TestMaxFnNaN:
+    """A NaN component makes max_fn NaN wherever it stands; finite values keep max()'s bits."""
+
+    X = np.array([0.5, 0.0])
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_component_makes_the_max_nan(self, at):
+        fns = [affine_fn([1.0, 0.0], 1.5), affine_fn([0.0, 1.0], 0.0)]  # -1.0 and 0.0 at X
+        fns.insert(at, _constant(math.nan, at))
+        assert math.isnan(max_fn(fns).eval(self.X))
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_component_subgradient_raises(self, at):
+        fns = [affine_fn([1.0, 0.0], 1.5), affine_fn([0.0, 1.0], 0.0)]
+        fns.insert(at, _constant(math.nan, at))
+        with pytest.raises(ValueError, match=f"component {at} evaluates to NaN"):
+            max_fn(fns).subgrad(self.X)
+
+    @given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.0, math.inf, -math.inf]), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_values_keep_max_and_lowest_index(self, values):
+        f = max_fn([_constant(v, j) for j, v in enumerate(values)])
+        top = max(values)
+        assert np.float64(f.eval(self.X)).tobytes() == np.float64(top).tobytes()
+        assert f.subgrad(self.X)[0] == values.index(top)
+
+
 class TestHalfspaceScaling:
     """Normal and offset are stored scaled by 2**k, with the largest |normal_i| in [1, 2)."""
 

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from catchup.geometry import Ball
+from catchup.geometry import Ball, norm
 from catchup.harness import (
     CATALOG,
+    EVAL_GRID_SIZE,
     RateStudy,
     UnknownProblem,
     fine_grid_reference,
@@ -13,7 +16,7 @@ from catchup.harness import (
     stability_study,
     sup_error,
 )
-from catchup.solver import OutOfRange, ProjectionFailed, solve
+from catchup.solver import OutOfRange, ProjectionFailed, interpolate, solve
 
 
 class TestCatalog:
@@ -61,6 +64,24 @@ class TestSupError:
         ref = fine_grid_reference("interior_ode", 256)
         err = sup_error(coarse, ref)
         assert 0.0 < err < 0.1
+
+    @pytest.mark.parametrize("at", [0, EVAL_GRID_SIZE // 2, EVAL_GRID_SIZE - 1])
+    def test_nan_reference_at_one_time_is_nan(self, at):
+        traj = solve(make_problem("dragging_interval"), 16)
+        ts = iter(range(EVAL_GRID_SIZE))
+
+        def reference(t):
+            x = reference_solution("dragging_interval", t)
+            return np.full_like(x, np.nan) if next(ts) == at else x
+
+        assert math.isnan(sup_error(traj, reference))
+
+    def test_finite_result_is_the_largest_error(self):
+        coarse = solve(make_problem("interior_ode"), 16)
+        ref = fine_grid_reference("interior_ode", 256)
+        ts = np.linspace(0.0, coarse.grid.horizon, EVAL_GRID_SIZE)
+        want = max(norm(a - b) for a, b in zip(interpolate(coarse, ts), interpolate(ref, ts)))
+        assert np.float64(sup_error(coarse, ref)).tobytes() == np.float64(want).tobytes()
 
     def test_partial_trajectory_is_out_of_range(self):
         with pytest.raises(ProjectionFailed) as exc:

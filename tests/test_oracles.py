@@ -238,6 +238,93 @@ class TestFrankWolfeMatchesReference:
             assert got.converged == want.converged
 
 
+def _generic_frank_wolfe(lmo, x, cfg):
+    """The d-dimensional loop's own form on numpy arrays: z - tau (z - s), tau = min(1, max(0, r))."""
+    lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
+    z = lmo(np.ones_like(x))
+    gap = np.inf
+    for it in range(cfg.max_iter):
+        v = z - x
+        grad = v + v
+        zs = z - lmo(grad)
+        gap = float(grad.dot(zs))
+        if gap <= cfg.eps:
+            return ProjectionResult(z, max(gap, 0.0), it, converged=True)
+        denom = float(zs.dot(zs))
+        if denom == 0.0:
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
+        tau = min(1.0, max(0.0, float(v.dot(zs)) / denom))
+        z = z - tau * zs
+    return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
+
+
+def _bits(v: float) -> bytes:
+    return np.float64(v).tobytes()
+
+
+@st.composite
+def fw_cases_at_any_scale(draw):
+    """A ball or a box in d = 1..4 with any finite coordinates, so that dots can overflow."""
+    d = draw(st.integers(1, 4))
+    coords = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        center, radius = draw(coords), draw(st.floats(0.0, 1e308))
+        lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+    else:
+        lo, hi = draw(coords), draw(coords)
+        lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
+    x = np.array(draw(coords))
+    cfg = ProjectorConfig(eps=draw(st.floats(5e-324, 1e300)), max_iter=draw(st.integers(1, 50)))
+    return lmos, x, cfg
+
+
+class TestFrankWolfeMatchesReferenceBytes:
+    """Both loops match the generic loop's form byte for byte: signed zeros and NaN included.
+
+    np.array_equal calls -0.0 equal to 0.0, and a NaN ratio that slipped
+    through the clamp would still give equal iteration counts, so this class
+    compares bytes.
+    """
+
+    @staticmethod
+    def _check(case):
+        (lmo, reference_lmo), x, cfg = case
+        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing examples
+            got = frank_wolfe_project(lmo, x, cfg)
+            want = _generic_frank_wolfe(reference_lmo, x, cfg)
+        assert got.point.tobytes() == want.point.tobytes()
+        assert _bits(got.certified_eps) == _bits(want.certified_eps)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+
+    # a coordinate pinned at -0.0: z + tau (s - z) would turn it into +0.0
+    @example(((lmo_box([-0.0, 1.0], [-0.0, 2.0]), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
+              np.array([-0.0, 5.0]), ProjectorConfig(eps=1e-12)))
+    # <v, z - s> and |z - s|^2 both overflow at iteration 0: a NaN ratio clamps to 0.0
+    @example(((lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154),
+               _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154)),
+              np.array([7.79517393694598e154, 1.2885715865266572e155]), ProjectorConfig()))
+    # the same in three dimensions, through the generic loop
+    @example(((lmo_ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154),
+               _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154)),
+              np.array([7.79517393694598e154, 1.2885715865266572e155, 0.0]), ProjectorConfig()))
+    # an infinite ratio at iteration 0 clamps to 1.0
+    @example(((lmo_box([6.149282387045291e153, 5.951009689730982e153],
+                       [3.751852066556199e154, 1.7014162517462393e154]),
+               _reference_lmo_box([6.149282387045291e153, 5.951009689730982e153],
+                                  [3.751852066556199e154, 1.7014162517462393e154])),
+              np.array([-2.3932111182176696e154, 3.335743331547268e154]), ProjectorConfig()))
+    @given(fw_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes(self, case):
+        self._check(case)
+
+    @given(fw_cases_at_any_scale())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_at_any_scale(self, case):
+        self._check(case)
+
+
 class TestLmoAtoms:
     """Each LMO returns its atom as a tuple of Python floats, with the numpy formula's bits."""
 
