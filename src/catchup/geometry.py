@@ -8,7 +8,7 @@ certified oracles in :mod:`catchup.oracles`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -102,8 +102,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec(self.center))
-        if not self.radius > 0.0:
-            raise ValueError("ball radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,16 +124,23 @@ class Sublevel:
 
     The Slater point anchors feasibility restoration in the projection
     oracles; construction rejects anchors that are not strictly feasible.
+    slater_residual is fn(slater) - level, evaluated once here: it is < 0
+    exactly when fn(slater) < level, for every pair of floats, since a
+    difference of floats rounds to 0 only when they are equal and keeps
+    its sign when it overflows.
     """
 
     fn: ConvexFnOracle
     level: float
     slater: Array
+    slater_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slater", as_vec(self.slater))
-        if not self.fn.eval(self.slater) < self.level:
+        r = self.fn.eval(self.slater) - self.level
+        if not r < 0.0:
             raise ValueError("slater point must satisfy fn(slater) < level strictly")
+        object.__setattr__(self, "slater_residual", r)
 
 
 SetDescription = Union[Halfspace, Ball, Box, Sublevel]
@@ -158,8 +165,8 @@ class MovingSet:
 def ball_fn(center, radius: float) -> ConvexFnOracle:
     """g(x) = ||x - center||^2 - radius^2, so [g <= 0] is the closed ball."""
     c = as_vec(center)
-    if not radius > 0.0:
-        raise ValueError("ball radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError("ball radius must be positive and finite")
 
     def ev(x: Array) -> float:
         d = x - c

@@ -78,7 +78,7 @@ class ProjectorConfig:
             raise ValueError(f"unknown projection method {self.method!r}, expected one of {METHODS}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class ProjectionResult:
     point: Array
     certified_eps: float
@@ -86,7 +86,7 @@ class ProjectionResult:
     converged: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass
 class Hyperplane:
     """All members y of the set satisfy <normal, y> <= offset.
 
@@ -365,23 +365,45 @@ def _restore_feasibility(
     hi and the root.  hi moves only to a point whose residual was evaluated
     <= 0, so the returned point p satisfies fn(p) <= level as evaluated.
     Returns p and that residual, fn(p) - level.
+
+    Each probe evaluates fn(p) - level directly: it is the value residual
+    gives, without residual's dimension and finiteness checks and its
+    dispatch on the set's kind, which cost more than the evaluation on a
+    point the walk built itself.  The Slater end's value is the one Sublevel
+    computed at construction.  One check on entry keeps every probe finite.
+    w is finite, and for 0 < t < 1 the product t seg lies between 0 and seg,
+    so rounding (which is monotone) keeps fl(t seg) there too; each
+    coordinate of a probe w + t seg then lies between those of w and of
+    w + seg, and is finite when w + seg is.  When w + seg is not finite
+    (slater - w overflowed, or its sum with w did), the Slater end itself is
+    returned at once.  In the plane a probe's coordinates are formed on
+    Python floats: each is one multiply and one add, rounded as numpy rounds
+    w + t seg, so the bits are the same.
     """
     seg = s.slater - w
+    end = w + seg
+    if not math.isfinite(sum(end.tolist())) and not np.isfinite(end).all():
+        return s.slater.copy(), s.slater_residual
+    fn, level = s.fn, s.level
+    plane = w.shape[0] == 2
+    if plane:
+        w0, w1 = w.tolist()
+        s0, s1 = seg.tolist()
     stop = 4.0 * _EPS * norm(w) / norm(seg)
     lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))
-    hi, f_hi, hi_point = 1.0, residual(s, s.slater), s.slater.copy()  # f_hi < 0: Sublevel checks it
+    hi, f_hi, hi_point = 1.0, s.slater_residual, s.slater.copy()
 
     def probe(t: float) -> bool:
         """Move the end of the bracket that t falls on; True when hi moved."""
         nonlocal lo, f_lo, slope, hi, f_hi, hi_point
         if not (hi - lo > stop and lo < t < hi):
             return False
-        p = w + t * seg
-        r = residual(s, p)
+        p = np.array((w0 + t * s0, w1 + t * s1)) if plane else w + t * seg
+        r = fn.eval(p) - level
         if r <= 0.0:
             hi, f_hi, hi_point = t, r, p
             return True
-        lo, f_lo, slope = t, r, float(as_vec(s.fn.subgrad(p)).dot(seg))
+        lo, f_lo, slope = t, r, float(as_vec(fn.subgrad(p)).dot(seg))
         return False
 
     while hi - lo > stop:
@@ -425,7 +447,20 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
 
     x is a 1-d float array that has already been checked.  The separation
     oracle at x is the membership test, and a member comes back as a copy;
-    otherwise its cut is the first, at the outer projection x itself.
+    otherwise its cut is the first, at the outer projection x itself.  The
+    restore evaluates g directly at each point of its walk and checks the
+    Slater segment once per call (see _restore_feasibility), so no residual
+    call re-checks a point built here.  x - p is formed once per restored
+    point, and x - w once per outer projection after the first, w = x,
+    where ||x - w||^2 is 0.
+
+    Overflow fails loudly, never into a certificate.  The first restored
+    point is kept even when its value ||x - p||^2 overflows, so a finite
+    feasible point always comes back.  When h * h / ||n||^2 overflows, the
+    bound is formed as (h / ||n||)^2 instead, which leaves every finite
+    bound's bits as they were.  When the lower bound itself reads inf,
+    d_C(x)^2 overflows and no value can be certified: the best point comes
+    back at once with certificate inf and converged False.
     """
     cut = separation_oracle(s, x)
     if cut is None:
@@ -436,27 +471,39 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     cuts_b: list[float] = []
     best_p: Optional[Array] = None
     best_val = np.inf
-    lower = support = 0.0
+    lower = support = 0.0  # lower starts as ||x - w||^2 at w = x
     w = x
     for it in range(cfg.max_iter):
         if it:
             w = _project_polyhedron(cuts_a, cuts_b, x)
             cut = separation_oracle(s, w)
-        lower = float(np.dot(x - w, x - w))
+            xw = x - w
+            lower = float(xw.dot(xw))
         if cut is None:
             best_p, best_val = w, lower
         else:
             p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
-            val = float(np.dot(x - p, x - p))
-            if val < best_val * keep:
+            xp = x - p
+            val = float(xp.dot(xp))
+            if val < best_val * keep or best_p is None:  # the first point, even at val = inf
                 best_p, best_val = p, val
             n = as_vec(s.fn.subgrad(p))
             nn = float(n.dot(n))
-            h = float(n.dot(x - p)) + r
+            h = float(n.dot(xp)) + r
             if nn > 0.0 and h > 0.0:
-                support = max(support, h * h / nn)
-        lower = max(lower, support)
-        cert = max(best_val - lower, 0.0)
+                bound = h * h / nn
+                if bound == math.inf:  # h * h overflowed, or nn is tiny: scale first
+                    bound = h / math.sqrt(nn)
+                    bound *= bound
+                if bound > support:  # max(support, bound), without the builtin call
+                    support = bound
+        if support > lower:
+            lower = support
+        if lower == math.inf:  # d(x, C)^2 overflows, and so does every feasible value
+            return ProjectionResult(best_p, math.inf, it + 1, converged=False)
+        cert = best_val - lower  # not NaN: lower is finite
+        if cert < 0.0:
+            cert = 0.0
         if cert <= cfg.eps:  # always taken when cut is None: then best_val = lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)
         cuts_a.append(cut.normal)

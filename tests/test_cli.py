@@ -344,6 +344,13 @@ class TestNonFiniteValues:
         err = assert_config_error(["project", "--config", cfg], capsys)
         assert "offset must be finite" in err
 
+    @pytest.mark.parametrize("kind", ["ball", "sublevel_ball"])
+    def test_project_rejects_infinite_radius(self, tmp_path, capsys, kind):
+        cfg = write(tmp_path / "p.cfg", f"set.kind = {kind}\nset.center = 0,0\n"
+                    "set.radius = inf\npoint = 5,0\n")
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        assert "radius must be positive and finite" in err
+
     def test_project_rejects_infinite_eps(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "set.kind = ball\nset.center = 0,0\nset.radius = 1\n"
                     "point = 5,0\neps = inf\nmethod = fw\n")

@@ -326,11 +326,17 @@ class TestConstruction:
         with pytest.raises(ValueError, match="offset must be finite"):
             Halfspace([1.0, 0.0], offset)
 
-    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), math.inf])
     def test_ball_fn_radius_positive(self, radius):
         # radius -1 would square to the unit disk
         with pytest.raises(ValueError, match="radius"):
             ball_fn([0.0, 0.0], radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_ball_radius_positive_and_finite(self, radius):
+        # an infinite radius would give an LMO atom of (-inf, nan)
+        with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+            Ball([0.0, 0.0], radius)
 
     def test_slater_strictness(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from catchup import geometry, oracles
@@ -441,6 +441,36 @@ class TestCuttingPlane:
                 worst = max(worst, float(np.linalg.norm(res.point - x / np.linalg.norm(x))))
         assert worst <= 2e-13
 
+    def test_overflowing_distance_gives_up_at_once(self):
+        # |x - slater|^2 and d(x, C)^2 both overflow: the Slater end comes
+        # back, finite and feasible, with an infinite certificate
+        s = Sublevel(affine_fn([1.0, 0.0], 0.0), 0.0, slater=[-1.5e308, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = approx_project(s, [1.5e308, 0.0])
+        assert res.point.tolist() == [-1.5e308, 0.0]
+        assert residual(s, res.point) <= 0.0
+        assert res.certified_eps == math.inf and not res.converged
+        assert res.iterations == 1
+
+    def test_supporting_bound_does_not_overflow_into_a_zero_certificate(self):
+        # on a disk of radius 1e150, h * h overflows at distances above about
+        # 1e4, where |x - p|^2 does not; read as inf, the bound certified a
+        # point at 1e-7 of its value above d^2 with 0
+        s = Sublevel(ball_fn([0.0, 0.0], 1e150), 0.0, slater=[0.0, 0.0])
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            angle, dist = rng.uniform(0.0, 2.0 * math.pi), 10.0 ** rng.uniform(141.0, 146.0)
+            x = (1e150 + dist) * np.array([math.cos(angle), math.sin(angle)])
+            res = cutting_plane_project(s, x, ProjectorConfig(max_iter=1))
+            # d^2 <= (|x|_hi - 1e150)^2 for an upper bound |x|_hi on |x|, in exact arithmetic
+            norm_sq = sum(Fraction(v) ** 2 for v in x.tolist())
+            norm_hi = Fraction(math.nextafter(math.sqrt(float(norm_sq)), math.inf))
+            while norm_hi * norm_hi < norm_sq:
+                norm_hi = Fraction(math.nextafter(float(norm_hi), math.inf))
+            val = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(x.tolist(), res.point.tolist()))
+            excess = val - (norm_hi - Fraction(1e150)) ** 2
+            assert excess <= Fraction(res.certified_eps) + Fraction(1e-14) * val, x
+
     def test_member_short_circuit(self):
         cfg = ProjectorConfig(eps=1e-8)
         x = np.array([0.1, -0.2])
@@ -467,12 +497,88 @@ def assert_on_boundary(s, w, p):
     assert residual(s, back) > 0.0
 
 
-def count_residual_calls(monkeypatch):
-    """A list that gains one entry per residual call the oracles make."""
+def counting(s):
+    """s with an fn whose eval counts its calls, and the list that gains one entry per call."""
     calls = []
-    real = oracles.residual
-    monkeypatch.setattr(oracles, "residual", lambda s, x: calls.append(1) or real(s, x))
-    return calls
+    fn = s.fn
+    counted = ConvexFnOracle(eval=lambda y: calls.append(1) or fn.eval(y), subgrad=fn.subgrad)
+    return Sublevel(counted, s.level, slater=s.slater), calls
+
+
+def evaluations_per_restore(s, calls, w):
+    """How often _restore_feasibility evaluates g on its walk from w, by whatever route."""
+    cut = separation_oracle(s, w)
+    assert cut is not None
+    calls.clear()
+    p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
+    count = len(calls)
+    assert r == residual(s, p)
+    return count
+
+
+def _reference_restore(s, w, viol, grad):
+    """_restore_feasibility as it was written with residual: p = w + t * seg, r = residual(s, p)."""
+    seg = s.slater - w
+    stop = 4.0 * float(EPS) * geometry.norm(w) / geometry.norm(seg)
+    lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))
+    hi, f_hi, hi_point = 1.0, residual(s, s.slater), s.slater.copy()
+
+    def probe(t):
+        nonlocal lo, f_lo, slope, hi, f_hi, hi_point
+        if not (hi - lo > stop and lo < t < hi):
+            return False
+        p = w + t * seg
+        r = residual(s, p)
+        if r <= 0.0:
+            hi, f_hi, hi_point = t, r, p
+            return True
+        lo, f_lo, slope = t, r, float(geometry.as_vec(s.fn.subgrad(p)).dot(seg))
+        return False
+
+    while hi - lo > stop:
+        width = hi - lo
+        if slope < 0.0:
+            t = lo - f_lo / slope
+            if t >= hi - stop or probe(t):
+                break
+        if hi - lo <= 0.5 * width:
+            continue
+        probe(max(lo + f_lo * ((hi - lo) / (f_lo - f_hi)), lo + 0.5 * stop))
+        if hi - lo > 0.5 * width:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            probe(mid)
+    return hi_point, f_hi
+
+
+@st.composite
+def restore_cases(draw):
+    """A ball_fn, affine_fn or max_fn sublevel set in d = 1..4 and a point w outside it.
+
+    Coordinates include both signed zeros.  Each function is built to be
+    negative at the drawn Slater point.
+    """
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.floats(-100.0, 100.0) | st.sampled_from([0.0, -0.0]), min_size=d, max_size=d)
+    slater = np.array(draw(vec))
+
+    def component():
+        if draw(st.booleans()):
+            center = np.array(draw(vec))
+            reach = float(np.linalg.norm(slater - center))
+            return ball_fn(center, reach * draw(st.floats(1.01, 4.0)) + draw(st.floats(1e-3, 10.0)))
+        a = np.array(draw(vec))
+        assume(a.any())
+        return affine_fn(a, float(a.dot(slater)) + draw(st.floats(1e-3, 100.0)))
+
+    kind = draw(st.sampled_from(["ball_fn", "affine_fn", "max_fn"]))
+    fn = max_fn([component() for _ in range(draw(st.integers(2, 3)))]) if kind == "max_fn" else component()
+    s = Sublevel(fn, 0.0, slater=slater)
+    w = np.array(draw(vec)) * draw(st.sampled_from([1.0, 1.0, 10.0, 1e3]))
+    cut = separation_oracle(s, w)
+    assume(cut is not None)
+    return s, w, cut
 
 
 def _directions(count):
@@ -513,26 +619,54 @@ class TestRestoreFeasibility:
         assert 0.0 < residual(DISK, w) <= 2.0 * EPS
         assert_on_boundary(DISK, w, restore(DISK, w))
 
-    def test_residual_calls_per_restore_on_disk(self, monkeypatch):
+    # Both counts are evaluations of g, through residual or not: the restore
+    # evaluates fn(p) - level directly, and the Slater end's value is the one
+    # Sublevel computed at construction.
+    def test_residual_calls_per_restore_on_disk(self):
         # Far out, each round halves the distance to the root (phi is
         # quadratic); near it, a few superlinear rounds end the search.
-        calls = count_residual_calls(monkeypatch)
+        disk, calls = counting(DISK)
         for delta in (1e-12, 1e-6, 1e-2, 1.0, 10.0):
             for u in _directions(24):
-                calls.clear()
-                restore(DISK, (1.0 + delta) * u)
-                assert len(calls) <= 12 + 2.0 * math.log2(1.0 + delta), (delta, u)
+                count = evaluations_per_restore(disk, calls, (1.0 + delta) * u)
+                assert count <= 12 + 2.0 * math.log2(1.0 + delta), (delta, u)
 
     @pytest.mark.parametrize("radius, most", [(11.0, 14), (1001.0, 23)])
-    def test_far_point_skips_the_secant_step(self, monkeypatch, radius, most):
+    def test_far_point_skips_the_secant_step(self, radius, most):
         # Far out, the Newton step alone halves the bracket, and the secant
         # step through the Slater end would barely move it; skipping it took
         # 15-16 calls to 13-14 at |w| = 11 and 27-28 to 22-23 at |w| = 1001.
-        calls = count_residual_calls(monkeypatch)
+        disk, calls = counting(DISK)
         for u in _directions(24):
-            calls.clear()
-            restore(DISK, radius * u)
-            assert len(calls) <= most, u
+            assert evaluations_per_restore(disk, calls, radius * u) <= most, u
+
+    @given(restore_cases())
+    @example((Sublevel(ball_fn([-0.0, 0.0], 1.0), 0.0, slater=[-0.0, 0.0]), np.array([-0.0, 3.0]),
+              separation_oracle(DISK, np.array([-0.0, 3.0]))))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_reference(self, case):
+        # the point's bytes and the residual's bits, signed zeros included
+        s, w, cut = case
+        got_p, got_r = _restore_feasibility(s, w, cut.violation, cut.normal)
+        want_p, want_r = _reference_restore(s, w, cut.violation, cut.normal)
+        assert got_p.tobytes() == want_p.tobytes()
+        assert _bits(got_r) == _bits(want_r)
+
+    # slater - w overflows; or it is finite while w + (slater - w) overflows
+    @pytest.mark.parametrize("fn, slater, w", [
+        (affine_fn([1.0, 0.0], 0.0), [-1.5e308, 0.0], [1.5e308, 0.0]),
+        (affine_fn([-1.0], -1e300), [np.finfo(float).max], [3.0 * 2.0**970]),
+    ], ids=["segment_overflows", "segment_end_overflows"])
+    def test_non_finite_segment_returns_the_slater_end(self, fn, slater, w):
+        s, calls = counting(Sublevel(fn, 0.0, slater=slater))
+        w = np.array(w)
+        cut = separation_oracle(s, w)
+        calls.clear()
+        with np.errstate(over="ignore"):
+            p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
+        assert calls == []
+        assert p.tobytes() == s.slater.tobytes() and p is not s.slater
+        assert r == s.slater_residual == residual(s, s.slater) < 0.0
 
 
 def off_centre_sample(kind, count, seed):

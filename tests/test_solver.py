@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchup import oracles
-from catchup.geometry import Ball, MovingSet, Sublevel, ball_fn
+from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn
 from catchup.harness import make_problem, reference_solution
 from catchup.perturbation import Selection, zero_perturbation
 from catchup.solver import (
@@ -208,6 +208,21 @@ class TestSolve:
         assert partial is not None and not partial.complete
         assert partial.steps_taken == 0
         assert np.array_equal(partial.nodes, [[-1e308, 0.0]])
+
+    @pytest.mark.parametrize("permissive", [False, True])
+    def test_overflowing_cutting_route_fails_the_step(self, permissive):
+        # C(0) = {x_1 <= 1.5e308} holds x0; C(1) = {x_1 <= 0}, whose Slater
+        # point lies 3e308 from x0: the projection comes back finite and
+        # feasible with an infinite certificate, and ||predictor - point||
+        # overflows
+        def at(t):
+            return Sublevel(affine_fn([1.0, 0.0], 0.0), 1.5e308 * (1.0 - t), slater=[-1.5e308, 0.0])
+
+        prob = SweepingProblem(MovingSet(at), zero_perturbation(), [1.5e308, 0.0], 1.0)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ProjectionFailed, match="step 0: .* is not finite") as exc:
+            solve(prob, 1, permissive=permissive)
+        assert exc.value.partial.steps_taken == 0
 
     def test_permissive_completes_with_flagged_steps(self):
         prob = make_problem("translating_disk")
