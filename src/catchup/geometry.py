@@ -8,7 +8,7 @@ certified oracles in :mod:`catchup.oracles`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -124,23 +124,16 @@ class Sublevel:
 
     The Slater point anchors feasibility restoration in the projection
     oracles; construction rejects anchors that are not strictly feasible.
-    slater_residual is fn(slater) - level, evaluated once here: it is < 0
-    exactly when fn(slater) < level, for every pair of floats, since a
-    difference of floats rounds to 0 only when they are equal and keeps
-    its sign when it overflows.
     """
 
     fn: ConvexFnOracle
     level: float
     slater: Array
-    slater_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slater", as_vec(self.slater))
-        r = self.fn.eval(self.slater) - self.level
-        if not r < 0.0:
+        if not self.fn.eval(self.slater) < self.level:
             raise ValueError("slater point must satisfy fn(slater) < level strictly")
-        object.__setattr__(self, "slater_residual", r)
 
 
 SetDescription = Union[Halfspace, Ball, Box, Sublevel]

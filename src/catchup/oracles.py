@@ -369,36 +369,29 @@ def _restore_feasibility(
     Each probe evaluates fn(p) - level directly: it is the value residual
     gives, without residual's dimension and finiteness checks and its
     dispatch on the set's kind, which cost more than the evaluation on a
-    point the walk built itself.  The Slater end's value is the one Sublevel
-    computed at construction.  One check on entry keeps every probe finite.
-    w is finite, and for 0 < t < 1 the product t seg lies between 0 and seg,
-    so rounding (which is monotone) keeps fl(t seg) there too; each
+    point the walk built itself.  One check on entry keeps every probe
+    finite.  w is finite, and for 0 < t < 1 the product t seg lies between 0
+    and seg, so rounding (which is monotone) keeps fl(t seg) there too; each
     coordinate of a probe w + t seg then lies between those of w and of
     w + seg, and is finite when w + seg is.  When w + seg is not finite
     (slater - w overflowed, or its sum with w did), the Slater end itself is
-    returned at once.  In the plane a probe's coordinates are formed on
-    Python floats: each is one multiply and one add, rounded as numpy rounds
-    w + t seg, so the bits are the same.
+    returned at once.
     """
-    seg = s.slater - w
-    end = w + seg
-    if not math.isfinite(sum(end.tolist())) and not np.isfinite(end).all():
-        return s.slater.copy(), s.slater_residual
     fn, level = s.fn, s.level
-    plane = w.shape[0] == 2
-    if plane:
-        w0, w1 = w.tolist()
-        s0, s1 = seg.tolist()
+    seg = s.slater - w
+    f_slater = fn.eval(s.slater) - level  # < 0: Sublevel checks it
+    if not np.isfinite(w + seg).all():
+        return s.slater.copy(), f_slater
     stop = 4.0 * _EPS * norm(w) / norm(seg)
     lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))
-    hi, f_hi, hi_point = 1.0, s.slater_residual, s.slater.copy()
+    hi, f_hi, hi_point = 1.0, f_slater, s.slater.copy()
 
     def probe(t: float) -> bool:
         """Move the end of the bracket that t falls on; True when hi moved."""
         nonlocal lo, f_lo, slope, hi, f_hi, hi_point
         if not (hi - lo > stop and lo < t < hi):
             return False
-        p = np.array((w0 + t * s0, w1 + t * s1)) if plane else w + t * seg
+        p = w + t * seg
         r = fn.eval(p) - level
         if r <= 0.0:
             hi, f_hi, hi_point = t, r, p
@@ -450,9 +443,7 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     otherwise its cut is the first, at the outer projection x itself.  The
     restore evaluates g directly at each point of its walk and checks the
     Slater segment once per call (see _restore_feasibility), so no residual
-    call re-checks a point built here.  x - p is formed once per restored
-    point, and x - w once per outer projection after the first, w = x,
-    where ||x - w||^2 is 0.
+    call re-checks a point built here.  x - w and x - p are each formed once.
 
     Overflow fails loudly, never into a certificate.  The first restored
     point is kept even when its value ||x - p||^2 overflows, so a finite
@@ -471,14 +462,14 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     cuts_b: list[float] = []
     best_p: Optional[Array] = None
     best_val = np.inf
-    lower = support = 0.0  # lower starts as ||x - w||^2 at w = x
+    lower = support = 0.0
     w = x
     for it in range(cfg.max_iter):
         if it:
             w = _project_polyhedron(cuts_a, cuts_b, x)
             cut = separation_oracle(s, w)
-            xw = x - w
-            lower = float(xw.dot(xw))
+        xw = x - w
+        lower = float(xw.dot(xw))
         if cut is None:
             best_p, best_val = w, lower
         else:
@@ -495,15 +486,11 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
                 if bound == math.inf:  # h * h overflowed, or nn is tiny: scale first
                     bound = h / math.sqrt(nn)
                     bound *= bound
-                if bound > support:  # max(support, bound), without the builtin call
-                    support = bound
-        if support > lower:
-            lower = support
+                support = max(support, bound)
+        lower = max(lower, support)
         if lower == math.inf:  # d(x, C)^2 overflows, and so does every feasible value
             return ProjectionResult(best_p, math.inf, it + 1, converged=False)
-        cert = best_val - lower  # not NaN: lower is finite
-        if cert < 0.0:
-            cert = 0.0
+        cert = max(best_val - lower, 0.0)
         if cert <= cfg.eps:  # always taken when cut is None: then best_val = lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)
         cuts_a.append(cut.normal)
