@@ -57,6 +57,17 @@ def norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def row_norms(rows: Array) -> Array:
+    """||v|| of each row v of a C-contiguous (m, d) float array, as norm(v) gives it, in one call.
+
+    np.vecdot hands each row to the same float64 dot kernel as v.dot(v),
+    numpy's BLAS ddot, from C, and sqrt rounds as math.sqrt does, so every
+    value has norm's bits; an overflowing row warns as its dot does.
+    np.linalg.norm(rows, axis=1) would sum the squares in another order.
+    """
+    return np.sqrt(np.vecdot(rows, rows))
+
+
 @dataclass(frozen=True)
 class ConvexFnOracle:
     """A continuous convex function given by value and one subgradient."""
@@ -227,7 +238,10 @@ def exact_project(s: SetDescription, x) -> Array:
     """Nearest point in s for the closed-form kinds; a member comes back as a copy.
 
     Raises UnsupportedKind for sublevel sets; those go through the oracle
-    module instead.
+    module instead.  On a ball whose ||x - center||^2 overflows, the
+    membership test and the formula are applied to x - center and the
+    radius scaled by one power of two, which gives the projection rather
+    than the centre; only that input takes the branch.
     """
     x = point_of(s, x)
     if isinstance(s, Halfspace):
@@ -240,6 +254,12 @@ def exact_project(s: SetDescription, x) -> Array:
         r = norm(v)
         if r <= s.radius:
             return x.copy()
+        if r == math.inf:  # v.v overflowed: test and project 2**k v, its largest |v_i| in [0.5, 1)
+            k = -math.frexp(max(map(abs, v.tolist())))[1]  # 0 when v is not finite
+            v = np.ldexp(v, k)
+            r = norm(v)
+            if r <= math.ldexp(s.radius, k):
+                return x.copy()
         return s.center + (s.radius / r) * v
     if isinstance(s, Box):
         return np.clip(x, s.lo, s.hi)

@@ -16,7 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project, norm
+from .geometry import (
+    Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project, norm, row_norms,
+)
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
 from .solver import (
@@ -132,24 +134,24 @@ def sup_error(traj: Trajectory, reference) -> float:
     The interpolant is sampled in one array call of interpolate, so a
     time-independent selection is evaluated once per cell, at t_k.
     reference is either a callable t -> point, called once per time, or a
-    finer Trajectory, sampled in one more array call.  Raises OutOfRange on
-    a partial trajectory whose last computed node is before T.  A NaN error
-    at any time makes the result NaN, so no err <= bound check can pass on it.
+    finer Trajectory, sampled in one more array call.  A callable's points
+    (a float for d = 1) are stacked into one (times, d) array first, so a
+    reference of another dimension raises ValueError instead of
+    broadcasting.  Every error is norm's value, from row_norms.  Raises
+    OutOfRange on a partial trajectory whose last computed node is before T.
+    A NaN error at any time makes the result NaN, as ndarray.max gives it,
+    so no err <= bound check can pass on it.
     """
     ts = np.linspace(0.0, traj.grid.horizon, EVAL_GRID_SIZE)
     xs = interpolate(traj, ts)
     if isinstance(reference, Trajectory):
         refs = interpolate(reference, ts)
     else:
-        refs = (reference(float(t)) for t in ts)
-    worst = 0.0
-    for xt, ref in zip(xs, refs):
-        err = norm(xt - ref)
-        if err > worst:
-            worst = err
-        elif err != err:  # max(worst, NaN) would keep worst
-            return err
-    return worst
+        refs = np.array([reference(float(t)) for t in ts], dtype=float).reshape(ts.size, -1)
+    if refs.shape != xs.shape:
+        raise ValueError(f"reference points have dimension {refs.shape[1]}, "
+                         f"the trajectory's have {xs.shape[1]}")
+    return float(row_norms(xs - refs).max())
 
 
 @dataclass

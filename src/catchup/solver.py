@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DISTANCE_EPS, Array, MovingSet, as_vec, dimension, norm, residual
+from .geometry import (
+    DISTANCE_EPS, Array, MovingSet, as_vec, dimension, norm, residual, row_norms,
+)
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project, feasibility_tolerance
 from .perturbation import (
     DEFAULT_GAMMA,
@@ -464,8 +466,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     # (a)(v): deviation from the right node inside cells
     inside = ts != 0.0
     ahead = interp[inside] - traj.nodes[_left_cells(grid, ts[inside]) + 1]
-    record("a_v_cell_deviation", [norm(v) for v in ahead],
-           const["K4"] * mu + 2.0 * sq_eps)
+    record("a_v_cell_deviation", row_norms(ahead), const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t))
     cfg = ProjectorConfig(eps=DISTANCE_EPS)
@@ -483,8 +484,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
 
     # (c): velocity bound sampled at three interior points of each cell
     tv = grid.node(np.arange(traj.steps_taken))[:, None] + np.array([0.25, 0.5, 0.75]) * mu
-    speeds = [norm(v) for v in velocity(traj, tv.reshape(-1))]
-    record("c_velocity_bound", speeds, const["K6"])
+    record("c_velocity_bound", row_norms(velocity(traj, tv.reshape(-1))), const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]
     return {

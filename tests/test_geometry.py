@@ -24,6 +24,7 @@ from catchup.geometry import (
     exact_project,
     prox_eps0,
     residual,
+    row_norms,
 )
 from catchup.oracles import ProjectionFailed, ProjectionResult, approx_project
 
@@ -286,6 +287,115 @@ class TestMatchesNumpyReference:
         radius = data.draw(st.floats(1e-3 * scale, 10.0 * scale))
         want = float(np.dot(x - c, x - c) - radius * radius)
         assert ball_fn(c, radius).eval(x).hex() == want.hex()
+
+
+EPS = float(np.finfo(float).eps)
+
+# magnitudes from squares that are subnormal or underflow to squares that overflow
+_WIDE = (st.floats(-1e-150, 1e-150) | st.floats(-1e-160, 1e-160) | st.floats(-10.0, 10.0)
+         | st.floats(-1e150, 1e150) | st.floats(-1e160, 1e160))
+
+
+def _warns(f):
+    """f's result, or the RuntimeWarning it raises when warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f()
+        except RuntimeWarning as w:
+            return str(w).split(" in ")[0]  # "overflow encountered", without the function's name
+
+
+class TestRowNorms:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_with_norm(self, data):
+        d = data.draw(st.sampled_from([1, 2, 3]))
+        special = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324])
+        rows = data.draw(st.lists(st.lists(_WIDE | special, min_size=d, max_size=d),
+                                  min_size=1, max_size=6))
+        v = np.array(rows)
+        got = _warns(lambda: row_norms(v))
+        want = _warns(lambda: np.array([geometry.norm(r) for r in v]))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_for_bit_on_random_mantissas(self, d):
+        # hypothesis favours short mantissas, whose squares sum exactly; here
+        # np.linalg.norm(v, axis=1), which sums in another order, differs on
+        # hundreds of rows at d = 2 and 3
+        rng = np.random.default_rng(d)
+        v = rng.standard_normal((3000, d)) * 10.0 ** rng.integers(-170, 150, (3000, 1))
+        with np.errstate(under="ignore"):
+            want = np.array([geometry.norm(r) for r in v])
+        assert row_norms(v).tobytes() == want.tobytes()
+
+    def test_overflow_warns_as_norm_does(self):
+        v = np.array([[1e200, 0.0], [1.0, 2.0]])
+        assert _warns(lambda: row_norms(v)) == _warns(lambda: geometry.norm(v[0]))
+        assert _warns(lambda: row_norms(v)) == "overflow encountered"
+
+    def test_nan_and_inf_rows(self):
+        v = np.array([[math.nan, 1.0], [math.inf, 0.0], [-math.inf, math.nan], [3.0, 4.0]])
+        got = row_norms(v)
+        assert math.isnan(got[0]) and got[1] == math.inf and math.isnan(got[2]) and got[3] == 5.0
+
+
+def _today_ball_project(s, x):
+    """exact_project's ball formula as it reads where ||x - c||^2 is finite."""
+    v = x - s.center
+    r = math.sqrt(v.dot(v))
+    return x.copy() if r <= s.radius else s.center + (s.radius / r) * v
+
+
+class TestBallOverflow:
+    def test_projection_not_the_centre(self):
+        s = Ball([2e154, 0.0], 1e154)
+        with np.errstate(over="ignore"):
+            res = approx_project(s, [0.0, 0.0])
+        assert res.point.tolist() == [1e154, 0.0]
+        assert res.certified_eps == 0.0 and res.converged
+        assert residual(s, res.point) <= 0.0
+
+    @pytest.mark.parametrize("radius", [1.0, 1.5e308])
+    def test_overflowing_difference_is_still_not_finite(self, radius):
+        # x - c itself overflows: the point stays NaN, as before, and fails downstream
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = exact_project(Ball([1e308, 0.0], radius), [-1e308, 0.0])
+        assert not np.isfinite(z).all()
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_finite_cases_unchanged(self, data):
+        d = data.draw(st.integers(1, 4))
+        c = np.array(data.draw(st.lists(_WIDE, min_size=d, max_size=d)))
+        x = np.array(data.draw(st.lists(_WIDE, min_size=d, max_size=d)))
+        radius = abs(data.draw(_WIDE.filter(lambda r: r != 0.0)))
+        s = Ball(c, radius)
+        with np.errstate(over="ignore", under="ignore"):
+            got = exact_project(s, x)
+            v = x - c
+            if math.isfinite(float(v.dot(v))):
+                assert got.tobytes() == _today_ball_project(s, x).tobytes()
+                return
+            # the overflowing case: the projection, read off v scaled by its largest |v_i|
+            top = float(np.abs(v).max())
+            rs = float(np.linalg.norm(v / top))
+            want = x if rs * top <= radius else c + radius * (v / top) / rs
+        assert np.isfinite(got).all()
+        tol = 8.0 * EPS * (np.abs(c).max() + radius)
+        assert np.allclose(got, want, rtol=0.0, atol=tol)
+
+    def test_overflowing_member_is_fixed(self):
+        # ||x - c||^2 overflows, but ||x - c|| = 1e156 lies inside the radius
+        s = Ball([0.0, 0.0], 1e157)
+        x = np.array([1e156, 0.0])
+        with np.errstate(over="ignore"):
+            z = exact_project(s, x)
+        assert z.tobytes() == x.tobytes() and z is not x
 
 
 OTHER_DIMENSION = [

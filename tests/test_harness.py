@@ -83,6 +83,29 @@ class TestSupError:
         want = max(norm(a - b) for a, b in zip(interpolate(coarse, ts), interpolate(ref, ts)))
         assert np.float64(sup_error(coarse, ref)).tobytes() == np.float64(want).tobytes()
 
+    def test_float_reference_in_one_dimension(self):
+        # d = 1: a reference that returns a float gives the same bits as one
+        # that returns a 1-vector
+        traj = solve(make_problem("dragging_interval"), 16)
+        want = sup_error(traj, lambda t: reference_solution("dragging_interval", t))
+        got = sup_error(traj, lambda t: float(reference_solution("dragging_interval", t)[0]))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("problem, reference", [
+        ("dragging_interval", lambda t: np.array([t, 0.0])),  # (1,) - (2,) would broadcast
+        ("translating_halfspace", lambda t: np.array([t])),
+        ("translating_halfspace", lambda t: t),
+    ])
+    def test_reference_of_another_dimension_raises(self, problem, reference):
+        traj = solve(make_problem(problem), 16)
+        with pytest.raises(ValueError, match="dimension"):
+            sup_error(traj, reference)
+
+    def test_trajectory_reference_of_another_dimension_raises(self):
+        traj = solve(make_problem("dragging_interval"), 16)
+        with pytest.raises(ValueError, match="dimension"):
+            sup_error(traj, solve(make_problem("translating_halfspace"), 16))
+
     def test_partial_trajectory_is_out_of_range(self):
         with pytest.raises(ProjectionFailed) as exc:
             solve(make_problem("translating_disk"), 16, method="fw", max_iter=1)

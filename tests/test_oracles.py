@@ -668,6 +668,32 @@ class TestRestoreFeasibility:
         assert r == residual(s, s.slater) < 0.0
 
 
+    def test_finite_coordinates_whose_sum_overflows_are_walked(self):
+        # w + seg = (0.5, 1e308, 1e308) is finite though its sum is not, so the
+        # elementwise test must let the walk run; seg.seg overflows as well
+        s = Sublevel(affine_fn([1.0, 0.0, 0.0], 0.0), 1.0, slater=[0.5, 1e308, 1e308])
+        w = np.array([2.0, 0.0, 0.0])
+        cut = separation_oracle(s, w)
+        with np.errstate(over="ignore"):
+            p, r = _restore_feasibility(s, w, cut.violation, cut.normal)
+        assert p.tobytes() != s.slater.tobytes()
+        assert r == residual(s, p) <= 0.0
+        assert abs(p[0] - 1.0) <= 4.0 * EPS and np.isfinite(p).all()
+
+    def test_segment_whose_square_underflows(self):
+        # ||slater - w||^2 = 1e-600 underflows to 0, which divided the stop width
+        s = Sublevel(affine_fn([9e307], 0.0), -89999999.0, slater=[-1e-300])
+        x = np.array([-0.0])
+        with np.errstate(over="ignore"):  # ||subgradient||^2 = 8.1e615
+            res = approx_project(s, x)
+        assert res.converged and residual(s, res.point) <= 0.0
+        # sound: ||x - z||^2 <= d(x, C)^2 + certificate, with d from the halfspace's closed form
+        nearest = exact_project(Halfspace([-9e307], 89999999.0), x)
+        assert abs(res.point[0] - nearest[0]) <= 4.0 * EPS * abs(nearest[0])
+        d2 = float((x - nearest).dot(x - nearest))
+        assert float((x - res.point).dot(x - res.point)) <= d2 + res.certified_eps
+
+
 def off_centre_sample(kind, count, seed):
     """Seeded (set, x, closed-form projection of x) triples, x outside the set.
 
