@@ -382,9 +382,10 @@ def _restore_feasibility(
     np.isfinite(...).all().
 
     The walk stops when the bracket is narrower than 4 eps |w| / |seg|.
-    When seg.seg underflows to 0 or overflows, that ratio is formed from w
-    and seg both scaled by the power of two that takes the largest |seg_i|
-    into [0.5, 1), which leaves every other stop's bits as they were.
+    When w.w overflows, or seg.seg underflows to 0 or overflows, that ratio
+    is formed from w and seg both scaled by the power of two that takes the
+    largest |seg_i| into [0.5, 1), which leaves every other stop's bits as
+    they were.
     """
     fn, level = s.fn, s.level
     seg = s.slater - w
@@ -393,10 +394,10 @@ def _restore_feasibility(
         as_vec(w + seg)  # its test: one float sum, elementwise only when the sum is not finite
     except ValueError:
         return s.slater.copy(), f_slater
-    n_seg = norm(seg)
-    if 0.0 < n_seg < math.inf:
-        stop = 4.0 * _EPS * norm(w) / n_seg
-    else:  # seg.seg underflowed or overflowed: the same ratio, of w and seg scaled by 2**k
+    n_w, n_seg = norm(w), norm(seg)
+    if 0.0 < n_seg < math.inf and n_w < math.inf:
+        stop = 4.0 * _EPS * n_w / n_seg
+    else:  # w.w or seg.seg overflowed, or seg.seg underflowed: scale both by 2**k
         k = -math.frexp(max(map(abs, seg.tolist())))[1]
         with np.errstate(over="ignore"):  # 2**k w overflows only when all of seg is below w's ulp
             stop = 4.0 * _EPS * norm(np.ldexp(w, k)) / norm(np.ldexp(seg, k))

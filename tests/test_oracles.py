@@ -694,6 +694,20 @@ class TestRestoreFeasibility:
         assert float((x - res.point).dot(x - res.point)) <= d2 + res.certified_eps
 
 
+    def test_point_whose_square_overflows(self):
+        # |w|^2 overflows while |seg| is moderate: the stop width read inf, so
+        # every restore returned the Slater end and the loop ran to max_iter
+        c, r = np.array([2e154, 0.0]), 1e150
+        s = Sublevel(ball_fn(c, r), 0.0, slater=c)
+        x = c + np.array([2.0 * r, 0.0])
+        with np.errstate(over="ignore"):
+            res = approx_project(s, x, ProjectorConfig(eps=1e-8 * r * r))
+        assert res.converged and res.iterations == 1
+        assert residual(s, res.point) <= 0.0
+        # the point lies within the walk's stop width, 4 ulps of |w| = 1.8e-11 r
+        assert np.allclose((res.point - c) / r, [1.0, 0.0], rtol=0.0, atol=1e-10)
+
+
 def off_centre_sample(kind, count, seed):
     """Seeded (set, x, closed-form projection of x) triples, x outside the set.
 
