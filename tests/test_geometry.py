@@ -32,6 +32,7 @@ UNIT_BALL = Ball([0.0, 0.0], 1.0)
 RIGHT_HALF = Halfspace([1.0, 0.0], 0.0)  # x1 >= 0
 UNIT_BOX = Box([0.0, 0.0], [1.0, 1.0])
 DISK_SUBLEVEL = Sublevel(ball_fn([0.0, 0.0], 1.0), 0.0, slater=[0.0, 0.0])
+EPS = float(np.finfo(float).eps)
 
 
 def coords(lo=-10.0, hi=10.0):
@@ -288,8 +289,6 @@ class TestMatchesNumpyReference:
         want = float(np.dot(x - c, x - c) - radius * radius)
         assert ball_fn(c, radius).eval(x).hex() == want.hex()
 
-
-EPS = float(np.finfo(float).eps)
 
 # magnitudes from squares that are subnormal or underflow to squares that overflow
 _WIDE = (st.floats(-1e-150, 1e-150) | st.floats(-1e-160, 1e-160) | st.floats(-10.0, 10.0)

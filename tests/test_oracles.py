@@ -667,7 +667,6 @@ class TestRestoreFeasibility:
         assert p.tobytes() == s.slater.tobytes() and p is not s.slater
         assert r == residual(s, s.slater) < 0.0
 
-
     def test_finite_coordinates_whose_sum_overflows_are_walked(self):
         # w + seg = (0.5, 1e308, 1e308) is finite though its sum is not, so the
         # elementwise test must let the walk run; seg.seg overflows as well
@@ -692,7 +691,6 @@ class TestRestoreFeasibility:
         assert abs(res.point[0] - nearest[0]) <= 4.0 * EPS * abs(nearest[0])
         d2 = float((x - nearest).dot(x - nearest))
         assert float((x - res.point).dot(x - res.point)) <= d2 + res.certified_eps
-
 
     def test_point_whose_square_overflows(self):
         # |w|^2 overflows while |seg| is moderate: the stop width read inf, so
