@@ -7,6 +7,7 @@ from .geometry import (
     ConvexFnOracle,
     Halfspace,
     MovingSet,
+    SetDescription,
     Sublevel,
     UnsupportedKind,
     ball_fn,

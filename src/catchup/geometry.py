@@ -1,15 +1,15 @@
-"""Finite-dimensional set descriptions with closed-form projections and distances.
+"""Finite-dimensional set kinds, each with its own residual and, where it has them, projection and LMO.
 
 Sets live in R^d.  Three kinds carry closed-form projections (halfspace,
-ball, box); sublevel sets of convex functions are handled through the
-certified oracles in :mod:`catchup.oracles`.
+ball, box) and two of them an LMO (ball, box); sublevel sets of convex
+functions are handled through the certified oracles in :mod:`catchup.oracles`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,8 +76,29 @@ class ConvexFnOracle:
     subgrad: Callable[[Array], Array]
 
 
+LMO = Callable[[Array], tuple[float, ...]]
+"""Maps a direction w to an atom s minimizing <w, s> over the set, as a tuple of floats."""
+
+
+class SetDescription:
+    """A set kind: a subclass with dim and residual(x), <= 0 exactly on the set.
+
+    It overrides project(x), which returns a member as a copy, when it has a
+    closed form, and lmo() when it has a bounded LMO.  Points are checked by
+    point_of first.  feas_tol is the residual an initial point may have.
+    """
+
+    feas_tol = 1e-12
+
+    def project(self, x: Array) -> Array:
+        raise UnsupportedKind(f"no closed-form projection for {type(self).__name__}")
+
+    def lmo(self) -> LMO:
+        raise UnsupportedKind(f"no bounded linear-minimization oracle for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class Halfspace:
+class Halfspace(SetDescription):
     """{x : <normal, x> >= offset}, stored with both sides scaled by one power of two.
 
     The scale 2**k puts the largest |normal_i| in [1, 2), so normal.normal
@@ -105,9 +126,20 @@ class Halfspace:
         object.__setattr__(self, "normal", np.ldexp(normal, k) if k else normal)
         object.__setattr__(self, "offset", offset)
 
+    dim = property(lambda self: self.normal.shape[0])
+
+    def project(self, x: Array) -> Array:
+        gap = self.offset - float(self.normal.dot(x))
+        if gap <= 0.0:
+            return x.copy()
+        return x + (gap / float(self.normal.dot(self.normal))) * self.normal
+
+    def residual(self, x: Array) -> float:
+        return (self.offset - float(self.normal.dot(x))) / norm(self.normal)
+
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(SetDescription):
     center: Array
     radius: float
 
@@ -116,9 +148,70 @@ class Ball:
         if not 0.0 < self.radius < math.inf:
             raise ValueError("ball radius must be positive and finite")
 
+    dim = property(lambda self: self.center.shape[0])
+
+    def project(self, x: Array) -> Array:
+        """The radial projection; where ||x - center||^2 overflows, of x - center scaled by 2**k."""
+        v = x - self.center
+        r = norm(v)
+        if r <= self.radius:
+            return x.copy()
+        if r == math.inf:  # v.v overflowed: test and project 2**k v, its largest |v_i| in [0.5, 1)
+            k = -math.frexp(max(map(abs, v.tolist())))[1]  # 0 when v is not finite
+            v = np.ldexp(v, k)
+            r = norm(v)
+            if r <= math.ldexp(self.radius, k):
+                return x.copy()
+        return self.center + (self.radius / r) * v
+
+    def residual(self, x: Array) -> float:
+        return norm(x - self.center) - self.radius
+
+    def lmo(self) -> LMO:
+        return lmo_ball(self.center, self.radius)
+
+
+def lmo_ball(center, radius: float) -> LMO:
+    """The ball's LMO: c - (radius / ||w||) w, and the centre for w = 0.
+
+    Each coordinate is the same IEEE operation as the numpy expression, and
+    ||w|| is one float64 dot; in the plane the closure is unrolled on floats.
+    Only where w.w overflows is w first scaled by the power of two that
+    takes its largest |w_i| into [0.5, 1), as Ball.project scales.
+    """
+    c = as_vec(center)
+    radius = float(radius)
+    inf = math.inf
+    if c.shape[0] == 2:
+        c0, c1 = c.tolist()
+
+        def lmo2(w: Array) -> tuple[float, float]:
+            nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
+            if nw == 0.0:
+                return c0, c1
+            if nw == inf:
+                w = np.ldexp(w, -math.frexp(max(map(abs, w.tolist())))[1])
+                nw = norm(w)
+            k = radius / nw
+            w0, w1 = w.tolist()
+            return c0 - k * w0, c1 - k * w1
+
+        return lmo2
+
+    def lmo(w: Array) -> tuple[float, ...]:
+        nw = math.sqrt(w.dot(w))
+        if nw == 0.0:
+            return tuple(c.tolist())
+        if nw == inf:
+            w = np.ldexp(w, -math.frexp(max(map(abs, w.tolist())))[1])
+            nw = norm(w)
+        return tuple((c - (radius / nw) * w).tolist())
+
+    return lmo
+
 
 @dataclass(frozen=True)
-class Box:
+class Box(SetDescription):
     lo: Array
     hi: Array
 
@@ -128,26 +221,66 @@ class Box:
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi componentwise")
 
+    dim = property(lambda self: self.lo.shape[0])
+
+    def project(self, x: Array) -> Array:
+        return np.clip(x, self.lo, self.hi)
+
+    def residual(self, x: Array) -> float:
+        return float(np.max(np.maximum(self.lo - x, x - self.hi)))
+
+    def lmo(self) -> LMO:
+        return lmo_box(self.lo, self.hi)
+
+
+def lmo_box(lo, hi) -> LMO:
+    """The box's LMO: lo_i where w_i > 0, else hi_i.
+
+    Ties (w_i == 0, either sign of zero) resolve to hi for determinism.  In
+    the plane the closure is unrolled on floats.
+    """
+    lo = as_vec(lo)
+    hi = as_vec(hi)
+    if lo.shape[0] == 2:
+        lo0, lo1 = lo.tolist()
+        hi0, hi1 = hi.tolist()
+
+        def lmo2(w: Array) -> tuple[float, float]:
+            w0, w1 = w.tolist()
+            return (lo0 if w0 > 0.0 else hi0), (lo1 if w1 > 0.0 else hi1)
+
+        return lmo2
+
+    def lmo(w: Array) -> tuple[float, ...]:
+        return tuple(np.where(w > 0.0, lo, hi).tolist())
+
+    return lmo
+
 
 @dataclass(frozen=True)
-class Sublevel:
+class Sublevel(SetDescription):
     """{x : fn(x) <= level} for a convex fn, with a strictly feasible anchor.
 
     The Slater point anchors feasibility restoration in the projection
     oracles; construction rejects anchors that are not strictly feasible.
+    It has no closed-form projection and no LMO.
     """
 
     fn: ConvexFnOracle
     level: float
     slater: Array
 
+    feas_tol = 1e-10
+
     def __post_init__(self):
         object.__setattr__(self, "slater", as_vec(self.slater))
         if not self.fn.eval(self.slater) < self.level:
             raise ValueError("slater point must satisfy fn(slater) < level strictly")
 
+    dim = property(lambda self: self.slater.shape[0])
 
-SetDescription = Union[Halfspace, Ball, Box, Sublevel]
+    def residual(self, x: Array) -> float:
+        return self.fn.eval(x) - self.level
 
 
 @dataclass(frozen=True)
@@ -228,56 +361,24 @@ def max_fn(fns: Sequence[ConvexFnOracle]) -> ConvexFnOracle:
 def point_of(s: SetDescription, x) -> Array:
     """as_vec(x), which must have s's dimension: a point of another dimension raises ValueError."""
     x = as_vec(x)
-    d = dimension(s)
+    d = s.dim
     if x.shape[0] != d:
         raise ValueError(f"point has dimension {x.shape[0]}, set has {d}")
     return x
 
 
 def exact_project(s: SetDescription, x) -> Array:
-    """Nearest point in s for the closed-form kinds; a member comes back as a copy.
+    """Nearest point in s for a kind with a closed form; a member comes back as a copy.
 
     Raises UnsupportedKind for sublevel sets; those go through the oracle
-    module instead.  On a ball whose ||x - center||^2 overflows, the
-    membership test and the formula are applied to x - center and the
-    radius scaled by one power of two, which gives the projection rather
-    than the centre; only that input takes the branch.
+    module instead.
     """
-    x = point_of(s, x)
-    if isinstance(s, Halfspace):
-        gap = s.offset - float(s.normal.dot(x))
-        if gap <= 0.0:
-            return x.copy()
-        return x + (gap / float(s.normal.dot(s.normal))) * s.normal
-    if isinstance(s, Ball):
-        v = x - s.center
-        r = norm(v)
-        if r <= s.radius:
-            return x.copy()
-        if r == math.inf:  # v.v overflowed: test and project 2**k v, its largest |v_i| in [0.5, 1)
-            k = -math.frexp(max(map(abs, v.tolist())))[1]  # 0 when v is not finite
-            v = np.ldexp(v, k)
-            r = norm(v)
-            if r <= math.ldexp(s.radius, k):
-                return x.copy()
-        return s.center + (s.radius / r) * v
-    if isinstance(s, Box):
-        return np.clip(x, s.lo, s.hi)
-    raise UnsupportedKind(f"no closed-form projection for {type(s).__name__}")
+    return s.project(point_of(s, x))
 
 
 def residual(s: SetDescription, x) -> float:
     """Feasibility measure: <= 0 exactly when x is in the set."""
-    x = point_of(s, x)
-    if isinstance(s, Halfspace):
-        return (s.offset - float(s.normal.dot(x))) / norm(s.normal)
-    if isinstance(s, Ball):
-        return norm(x - s.center) - s.radius
-    if isinstance(s, Box):
-        return float(np.max(np.maximum(s.lo - x, x - s.hi)))
-    if isinstance(s, Sublevel):
-        return s.fn.eval(x) - s.level
-    raise UnsupportedKind(type(s).__name__)
+    return s.residual(point_of(s, x))
 
 
 def distance(s: SetDescription, x) -> float:
@@ -301,19 +402,6 @@ def distance(s: SetDescription, x) -> float:
     if not math.isfinite(d) and not np.isfinite(res.point).all():  # finite x: z is not finite
         raise ProjectionFailed(f"distance: projection {res.point.tolist()} is not finite")
     return d
-
-
-def dimension(s: SetDescription) -> int:
-    """Ambient dimension, read off the vector the set stores."""
-    if isinstance(s, Halfspace):
-        return s.normal.shape[0]
-    if isinstance(s, Ball):
-        return s.center.shape[0]
-    if isinstance(s, Box):
-        return s.lo.shape[0]
-    if isinstance(s, Sublevel):
-        return s.slater.shape[0]
-    raise UnsupportedKind(type(s).__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -22,26 +22,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .geometry import (
+    LMO,
     Array,
-    Ball,
-    Box,
     SetDescription,
     Sublevel,
-    UnsupportedKind,
     as_vec,
     exact_project,
+    lmo_ball,  # noqa: F401  re-exported: the LMOs live with their kinds
+    lmo_box,  # noqa: F401
     norm,
     point_of,
     residual,
 )
 
-FEAS_TOL_CLOSED_FORM = 1e-12
-FEAS_TOL_SUBLEVEL = 1e-10
 METHODS = ("auto", "fw")
 _EPS = float(np.finfo(float).eps)
 _TINY = 2.0**-1020  # four times the least normal double, 2**-1022
@@ -99,76 +97,12 @@ class Hyperplane:
 
 
 # ---------------------------------------------------------------------------
-# linear-minimization oracles
-
-LMO = Callable[[Array], tuple[float, ...]]
-"""Maps a direction w to an atom s minimizing <w, s> over the set, as a tuple of floats."""
-
-
-def lmo_ball(center, radius: float) -> LMO:
-    """The ball's LMO: c - (radius / ||w||) w, and the centre for w = 0.
-
-    Each coordinate is the same IEEE operation as the numpy expression, and
-    ||w|| is one float64 dot; in the plane the closure is unrolled on floats.
-    """
-    c = as_vec(center)
-    radius = float(radius)
-    if c.shape[0] == 2:
-        c0, c1 = c.tolist()
-
-        def lmo2(w: Array) -> tuple[float, float]:
-            nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
-            if nw == 0.0:
-                return c0, c1
-            k = radius / nw
-            w0, w1 = w.tolist()
-            return c0 - k * w0, c1 - k * w1
-
-        return lmo2
-
-    def lmo(w: Array) -> tuple[float, ...]:
-        nw = math.sqrt(w.dot(w))
-        if nw == 0.0:
-            return tuple(c.tolist())
-        return tuple((c - (radius / nw) * w).tolist())
-
-    return lmo
-
-
-def lmo_box(lo, hi) -> LMO:
-    """The box's LMO: lo_i where w_i > 0, else hi_i.
-
-    Ties (w_i == 0, either sign of zero) resolve to hi for determinism.  In
-    the plane the closure is unrolled on floats.
-    """
-    lo = as_vec(lo)
-    hi = as_vec(hi)
-    if lo.shape[0] == 2:
-        lo0, lo1 = lo.tolist()
-        hi0, hi1 = hi.tolist()
-
-        def lmo2(w: Array) -> tuple[float, float]:
-            w0, w1 = w.tolist()
-            return (lo0 if w0 > 0.0 else hi0), (lo1 if w1 > 0.0 else hi1)
-
-        return lmo2
-
-    def lmo(w: Array) -> tuple[float, ...]:
-        return tuple(np.where(w > 0.0, lo, hi).tolist())
-
-    return lmo
+# Frank-Wolfe projection
 
 
 def lmo_for(s: SetDescription) -> LMO:
-    if isinstance(s, Ball):
-        return lmo_ball(s.center, s.radius)
-    if isinstance(s, Box):
-        return lmo_box(s.lo, s.hi)
-    raise UnsupportedKind(f"no bounded linear-minimization oracle for {type(s).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Frank-Wolfe projection
+    """s's LMO; UnsupportedKind for a kind without a bounded one."""
+    return s.lmo()
 
 
 def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
@@ -370,8 +304,8 @@ def _restore_feasibility(
     Returns p and that residual, fn(p) - level.
 
     Each probe evaluates fn(p) - level directly: it is the value residual
-    gives, without residual's dimension and finiteness checks and its
-    dispatch on the set's kind, which cost more than the evaluation on a
+    gives, without residual's dimension and finiteness checks and its call
+    through the set's kind, which cost more than the evaluation on a
     point the walk built itself.  One check on entry keeps every probe
     finite.  w is finite, and for 0 < t < 1 the product t seg lies between 0
     and seg, so rounding (which is monotone) keeps fl(t seg) there too; each
@@ -544,7 +478,3 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
     if isinstance(s, Sublevel):
         return cutting_plane_project(s, point_of(s, x), cfg)
     return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
-
-
-def feasibility_tolerance(s: SetDescription) -> float:
-    return FEAS_TOL_SUBLEVEL if isinstance(s, Sublevel) else FEAS_TOL_CLOSED_FORM

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DISTANCE_EPS, Array, MovingSet, as_vec, dimension, norm, residual, row_norms,
+    DISTANCE_EPS, Array, MovingSet, SetDescription, UnsupportedKind, as_vec, norm, residual,
+    row_norms,
 )
-from .oracles import ProjectionFailed, ProjectorConfig, approx_project, feasibility_tolerance
+from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 from .perturbation import (
     DEFAULT_GAMMA,
     Perturbation,
@@ -134,13 +135,20 @@ class SweepingProblem:
             raise ValueError("gamma must be positive and finite")
         self.x0 = as_vec(self.x0)
         c0 = self.moving_set.at(0.0)
-        if self.x0.shape[0] != dimension(c0):
-            raise ValueError(f"x0 has dimension {self.x0.shape[0]}, C(0) has {dimension(c0)}")
+        if self.x0.shape[0] != _dim(c0, "C(0)"):
+            raise ValueError(f"x0 has dimension {self.x0.shape[0]}, C(0) has {c0.dim}")
         f0 = self.perturbation.values(0.0, self.x0)
-        if dimension(f0) != self.x0.shape[0]:
-            raise ValueError(f"F(0, x0) has dimension {dimension(f0)}, x0 has {self.x0.shape[0]}")
-        if residual(c0, self.x0) > feasibility_tolerance(c0):
+        if _dim(f0, "F(0, x0)") != self.x0.shape[0]:
+            raise ValueError(f"F(0, x0) has dimension {f0.dim}, x0 has {self.x0.shape[0]}")
+        if residual(c0, self.x0) > c0.feas_tol:
             raise ValueError("x0 must belong to C(0)")
+
+
+def _dim(s, name: str) -> int:
+    """s.dim; UnsupportedKind naming s's type when s is not a set kind."""
+    if not isinstance(s, SetDescription):
+        raise UnsupportedKind(f"{name} is not a set kind: {type(s).__name__}")
+    return s.dim
 
 
 @dataclass

@@ -1,10 +1,11 @@
 import math
 import warnings
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +16,9 @@ from catchup.geometry import (
     Halfspace,
     Sublevel,
     UnsupportedKind,
+    MovingSet,
     NoRoot,
+    SetDescription,
     ball_fn,
     affine_fn,
     as_vec,
@@ -26,7 +29,9 @@ from catchup.geometry import (
     residual,
     row_norms,
 )
-from catchup.oracles import ProjectionFailed, ProjectionResult, approx_project
+from catchup.oracles import ProjectionFailed, ProjectionResult, ProjectorConfig, approx_project
+from catchup.perturbation import Perturbation, zero_perturbation
+from catchup.solver import SweepingProblem, solve, theorem1_audit
 
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
 RIGHT_HALF = Halfspace([1.0, 0.0], 0.0)  # x1 >= 0
@@ -268,16 +273,28 @@ def _sets_and_points(draw):
     return s, x
 
 
+def _warns(f):
+    """f's result, or the RuntimeWarning it raises when warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f()
+        except RuntimeWarning as w:
+            return str(w).split(" in ")[0]  # "overflow encountered", without the function's name
+
+
 class TestMatchesNumpyReference:
     @given(_sets_and_points())
+    # the projection 1e160 is finite, but its squared norm overflows on both sides
+    @example((Halfspace([1.0], 1e160), np.array([0.0])))
     @settings(max_examples=300, deadline=None)
     def test_bit_for_bit(self, case):
         s, x = case
         want = _reference_project(s, x)
         assert np.array_equal(exact_project(s, x), want)
         assert residual(s, x) == _reference_residual(s, x)
-        assert distance(s, x) == float(np.linalg.norm(x - want))
-        assert geometry.norm(x) == float(np.linalg.norm(x))
+        assert _warns(lambda: distance(s, x)) == _warns(lambda: float(np.linalg.norm(x - want)))
+        assert _warns(lambda: geometry.norm(x)) == _warns(lambda: float(np.linalg.norm(x)))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -293,16 +310,6 @@ class TestMatchesNumpyReference:
 # magnitudes from squares that are subnormal or underflow to squares that overflow
 _WIDE = (st.floats(-1e-150, 1e-150) | st.floats(-1e-160, 1e-160) | st.floats(-10.0, 10.0)
          | st.floats(-1e150, 1e150) | st.floats(-1e160, 1e160))
-
-
-def _warns(f):
-    """f's result, or the RuntimeWarning it raises when warnings are errors."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            return f()
-        except RuntimeWarning as w:
-            return str(w).split(" in ")[0]  # "overflow encountered", without the function's name
 
 
 class TestRowNorms:
@@ -419,6 +426,74 @@ class TestDimensionMismatch:
     def test_exact_project_raises(self, s, x):
         with pytest.raises(ValueError, match=f"point has dimension {len(x)}, set has"):
             exact_project(s, x)
+
+
+@dataclass(frozen=True)
+class _Above(SetDescription):
+    """{x : x >= lo} componentwise: a kind that only this module defines."""
+
+    lo: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.lo.shape[0]
+
+    def project(self, x):
+        return np.maximum(x, self.lo)
+
+    def residual(self, x):
+        return float(np.max(self.lo - x))
+
+
+class TestSetKindContract:
+    """Each kind owns dim, residual and feas_tol, and project and lmo where it has them."""
+
+    @pytest.mark.parametrize("s, feas_tol", [
+        (RIGHT_HALF, 1e-12), (UNIT_BALL, 1e-12), (UNIT_BOX, 1e-12), (DISK_SUBLEVEL, 1e-10),
+    ])
+    def test_builtin_kinds_report_dim_residual_and_feas_tol(self, s, feas_tol):
+        x = np.array([-0.5, 2.0])
+        assert isinstance(s, SetDescription)
+        assert s.dim == 2
+        assert s.residual(x) == residual(s, x) > 0.0
+        assert s.feas_tol == feas_tol
+
+    @pytest.mark.parametrize("s, method, message", [
+        (DISK_SUBLEVEL, "project", "no closed-form projection for Sublevel"),
+        (RIGHT_HALF, "lmo", "no bounded linear-minimization oracle for Halfspace"),
+        (DISK_SUBLEVEL, "lmo", "no bounded linear-minimization oracle for Sublevel"),
+    ])
+    def test_missing_operations_raise(self, s, method, message):
+        with pytest.raises(UnsupportedKind, match=message):
+            getattr(s, method)() if method == "lmo" else s.project(np.zeros(2))
+
+    def test_new_kind_works_without_editing_the_package(self):
+        s = _Above(np.array([1.0, 0.0]))
+        res = approx_project(s, [0.0, -2.0])
+        assert res.point.tolist() == [1.0, 0.0] and res.certified_eps == 0.0 and res.converged
+        assert residual(s, [0.0, -2.0]) == 2.0
+        assert distance(s, [0.0, -2.0]) == math.sqrt(5.0)
+        assert exact_project(s, [2.0, 3.0]).tolist() == [2.0, 3.0]
+        with pytest.raises(ValueError, match="point has dimension 3, set has 2"):
+            residual(s, [0.0, 0.0, 0.0])
+        with pytest.raises(UnsupportedKind, match="no bounded linear-minimization oracle for _Above"):
+            approx_project(s, [0.0, -2.0], ProjectorConfig(method="fw"))
+
+    def test_new_kind_drives_a_sweeping_process(self):
+        # C(t) = {x >= (t, 0)} pushes x0 = 0 along x(t) = (t, 0); the nodes are exact
+        problem = SweepingProblem(MovingSet(lambda t: _Above(np.array([t, 0.0])), lipschitz=1.0),
+                                  zero_perturbation(), [0.0, 0.0], 1.0)
+        traj = solve(problem, 8)
+        assert traj.nodes.tolist() == [[k / 8, 0.0] for k in range(9)]
+        audit = theorem1_audit(traj, problem)
+        assert all(c["verdict"] == "certified" for c in audit["checks"])
+
+    def test_non_kind_is_rejected_at_construction(self):
+        with pytest.raises(UnsupportedKind, match="C\\(0\\) is not a set kind: tuple"):
+            SweepingProblem(MovingSet.fixed((0.0, 1.0)), zero_perturbation(), [0.0], 1.0)
+        field = Perturbation(lambda t, x: np.zeros(1), lambda x: 0.0, 0.0)
+        with pytest.raises(UnsupportedKind, match="F\\(0, x0\\) is not a set kind: ndarray"):
+            SweepingProblem(MovingSet.fixed(Ball([0.0], 1.0)), field, [0.0], 1.0)
 
 
 class TestConstruction:

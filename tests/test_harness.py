@@ -40,13 +40,11 @@ class TestCatalog:
 
     def test_references_stay_feasible(self):
         from catchup.geometry import residual
-        from catchup.oracles import feasibility_tolerance
         for pid in CATALOG:
             prob = make_problem(pid)
             for t in np.linspace(0.0, prob.horizon, 9):
                 s = prob.moving_set.at(float(t))
-                assert residual(s, reference_solution(pid, float(t))) \
-                    <= feasibility_tolerance(s)
+                assert residual(s, reference_solution(pid, float(t))) <= s.feas_tol
 
 
 class TestSupError:

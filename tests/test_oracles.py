@@ -33,7 +33,6 @@ from catchup.oracles import (
     lmo_ball,
     lmo_box,
     separation_oracle,
-    feasibility_tolerance,
 )
 
 UNIT_BALL = Ball([0.0, 0.0], 1.0)
@@ -95,7 +94,7 @@ class TestFrankWolfe:
         cfg = ProjectorConfig(eps=1e-8)
         res = frank_wolfe_project(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius),
                                   np.array([5.0, -4.0]), cfg)
-        assert residual(UNIT_BALL, res.point) <= feasibility_tolerance(UNIT_BALL)
+        assert residual(UNIT_BALL, res.point) <= UNIT_BALL.feas_tol
 
     def test_iteration_cap_reported(self):
         cfg = ProjectorConfig(eps=1e-16, max_iter=2)
@@ -105,17 +104,25 @@ class TestFrankWolfe:
         assert res.iterations == 2
 
 
+def _reference_ball_atom(c, radius, w):
+    """c - (radius / ||w||) w with np.linalg.norm, and c for w = 0.
+
+    Where ||w||^2 overflows, w is first scaled by the power of two that
+    takes its largest |w_i| into [0.5, 1).
+    """
+    nw = float(np.linalg.norm(w))
+    if nw == 0.0:
+        return c.copy()
+    if nw == math.inf:
+        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+        nw = float(np.linalg.norm(w))
+    return c - (radius / nw) * w
+
+
 def _reference_lmo_ball(center, radius):
     """Reference ball LMO, with np.linalg.norm."""
     c = np.asarray(center, dtype=float)
-
-    def lmo(w):
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return c.copy()
-        return c - (radius / nw) * w
-
-    return lmo
+    return lambda w: _reference_ball_atom(c, radius, w)
 
 
 def _reference_lmo_box(lo, hi):
@@ -343,13 +350,25 @@ class TestLmoAtoms:
            st.floats(1e-3, 1e100))  # radius / ||w|| stays finite
     @example([0.0, 0.0], [1.0, -2.0], 3.0)
     @example([-0.0, 0.0], [0.0, 0.0], 1.0)
+    @example([3e200, -4e200], [1.0, -2.0], 5.0)  # w.w overflows: the atom of w scaled by a power of two
     @settings(max_examples=300, deadline=None)
     def test_plane_ball_atom_is_the_numpy_formula(self, w, center, radius):
         w = np.array(w)
         c = np.array(center)
-        nw = math.sqrt(w.dot(w))
-        want = c.copy() if nw == 0.0 else c - (radius / nw) * w
-        assert np.array(lmo_ball(center, radius)(w)).tobytes() == want.tobytes()
+        with np.errstate(over="ignore"):
+            got = lmo_ball(center, radius)(w)
+            want = _reference_ball_atom(c, radius, w)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ball_atom_when_w_squared_overflows(self, d):
+        # the atom is c - radius w / ||w||, not the centre that radius / inf = 0 gave
+        w = np.zeros(d)
+        w[:2] = 3e200, -4e200
+        with np.errstate(over="ignore"):
+            atom = lmo_ball(np.zeros(d), 5.0)(w)
+        assert atom[:2] == pytest.approx((-3.0, 4.0), rel=4 * EPS)
+        assert all(a == 0.0 for a in atom[2:])
 
     @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=2),
            st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
@@ -383,7 +402,7 @@ class TestSeparationOracle:
             x = rng.uniform(-3, 3, size=2)
             h = separation_oracle(DISK, x)
             if h is None:
-                assert residual(DISK, x) <= feasibility_tolerance(DISK)
+                assert residual(DISK, x) <= DISK.feas_tol
                 continue
             # x violates its own cut; every member satisfies it
             assert float(np.dot(h.normal, x)) > h.offset
@@ -400,7 +419,7 @@ class TestCuttingPlane:
         assert res.converged
         assert res.certified_eps <= 1e-8
         assert np.linalg.norm(res.point - [0.0, 1.0]) <= 1e-4
-        assert residual(DISK, res.point) <= feasibility_tolerance(DISK)
+        assert residual(DISK, res.point) <= DISK.feas_tol
 
     def test_box_as_sublevel_of_piecewise_affine(self):
         fns = [affine_fn([1.0, 0.0], 1.0), affine_fn([-1.0, 0.0], 1.0),
@@ -951,7 +970,21 @@ class TestApproxProject:
     def test_fw_method_on_ball(self):
         res = approx_project(UNIT_BALL, np.array([2.0, 0.0]), ProjectorConfig(eps=1e-8, method="fw"))
         assert res.certified_eps <= 1e-8
-        assert residual(UNIT_BALL, res.point) <= feasibility_tolerance(UNIT_BALL)
+        assert residual(UNIT_BALL, res.point) <= UNIT_BALL.feas_tol
+
+    def test_fw_on_ball_whose_distance_squared_overflows(self):
+        # ||x - c||^2 overflows; the LMO once gave (1.29e154, -7.07e153), certified 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = approx_project(Ball([2e154, 0.0], 1e154), [0.0, 0.0], ProjectorConfig(method="fw"))
+        assert res.point.tolist() == [1e154, 0.0]
+        assert res.converged and res.certified_eps == 0.0
+
+    def test_fw_in_three_dimensions_certifies_no_wrong_point(self):
+        # the generic loop's own dots overflow, so it cannot converge, but it says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = approx_project(Ball([2e154, 0.0, 0.0], 1e154), [0.0, 0.0, 0.0],
+                                 ProjectorConfig(method="fw", max_iter=100))
+        assert not res.converged and res.certified_eps == math.inf
 
     @pytest.mark.parametrize("s, x", [
         (Ball([0.0], 1.0), [2.0, 0.0]),
