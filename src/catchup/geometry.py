@@ -1,4 +1,4 @@
-"""Finite-dimensional set kinds, each with its own residual and, where it has them, projection and LMO.
+"""Finite-dimensional set kinds, each owning its residual, projection and LMO where it has them.
 
 Sets live in R^d.  Three kinds carry closed-form projections (halfspace,
 ball, box) and two of them an LMO (ball, box); sublevel sets of convex

@@ -362,7 +362,7 @@ class TestLmoAtoms:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ball_atom_when_w_squared_overflows(self, d):
-        # the atom is c - radius w / ||w||, not the centre that radius / inf = 0 gave
+        # the atom is c - radius w / ||w||, not the centre that an unscaled radius / ||w|| = 0 gives
         w = np.zeros(d)
         w[:2] = 3e200, -4e200
         with np.errstate(over="ignore"):
@@ -973,7 +973,7 @@ class TestApproxProject:
         assert residual(UNIT_BALL, res.point) <= UNIT_BALL.feas_tol
 
     def test_fw_on_ball_whose_distance_squared_overflows(self):
-        # ||x - c||^2 overflows; the LMO once gave (1.29e154, -7.07e153), certified 0
+        # ||x - c||^2 overflows: an unscaled LMO gives (1.29e154, -7.07e153), certified 0
         with np.errstate(over="ignore", invalid="ignore"):
             res = approx_project(Ball([2e154, 0.0], 1e154), [0.0, 0.0], ProjectorConfig(method="fw"))
         assert res.point.tolist() == [1e154, 0.0]
