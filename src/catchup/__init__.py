@@ -15,6 +15,8 @@ from .geometry import (
     max_fn,
     distance,
     exact_project,
+    lmo_ball,
+    lmo_box,
     prox_eps0,
     residual,
 )
@@ -26,8 +28,6 @@ from .oracles import (
     approx_project,
     cutting_plane_project,
     frank_wolfe_project,
-    lmo_ball,
-    lmo_box,
     separation_oracle,
 )
 from .perturbation import (

@@ -57,6 +57,11 @@ def norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def scale_exponent(v: Array) -> int:
+    """The k with 2**k max |v_i| in [0.5, 1): 0 when that maximum is 0 or not finite."""
+    return -math.frexp(max(map(abs, v.tolist())))[1]
+
+
 def row_norms(rows: Array) -> Array:
     """||v|| of each row v of a C-contiguous (m, d) float array, as norm(v) gives it, in one call.
 
@@ -111,12 +116,11 @@ class Halfspace(SetDescription):
 
     def __post_init__(self):
         normal = as_vec(self.normal)
-        top = max(map(abs, normal.tolist()), default=0.0)
-        if top == 0.0:
+        if not normal.any():
             raise ValueError("halfspace normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
-        k = 1 - math.frexp(top)[1]  # 2**k * top lies in [1, 2)
+        k = 1 + scale_exponent(normal)  # 2**k max |normal_i| lies in [1, 2)
         try:
             offset = math.ldexp(self.offset, k)
         except OverflowError:
@@ -157,7 +161,7 @@ class Ball(SetDescription):
         if r <= self.radius:
             return x.copy()
         if r == math.inf:  # v.v overflowed: test and project 2**k v, its largest |v_i| in [0.5, 1)
-            k = -math.frexp(max(map(abs, v.tolist())))[1]  # 0 when v is not finite
+            k = scale_exponent(v)  # 0 when v is not finite
             v = np.ldexp(v, k)
             r = norm(v)
             if r <= math.ldexp(self.radius, k):
@@ -176,8 +180,8 @@ def lmo_ball(center, radius: float) -> LMO:
 
     Each coordinate is the same IEEE operation as the numpy expression, and
     ||w|| is one float64 dot; in the plane the closure is unrolled on floats.
-    Only where w.w overflows is w first scaled by the power of two that
-    takes its largest |w_i| into [0.5, 1), as Ball.project scales.
+    Only where w.w overflows is w first scaled by 2**scale_exponent(w), as
+    Ball.project scales.
     """
     c = as_vec(center)
     radius = float(radius)
@@ -190,7 +194,7 @@ def lmo_ball(center, radius: float) -> LMO:
             if nw == 0.0:
                 return c0, c1
             if nw == inf:
-                w = np.ldexp(w, -math.frexp(max(map(abs, w.tolist())))[1])
+                w = np.ldexp(w, scale_exponent(w))
                 nw = norm(w)
             k = radius / nw
             w0, w1 = w.tolist()
@@ -203,7 +207,7 @@ def lmo_ball(center, radius: float) -> LMO:
         if nw == 0.0:
             return tuple(c.tolist())
         if nw == inf:
-            w = np.ldexp(w, -math.frexp(max(map(abs, w.tolist())))[1])
+            w = np.ldexp(w, scale_exponent(w))
             nw = norm(w)
         return tuple((c - (radius / nw) * w).tolist())
 
@@ -234,25 +238,15 @@ class Box(SetDescription):
 
 
 def lmo_box(lo, hi) -> LMO:
-    """The box's LMO: lo_i where w_i > 0, else hi_i.
+    """The box's LMO: lo_i where w_i > 0, else hi_i, chosen on floats.
 
-    Ties (w_i == 0, either sign of zero) resolve to hi for determinism.  In
-    the plane the closure is unrolled on floats.
+    Ties (w_i == 0, either sign of zero) and NaN resolve to hi for determinism.
     """
-    lo = as_vec(lo)
-    hi = as_vec(hi)
-    if lo.shape[0] == 2:
-        lo0, lo1 = lo.tolist()
-        hi0, hi1 = hi.tolist()
-
-        def lmo2(w: Array) -> tuple[float, float]:
-            w0, w1 = w.tolist()
-            return (lo0 if w0 > 0.0 else hi0), (lo1 if w1 > 0.0 else hi1)
-
-        return lmo2
+    lo = as_vec(lo).tolist()
+    hi = as_vec(hi).tolist()
 
     def lmo(w: Array) -> tuple[float, ...]:
-        return tuple(np.where(w > 0.0, lo, hi).tolist())
+        return tuple([l if wi > 0.0 else h for wi, l, h in zip(w.tolist(), lo, hi)])
 
     return lmo
 

@@ -223,7 +223,7 @@ def rate_study(
         errors.append(sup_error(traj, entry.solution))
         mus.append(traj.grid.mu)
         eps.append(traj.eps_n)
-        node_scale = max(node_scale, float(np.linalg.norm(traj.nodes, axis=1).max()))
+        node_scale = max(node_scale, float(row_norms(traj.nodes).max()))
 
     log_mu = np.log(np.array(mus))
     safe_err = np.maximum(np.array(errors), 1e-300)

@@ -33,11 +33,10 @@ from .geometry import (
     Sublevel,
     as_vec,
     exact_project,
-    lmo_ball,  # noqa: F401  re-exported: the LMOs live with their kinds
-    lmo_box,  # noqa: F401
     norm,
     point_of,
     residual,
+    scale_exponent,
 )
 
 METHODS = ("auto", "fw")
@@ -332,7 +331,7 @@ def _restore_feasibility(
     if 0.0 < n_seg < math.inf and n_w < math.inf:
         stop = 4.0 * _EPS * n_w / n_seg
     else:  # w.w or seg.seg overflowed, or seg.seg underflowed: scale both by 2**k
-        k = -math.frexp(max(map(abs, seg.tolist())))[1]
+        k = scale_exponent(seg)
         with np.errstate(over="ignore"):  # 2**k w overflows only when all of seg is below w's ulp
             stop = 4.0 * _EPS * norm(np.ldexp(w, k)) / norm(np.ldexp(seg, k))
     lo, f_lo, slope = 0.0, viol, float(grad.dot(seg))

@@ -68,29 +68,18 @@ class Selection:
         return v
 
 
-def _selection_projector(gamma: float) -> ProjectorConfig:
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    return ProjectorConfig(eps=gamma)
-
-
 def min_norm_selection(
     p: Perturbation,
     t: float,
     x,
-    gamma: float = DEFAULT_GAMMA,
     *,
-    projector: ProjectorConfig | None = None,
+    projector: ProjectorConfig = ProjectorConfig(eps=DEFAULT_GAMMA),
 ) -> Array:
-    """A feasible element of F(t, x) with squared norm within gamma of minimal.
+    """A feasible element of F(t, x) with squared norm within gamma = projector.eps of minimal.
 
-    projector, when given, is the ProjectorConfig(eps=gamma) that a
-    Selection builds once, and gamma is not read; otherwise it is built from
-    gamma here.  Raises ProjectionFailed when the projection of the origin
-    onto F(t, x) cannot reach the gamma certificate.
+    Raises ProjectionFailed when the projection of the origin onto F(t, x)
+    cannot reach the gamma certificate.
     """
-    if projector is None:
-        projector = _selection_projector(gamma)
     x = as_vec(x)
     res = approx_project(p.values(t, x), np.zeros(x.shape[0]), projector)
     if not res.converged:
@@ -108,7 +97,9 @@ def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
     the function is looked up at call time, so a wrapper installed on this
     module sees every call.
     """
-    projector = _selection_projector(gamma)
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+    projector = ProjectorConfig(eps=gamma)
     if p.field is not None:
         return Selection(f=p.field, time_independent=p.time_independent)
     return Selection(

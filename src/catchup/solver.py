@@ -456,7 +456,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
            lower=lower_ends(dist, certs) - bounds, cells=True)
 
     # (a)(ii): node drift from x0; cells are node indices
-    record("a_ii_node_drift", np.linalg.norm(traj.nodes - traj.nodes[0], axis=1),
+    record("a_ii_node_drift", row_norms(traj.nodes - traj.nodes[0]),
            const["K1"], cells=True)
 
     ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
@@ -465,10 +465,10 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     interp = interpolate(traj, ts)
 
     # (a)(iii): uniform norm bound of the interpolant
-    record("a_iii_sup_norm", np.linalg.norm(interp, axis=1), const["K2"])
+    record("a_iii_sup_norm", row_norms(interp), const["K2"])
 
     # (a)(iv): consecutive node increments
-    inc = np.linalg.norm(np.diff(traj.nodes[: traj.steps_taken + 1], axis=0), axis=1)
+    inc = row_norms(np.diff(traj.nodes[: traj.steps_taken + 1], axis=0))
     record("a_iv_node_increment", inc, const["K3"] * mu + sq_eps, cells=True)
 
     # (a)(v): deviation from the right node inside cells

@@ -18,6 +18,8 @@ from catchup.geometry import (
     affine_fn,
     ball_fn,
     exact_project,
+    lmo_ball,
+    lmo_box,
     max_fn,
     residual,
 )
@@ -30,8 +32,6 @@ from catchup.oracles import (
     approx_project,
     cutting_plane_project,
     frank_wolfe_project,
-    lmo_ball,
-    lmo_box,
     separation_oracle,
 )
 

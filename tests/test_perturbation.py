@@ -46,12 +46,8 @@ class TestMinNormSelection:
         # min norm over Ball((3,0),1) is 2; selection norm^2 < 4 + gamma
         gamma = 1e-6
         p = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
-        v = min_norm_selection(p, 0.0, [0.0, 0.0], gamma)
+        v = min_norm_selection(p, 0.0, [0.0, 0.0], projector=ProjectorConfig(eps=gamma))
         assert float(np.dot(v, v)) <= 4.0 + gamma
-
-    def test_rejects_nonpositive_gamma(self):
-        with pytest.raises(ValueError):
-            min_norm_selection(zero_perturbation(), 0.0, [1.0], gamma=0.0)
 
     def test_unconverged_projection_raises(self, monkeypatch):
         def unconverged(s, x, cfg=None):
