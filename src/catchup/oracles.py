@@ -137,13 +137,14 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     or without a fused multiply-add, so gap / 2 is that dot's value bit for
     bit.  Otherwise the numerator is the dot itself.
 
-    Both loops clamp the step tau = <v, z - s> / |z - s|^2 to [0, 1] as
-    min(1.0, max(0.0, tau)) does, for every float: above 1.0 it is 1.0, and
-    where it is not above 0.0 (negative, -0.0, -inf or NaN) it is +0.0.  Two
-    comparisons do this for a tenth of the cost of the two builtin calls, which
-    were the largest piece of the plane's interpreter work per iteration.
-    The lower test reads "not tau > 0.0" rather than "tau < 0.0": every
-    comparison with NaN is False, so the latter would let a NaN step through.
+    Both loops cap the step tau = <v, z - s> / |z - s|^2 at 1.0 and stop,
+    unconverged, at a step that is not above 0.0 (negative, -0.0, -inf or
+    NaN, as when the dots overflow): z would not move, so no later
+    iteration could do better.  Two comparisons do this for a tenth of
+    the cost of builtin min and max, which were the largest piece of the
+    plane's interpreter work per iteration.  The lower test reads
+    "not tau > 0.0" rather than "tau < 0.0": every comparison with NaN is
+    False, so the latter would let a NaN step through.
     """
     # deterministic starting atom, independent of x
     start = lmo(np.ones_like(x))
@@ -181,7 +182,7 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
             if tau > 1.0:
                 tau = 1.0
             elif not tau > 0.0:  # not tau < 0.0, which lets NaN through
-                tau = 0.0
+                return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=False)
             z0 = z0 - tau * zs0
             z1 = z1 - tau * zs1
         return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), cfg.max_iter, converged=False)
@@ -201,7 +202,7 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
         if tau > 1.0:
             tau = 1.0
         elif not tau > 0.0:  # not tau < 0.0, which lets NaN through
-            tau = 0.0
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
         z = z - tau * zs
     return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
 

@@ -152,8 +152,10 @@ def _reference_frank_wolfe(lmo, x, cfg):
         denom = float(np.dot(dz, dz))
         if denom == 0.0:
             return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        tau = min(1.0, max(0.0, float(np.dot(x - z, dz)) / denom))
-        z = z + tau * dz
+        tau = float(np.dot(x - z, dz)) / denom
+        if not tau > 0.0:  # z cannot move: stop
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
+        z = z + min(1.0, tau) * dz
     return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
 
 
@@ -246,7 +248,7 @@ class TestFrankWolfeMatchesReference:
 
 
 def _generic_frank_wolfe(lmo, x, cfg):
-    """The d-dimensional loop's own form on numpy arrays: z - tau (z - s), tau = min(1, max(0, r))."""
+    """The d-dimensional loop's own form on numpy arrays: z - min(1, r) (z - s), stopping where r is not > 0."""
     lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
     z = lmo(np.ones_like(x))
     gap = np.inf
@@ -260,8 +262,10 @@ def _generic_frank_wolfe(lmo, x, cfg):
         denom = float(zs.dot(zs))
         if denom == 0.0:
             return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        tau = min(1.0, max(0.0, float(v.dot(zs)) / denom))
-        z = z - tau * zs
+        tau = float(v.dot(zs)) / denom
+        if not tau > 0.0:
+            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
+        z = z - min(1.0, tau) * zs
     return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
 
 
@@ -288,9 +292,7 @@ def fw_cases_at_any_scale(draw):
 class TestFrankWolfeMatchesReferenceBytes:
     """Both loops match the generic loop's form byte for byte: signed zeros and NaN included.
 
-    np.array_equal calls -0.0 equal to 0.0, and a NaN ratio that slipped
-    through the clamp would still give equal iteration counts, so this class
-    compares bytes.
+    np.array_equal calls -0.0 equal to 0.0, so this class compares bytes.
     """
 
     @staticmethod
@@ -307,7 +309,7 @@ class TestFrankWolfeMatchesReferenceBytes:
     # a coordinate pinned at -0.0: z + tau (s - z) would turn it into +0.0
     @example(((lmo_box([-0.0, 1.0], [-0.0, 2.0]), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
               np.array([-0.0, 5.0]), ProjectorConfig(eps=1e-12)))
-    # <v, z - s> and |z - s|^2 both overflow at iteration 0: a NaN ratio clamps to 0.0
+    # <v, z - s> and |z - s|^2 both overflow at iteration 0: a NaN ratio stops the loop
     @example(((lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154),
                _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154)),
               np.array([7.79517393694598e154, 1.2885715865266572e155]), ProjectorConfig()))
@@ -985,6 +987,16 @@ class TestApproxProject:
             res = approx_project(Ball([2e154, 0.0, 0.0], 1e154), [0.0, 0.0, 0.0],
                                  ProjectorConfig(method="fw", max_iter=100))
         assert not res.converged and res.certified_eps == math.inf
+
+    def test_fw_stops_at_a_step_that_cannot_move(self):
+        # the overflowed dots make the first step NaN: z stays the start atom, so
+        # the loop stops there instead of repeating it for all of max_iter
+        c, r = [2e154, 0.0, 0.0], 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = approx_project(Ball(c, r), [0.0, 0.0, 0.0], ProjectorConfig(method="fw"))
+        assert res.iterations <= 2 and not res.converged
+        assert res.point.tobytes() == np.array(lmo_ball(c, r)(np.ones(3))).tobytes()
+        assert res.certified_eps == math.inf
 
     @pytest.mark.parametrize("s, x", [
         (Ball([0.0], 1.0), [2.0, 0.0]),
