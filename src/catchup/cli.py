@@ -10,8 +10,10 @@ Configs are flat key = value files with dotted section prefixes, e.g.
 
 Each command reads these keys, and any other key is a config error:
 
-    project       set.kind, set.center, set.radius, set.lo, set.hi,
-                  set.normal, set.offset, point, eps, max_iter, method
+    project       set.kind and the keys of that kind: set.center and
+                  set.radius (ball, sublevel_ball), set.lo and set.hi
+                  (box), set.normal and set.offset (halfspace); point,
+                  eps, max_iter, method
     solve, audit  problem, n, gamma, schedule.c, schedule.p,
                   oracle.method, oracle.max_iter
     rate          problem, ladder, schedule.c, schedule.p, oracle.method
@@ -62,17 +64,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BUDGET = 2
 EXIT_SOLVE = 3
-
-_SOLVE_KEYS = frozenset({"problem", "n", "gamma", "schedule.c", "schedule.p",
-                         "oracle.method", "oracle.max_iter"})
-_KEYS = {
-    "project": frozenset({"set.kind", "set.center", "set.radius", "set.lo", "set.hi",
-                          "set.normal", "set.offset", "point", "eps", "max_iter", "method"}),
-    "solve": _SOLVE_KEYS,
-    "audit": _SOLVE_KEYS,
-    "rate": frozenset({"problem", "ladder", "schedule.c", "schedule.p", "oracle.method"}),
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -128,19 +119,39 @@ def _build(call, *args, **options):
         raise ConfigError(str(exc))
 
 
+def _sublevel_ball(center, radius: float) -> Sublevel:
+    return Sublevel(ball_fn(center, radius), level=0.0, slater=center)
+
+
+# each set.kind's constructor and the keys it reads, in argument order, with their readers
+_SET_KINDS = {
+    "ball": (Ball, {"set.center": _vec, "set.radius": _num}),
+    "box": (Box, {"set.lo": _vec, "set.hi": _vec}),
+    "halfspace": (Halfspace, {"set.normal": _vec, "set.offset": _num}),
+    "sublevel_ball": (_sublevel_ball, {"set.center": _vec, "set.radius": _num}),
+}
+
+_SOLVE_KEYS = frozenset({"problem", "n", "gamma", "schedule.c", "schedule.p",
+                         "oracle.method", "oracle.max_iter"})
+_KEYS = {
+    "project": frozenset({"set.kind", "point", "eps", "max_iter", "method"}).union(
+        *(reads for _, reads in _SET_KINDS.values())),
+    "solve": _SOLVE_KEYS,
+    "audit": _SOLVE_KEYS,
+    "rate": frozenset({"problem", "ladder", "schedule.c", "schedule.p", "oracle.method"}),
+}
+
+
 def build_set(cfg: dict):
+    """The set of cfg's set.kind; a set key that the kind does not read is a config error."""
     kind = cfg.get("set.kind")
-    if kind == "ball":
-        return _build(Ball, _vec(cfg, "set.center"), _num(cfg, "set.radius"))
-    if kind == "box":
-        return _build(Box, _vec(cfg, "set.lo"), _vec(cfg, "set.hi"))
-    if kind == "halfspace":
-        return _build(Halfspace, _vec(cfg, "set.normal"), _num(cfg, "set.offset"))
-    if kind == "sublevel_ball":
-        center = _vec(cfg, "set.center")
-        fn = _build(ball_fn, center, _num(cfg, "set.radius"))
-        return _build(Sublevel, fn=fn, level=0.0, slater=center)
-    raise ConfigError(f"unknown set.kind {kind!r}")
+    if kind not in _SET_KINDS:
+        raise ConfigError(f"unknown set.kind {kind!r}")
+    make, reads = _SET_KINDS[kind]
+    stray = sorted(k for k in cfg if k.startswith("set.") and k != "set.kind" and k not in reads)
+    if stray:
+        raise ConfigError(f"set.kind {kind!r} reads no key {', '.join(map(repr, stray))}")
+    return _build(make, *[read(cfg, key) for key, read in reads.items()])
 
 
 def _schedule(cfg: dict) -> EpsSchedule:

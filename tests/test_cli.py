@@ -298,6 +298,20 @@ class TestConfigErrors:
         for name in names:
             assert name in err
 
+    @pytest.mark.parametrize("kind, keys, stray", [
+        ("ball", "set.center = 0,0\nset.radius = 1", ("set.lo = 5", "set.normal = 7,7")),
+        ("box", "set.lo = 0,0\nset.hi = 1,1", ("set.radius = 1",)),
+        ("halfspace", "set.normal = 1,0\nset.offset = 0", ("set.center = 0,0",)),
+        ("sublevel_ball", "set.center = 0,0\nset.radius = 1", ("set.hi = 1,1", "set.offset = 0")),
+    ], ids=["ball", "box", "halfspace", "sublevel_ball"])
+    def test_project_rejects_set_keys_its_kind_does_not_read(self, tmp_path, capsys, kind, keys,
+                                                             stray):
+        cfg = write(tmp_path / "p.cfg", f"set.kind = {kind}\n{keys}\n" + "\n".join(stray)
+                    + "\npoint = 2,0\n")
+        err = assert_config_error(["project", "--config", cfg], capsys)
+        for line in stray:
+            assert repr(line.partition(" = ")[0]) in err
+
     @pytest.mark.parametrize("point", ["2,0,1", "2", "2,inf"])
     def test_project_rejects_point_of_other_dimension_or_non_finite(self, tmp_path, capsys, point):
         cfg = write(tmp_path / "p.cfg", "set.kind = sublevel_ball\nset.center = 0,0\n"
