@@ -1,5 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+
+# hypothesis imports this module (and libcst through it) to report a failing
+# example; libcst's mypy_extensions use raises a DeprecationWarning there, which
+# under -W error would replace the falsifying example with an INTERNALERROR
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet
