@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catchup import oracles
-from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn
+from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn, norm
 from catchup.harness import make_problem, reference_solution
 from catchup.perturbation import Selection, zero_perturbation
 from catchup.solver import (
@@ -437,6 +437,22 @@ class TestAudit:
         a_i = report["checks"][0]
         assert a_i["verdict"] == "refuted" and not a_i["passed"] and a_i["cells"]
         assert not report["passed"]
+
+    def test_norm_checks_have_norms_bits(self):
+        # off the axes, np.linalg.norm(rows, axis=1) sums the squares in another
+        # order, and its largest a_ii and a_iii values differ from norm's in the last bit
+        u = np.array([math.cos(math.radians(91.5)), math.sin(math.radians(91.5))])
+        prob = SweepingProblem(MovingSet(lambda t: Ball(t * u, 1.0), lipschitz=1.0),
+                               zero_perturbation(), -u, 1.0)
+        traj = solve(prob, 64)
+        rows = {
+            "a_ii_node_drift": traj.nodes - traj.nodes[0],
+            "a_iii_sup_norm": interpolate(traj, np.linspace(0.0, 1.0, AUDIT_TIME_SAMPLES)),
+            "a_iv_node_increment": np.diff(traj.nodes, axis=0),
+        }
+        checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, prob)["checks"]}
+        for name, values in rows.items():
+            assert checks[name] == max(map(norm, values)), name
 
     def test_non_finite_set_distance_raises(self, jumping_ball):
         # a run that stays in C(0), audited against the sets C(t > 0) it never met
