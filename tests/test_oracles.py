@@ -248,7 +248,7 @@ class TestFrankWolfeMatchesReference:
 
 
 def _generic_frank_wolfe(lmo, x, cfg):
-    """The d-dimensional loop's own form on numpy arrays: z - min(1, r) (z - s), stopping where r is not > 0."""
+    """The d-dimensional loop's form on numpy arrays: z - min(1, r) (z - s), stopping where r is not > 0."""
     lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
     z = lmo(np.ones_like(x))
     gap = np.inf
