@@ -134,23 +134,23 @@ _SET_KINDS = {
 _SOLVE_KEYS = frozenset({"problem", "n", "gamma", "schedule.c", "schedule.p",
                          "oracle.method", "oracle.max_iter"})
 _KEYS = {
-    "project": frozenset({"set.kind", "point", "eps", "max_iter", "method"}).union(
-        *(reads for _, reads in _SET_KINDS.values())),
+    "project": frozenset({"set.kind", "point", "eps", "max_iter", "method"}),  # + its kind's
     "solve": _SOLVE_KEYS,
     "audit": _SOLVE_KEYS,
     "rate": frozenset({"problem", "ladder", "schedule.c", "schedule.p", "oracle.method"}),
 }
 
 
-def build_set(cfg: dict):
-    """The set of cfg's set.kind; a set key that the kind does not read is a config error."""
+def _set_kind(cfg: dict):
+    """cfg's set.kind entry of _SET_KINDS: its constructor and the keys it reads."""
     kind = cfg.get("set.kind")
     if kind not in _SET_KINDS:
         raise ConfigError(f"unknown set.kind {kind!r}")
-    make, reads = _SET_KINDS[kind]
-    stray = sorted(k for k in cfg if k.startswith("set.") and k != "set.kind" and k not in reads)
-    if stray:
-        raise ConfigError(f"set.kind {kind!r} reads no key {', '.join(map(repr, stray))}")
+    return _SET_KINDS[kind]
+
+
+def build_set(cfg: dict):
+    make, reads = _set_kind(cfg)
     return _build(make, *[read(cfg, key) for key, read in reads.items()])
 
 
@@ -164,7 +164,10 @@ def _load(args) -> dict[str, str]:
         cfg = parse_config(Path(args.config).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    unknown = sorted(cfg.keys() - _KEYS[args.command])
+    keys = _KEYS[args.command]
+    if args.command == "project":
+        keys = keys | _set_kind(cfg)[1].keys()
+    unknown = sorted(cfg.keys() - keys)
     if unknown:
         raise ConfigError(f"{args.command} reads no key {', '.join(map(repr, unknown))}")
     return cfg

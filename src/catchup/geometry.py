@@ -246,7 +246,7 @@ def lmo_box(lo, hi) -> LMO:
     hi = as_vec(hi).tolist()
 
     def lmo(w: Array) -> tuple[float, ...]:
-        return tuple([l if wi > 0.0 else h for wi, l, h in zip(w.tolist(), lo, hi)])
+        return tuple([l if wi > 0.0 else h for wi, l, h in zip(w.tolist(), lo, hi, strict=True)])
 
     return lmo
 

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 # hypothesis imports this module (and libcst through it) to report a failing
 # example; libcst's mypy_extensions use raises a DeprecationWarning there, which
-# under -W error would replace the falsifying example with an INTERNALERROR
-with warnings.catch_warnings():
+# under -W error would replace the falsifying example with an INTERNALERROR.
+# libcst is an optional extra of hypothesis; without it there is nothing to import.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 

@@ -58,6 +58,11 @@ class TestLinearMinimizationOracles:
         s = lmo_box([0.0, 0.0], [2.0, 3.0])(np.array([0.0, -0.0]))
         assert list(s) == [2.0, 3.0]
 
+    @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, -1.0, 0.0, 2.0]], ids=["shorter", "longer"])
+    def test_box_rejects_direction_of_other_dimension(self, w):
+        with pytest.raises(ValueError):
+            lmo_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])(np.array(w))
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_lmo_optimality_on_ball(self, d):
