@@ -7,6 +7,7 @@ from .geometry import (
     ConvexFnOracle,
     Halfspace,
     MovingSet,
+    ProjectionResult,
     SetDescription,
     Sublevel,
     UnsupportedKind,
@@ -22,7 +23,6 @@ from .geometry import (
 )
 from .oracles import (
     Hyperplane,
-    ProjectionResult,
     ProjectorConfig,
     ZeroSubgradient,
     approx_project,

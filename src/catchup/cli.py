@@ -24,9 +24,10 @@ audit take --permissive.
 Exit codes: 0 success, 1 config or usage error (including an unknown key,
 a method the set cannot use, a value its constructor rejects, such as one
 that is not finite, an eps_n that underflows to 0, and a point that is not
-finite or of another dimension than the set), 2 projection budget exhausted
-or a non-finite projection (project, which then prints nothing to stdout),
-3 solve aborted on a failed projection step, a non-finite one among them.
+finite or of another dimension than the set), 2 projection budget exhausted,
+a non-finite projection or a failed one (project, which then prints nothing
+to stdout), 3 solve aborted on a failed projection step, a non-finite one
+among them.
 """
 
 from __future__ import annotations
@@ -183,8 +184,12 @@ def cmd_project(args) -> int:
         max_iter=_num(cfg, "max_iter", 10_000, cast=int),
         method=cfg.get("method", "auto"),
     )
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
-        res = _build(approx_project, s, x, pc)  # a point of another dimension is a config error
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is reported below
+            res = _build(approx_project, s, x, pc)  # a point of another dimension is a config error
+    except ProjectionFailed as exc:
+        print(f"projection failed: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     if not all(map(math.isfinite, [*res.point.tolist(), res.certified_eps])):
         print(f"projection failed: non-finite result {res.point.tolist()}, "
               f"certificate {res.certified_eps}", file=sys.stderr)

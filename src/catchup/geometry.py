@@ -3,6 +3,8 @@
 Sets live in R^d.  Three kinds carry closed-form projections (halfspace,
 ball, box) and two of them an LMO (ball, box); sublevel sets of convex
 functions are handled through the certified oracles in :mod:`catchup.oracles`.
+Each kind returns its own certified projection, so each picks the route
+that approx_project takes under "auto".
 """
 
 from __future__ import annotations
@@ -85,15 +87,29 @@ LMO = Callable[[Array], tuple[float, ...]]
 """Maps a direction w to an atom s minimizing <w, s> over the set, as a tuple of floats."""
 
 
+@dataclass
+class ProjectionResult:
+    point: Array
+    certified_eps: float
+    iterations: int
+    converged: bool = True
+
+
 class SetDescription:
     """A set kind: a subclass with dim and residual(x), <= 0 exactly on the set.
 
     It overrides project(x), which returns a member as a copy, when it has a
-    closed form, and lmo() when it has a bounded LMO.  Points are checked by
-    point_of first.  feas_tol is the residual an initial point may have.
+    closed form, lmo() when it has a bounded LMO, and certified_project(x,
+    cfg) when its certified projection is not the closed form's.  Points are
+    checked by point_of first.  feas_tol is the residual an initial point may
+    have.
     """
 
     feas_tol = 1e-12
+
+    def certified_project(self, x, cfg) -> ProjectionResult:
+        """The closed form at certificate 0: exact_project checks x and copies a member."""
+        return ProjectionResult(exact_project(self, x), 0.0, 0, converged=True)
 
     def project(self, x: Array) -> Array:
         raise UnsupportedKind(f"no closed-form projection for {type(self).__name__}")
@@ -256,8 +272,9 @@ class Sublevel(SetDescription):
     """{x : fn(x) <= level} for a convex fn, with a strictly feasible anchor.
 
     The Slater point anchors feasibility restoration in the projection
-    oracles; construction rejects anchors that are not strictly feasible.
-    It has no closed-form projection and no LMO.
+    oracles; construction rejects a level that is not finite and anchors
+    that are not strictly feasible.  It has no closed-form projection and no
+    LMO: its certified projection is the cutting planes'.
     """
 
     fn: ConvexFnOracle
@@ -268,10 +285,16 @@ class Sublevel(SetDescription):
 
     def __post_init__(self):
         object.__setattr__(self, "slater", as_vec(self.slater))
+        if not math.isfinite(self.level):
+            raise ValueError(f"sublevel level must be finite, got {self.level}")
         if not self.fn.eval(self.slater) < self.level:
             raise ValueError("slater point must satisfy fn(slater) < level strictly")
 
     dim = property(lambda self: self.slater.shape[0])
+
+    def certified_project(self, x, cfg) -> ProjectionResult:
+        """Cutting planes, called through the oracles module so that a wrapper there sees it."""
+        return oracles.cutting_plane_project(self, point_of(self, x), cfg)
 
     def residual(self, x: Array) -> float:
         return self.fn.eval(x) - self.level
@@ -279,10 +302,14 @@ class Sublevel(SetDescription):
 
 @dataclass(frozen=True)
 class MovingSet:
-    """t -> C(t) together with its Hausdorff Lipschitz constant."""
+    """t -> C(t) together with its Hausdorff Lipschitz constant, finite and >= 0."""
 
     at: Callable[[float], SetDescription]
     lipschitz: float = 0.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.lipschitz < math.inf:
+            raise ValueError(f"lipschitz must be finite and >= 0, got {self.lipschitz}")
 
     @staticmethod
     def fixed(s: SetDescription) -> "MovingSet":
@@ -364,8 +391,8 @@ def point_of(s: SetDescription, x) -> Array:
 def exact_project(s: SetDescription, x) -> Array:
     """Nearest point in s for a kind with a closed form; a member comes back as a copy.
 
-    Raises UnsupportedKind for sublevel sets; those go through the oracle
-    module instead.
+    Raises UnsupportedKind for sublevel sets, whose certified_project runs
+    the cutting planes instead.
     """
     return s.project(point_of(s, x))
 
@@ -385,16 +412,14 @@ def distance(s: SetDescription, x) -> float:
     DISTANCE_EPS or z is not finite; a finite z whose squared distance
     overflows gives inf, as np.linalg.norm does.
     """
-    from .oracles import ProjectionFailed, ProjectorConfig, approx_project
-
-    res = approx_project(s, x, ProjectorConfig(eps=DISTANCE_EPS))
+    res = oracles.approx_project(s, x, oracles.ProjectorConfig(eps=DISTANCE_EPS))
     if not res.converged:
-        raise ProjectionFailed(
+        raise oracles.ProjectionFailed(
             f"distance: certificate {res.certified_eps:.3e} exceeds eps {DISTANCE_EPS:.3e}"
         )
     d = norm(x - res.point)
     if not math.isfinite(d) and not np.isfinite(res.point).all():  # finite x: z is not finite
-        raise ProjectionFailed(f"distance: projection {res.point.tolist()} is not finite")
+        raise oracles.ProjectionFailed(f"distance: projection {res.point.tolist()} is not finite")
     return d
 
 
@@ -418,3 +443,8 @@ def prox_eps0(gamma: float, rho: float) -> float:
     b = 4.0 * (1.0 + gamma + 1.0 / rho)
     s = 2.0 * slack / (b + math.sqrt(b * b + 64.0 * slack / rho))
     return s * s
+
+
+# oracles imports this module's names at its top, so it is bound here, once
+# they are all defined: Sublevel's route and distance reach it at call time
+from . import oracles  # noqa: E402

@@ -5,8 +5,10 @@ certificate eps_hat such that ||x - z||^2 <= d_C(x)^2 + eps_hat.  Three
 strategies: wrapping the closed-form projection (certificate 0), Frank-Wolfe
 over a linear-minimization oracle (certificate = final duality gap), and a
 cutting-plane scheme driven by the separation oracle of a sublevel set
-(certificate = best feasible value minus a lower bound on d_C(x)^2).  The
-cutting-plane lower bound is the larger of two.  One is the distance to the
+(certificate = best feasible value minus a lower bound on d_C(x)^2).  Under
+"auto" the set's kind picks the route: approx_project returns its
+certified_project, the closed form on the base class and the cutting planes
+on a sublevel set.  The cutting-plane lower bound is the larger of two.  One is the distance to the
 outer polyhedron, Lawson & Hanson's least-distance program solved by their
 finite NNLS active-set method, so it is exact up to rounding.  The other is
 the distance to the supporting halfspace at a restored boundary point, as in
@@ -29,10 +31,10 @@ import numpy as np
 from .geometry import (
     LMO,
     Array,
+    ProjectionResult,
     SetDescription,
     Sublevel,
     as_vec,
-    exact_project,
     norm,
     point_of,
     residual,
@@ -73,14 +75,6 @@ class ProjectorConfig:
             raise ValueError("max_iter must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"unknown projection method {self.method!r}, expected one of {METHODS}")
-
-
-@dataclass
-class ProjectionResult:
-    point: Array
-    certified_eps: float
-    iterations: int
-    converged: bool = True
 
 
 @dataclass
@@ -234,8 +228,8 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     y = x - r[:d] / r[d] for the residual r = E u - f of the NNLS min ||E u - f||,
     u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
     program (1974, ch. 23).  The NNLS stops only when no cut outside its passive
-    set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0 or an
-    NNLS cycle.
+    set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0, an
+    NNLS cycle or a LinAlgError.
     """
     a = np.array(cuts_a)
     b = np.array(cuts_b, dtype=float)
@@ -246,39 +240,42 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     u = np.zeros(m)
     passive = np.zeros(m, dtype=bool)
     dropped = np.zeros(m, dtype=bool)  # entered, then left at once: w_t = 0 up to rounding
-    for _ in range(3 * m + 1):
-        dual = np.where(passive | dropped, -np.inf, e.T @ (f - e @ u))
-        t = int(np.argmax(dual))
-        if dual[t] <= (m + d + 1) * _EPS * (1.0 + u.sum()):  # dual's rounding
-            ep = e[:, passive]
-            # the complement of the passive columns at their numerical rank, by
-            # matrix_rank's tolerance: nearly parallel cuts can make them dependent
-            basis, sigma = np.linalg.svd(ep)[:2]
-            q = basis[:, int((sigma > sigma.max(initial=0.0) * max(ep.shape) * _EPS).sum()):]
-            if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
-                raise ProjectionFailed("cutting planes have an empty intersection")
-            y = x - (q[:d] @ q[d]) / (q[d] @ q[d])
-            # dual_t is cut t's violation at y times r_d / ||E_t||, so the dual's
-            # rounding can hide a violation that y itself shows
-            viol = np.where(passive | dropped, -np.inf, a @ y - b)
-            t = int(np.argmax(viol))
-            # the least-distance program resolves y to rounding of 1 + ||x|| + ||x - y||
-            reach = 1.0 + norm(x) + norm(x - y)
-            if viol[t] <= (m + d + 1) * _EPS * (norm(a[t]) * reach + abs(b[t])):
-                return y
-        passive[t] = True
-        while True:  # each pass drops at least one index from passive
-            s = np.zeros(m)
-            s[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
-            block = passive & (s <= 0.0)
-            if not block.any():
-                break
-            ratio = u[block] / (u[block] - s[block])
-            u = u + ratio.min() * (s - u)
-            u[np.flatnonzero(block)[np.argmin(ratio)]] = 0.0
-            passive &= u > 0.0
-        dropped = (dropped | (np.arange(m) == t)) & np.array_equal(s, u)
-        u = s
+    try:
+        for _ in range(3 * m + 1):
+            dual = np.where(passive | dropped, -np.inf, e.T @ (f - e @ u))
+            t = int(np.argmax(dual))
+            if dual[t] <= (m + d + 1) * _EPS * (1.0 + u.sum()):  # dual's rounding
+                ep = e[:, passive]
+                # the complement of the passive columns at their numerical rank, by
+                # matrix_rank's tolerance: nearly parallel cuts can make them dependent
+                basis, sigma = np.linalg.svd(ep)[:2]
+                q = basis[:, int((sigma > sigma.max(initial=0.0) * max(ep.shape) * _EPS).sum()):]
+                if not q[d].any():  # r = -q q^T f, free of the cancellation in E u - f
+                    raise ProjectionFailed("cutting planes have an empty intersection")
+                y = x - (q[:d] @ q[d]) / (q[d] @ q[d])
+                # dual_t is cut t's violation at y times r_d / ||E_t||, so the dual's
+                # rounding can hide a violation that y itself shows
+                viol = np.where(passive | dropped, -np.inf, a @ y - b)
+                t = int(np.argmax(viol))
+                # the least-distance program resolves y to rounding of 1 + ||x|| + ||x - y||
+                reach = 1.0 + norm(x) + norm(x - y)
+                if viol[t] <= (m + d + 1) * _EPS * (norm(a[t]) * reach + abs(b[t])):
+                    return y
+            passive[t] = True
+            while True:  # each pass drops at least one index from passive
+                s = np.zeros(m)
+                s[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+                block = passive & (s <= 0.0)
+                if not block.any():
+                    break
+                ratio = u[block] / (u[block] - s[block])
+                u = u + ratio.min() * (s - u)
+                u[np.flatnonzero(block)[np.argmin(ratio)]] = 0.0
+                passive &= u > 0.0
+            dropped = (dropped | (np.arange(m) == t)) & np.array_equal(s, u)
+            u = s
+    except np.linalg.LinAlgError as exc:  # a non-finite entry, as when a @ x overflows
+        raise ProjectionFailed(f"least-distance NNLS on {m} cuts: {exc}") from exc
     raise ProjectionFailed(f"least-distance NNLS did not terminate on {m} cuts")
 
 
@@ -403,7 +400,8 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
     bound is formed as (h / ||n||)^2 instead, which leaves every finite
     bound's bits as they were.  When the lower bound itself reads inf,
     d_C(x)^2 overflows and no value can be certified: the best point comes
-    back at once with certificate inf and converged False.
+    back at once with certificate inf and converged False, and so it does
+    before adding a cut whose offset is not finite, as when g(w) overflows.
     """
     cut = separation_oracle(s, x)
     if cut is None:
@@ -445,6 +443,8 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
         cert = max(best_val - lower, 0.0)
         if cert <= cfg.eps:  # always taken when cut is None: then best_val = lower
             return ProjectionResult(best_p, cert, it + 1, converged=True)
+        if not math.isfinite(cut.offset):  # g(w) overflowed: no cut to add, no bound to gain
+            return ProjectionResult(best_p, math.inf, it + 1, converged=False)
         cuts_a.append(cut.normal)
         cuts_b.append(cut.offset)
     return ProjectionResult(best_p, max(best_val - lower, 0.0), cfg.max_iter, converged=False)
@@ -457,11 +457,12 @@ def cutting_plane_project(s: Sublevel, x, cfg: ProjectorConfig) -> ProjectionRes
 def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> ProjectionResult:
     """Certified epsilon-projection of x onto s; a member comes back as a copy.
 
-    Each route checks x once.  Under cfg.method "auto" a closed-form kind
-    hands x to exact_project, which checks it and returns a member as a
-    copy, so the closed form is also the membership test.  A sublevel set
-    checks x here and takes cutting planes, whose separation oracle at x is
-    the membership test.  "fw" checks x here, tests membership with residual
+    Each route checks x once.  Under cfg.method "auto" the set's kind picks
+    the route: s.certified_project(x, cfg).  A closed-form kind hands x to
+    exact_project, which checks it and returns a member as a copy, so the
+    closed form is also the membership test.  A sublevel set checks x and
+    takes cutting planes, whose separation oracle at x is the membership
+    test.  "fw" checks x here, tests membership with residual
     and runs Frank-Wolfe; on a set without a bounded LMO it raises
     UnsupportedKind, member or not.  A point whose dimension differs from
     the set's raises ValueError.  Callers that take ||x - z|| check that it
@@ -475,6 +476,4 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
         if residual(s, x) <= 0.0:
             return ProjectionResult(x.copy(), 0.0, 0, converged=True)
         return frank_wolfe_project(lmo, x, cfg)
-    if isinstance(s, Sublevel):
-        return cutting_plane_project(s, point_of(s, x), cfg)
-    return ProjectionResult(exact_project(s, x), 0.0, 0, converged=True)
+    return s.certified_project(x, cfg)

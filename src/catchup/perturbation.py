@@ -9,6 +9,7 @@ directly; a set-valued F selects by projecting the origin onto F(t, x).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,10 +27,10 @@ class Perturbation:
     """F(t, x) as closed convex values plus its growth data.
 
     h bounds the distance from the origin to F(t, x); L_h is its Lipschitz
-    constant.  Upper semicontinuity of F(t, .) is a contract on the supplied
-    map, not a runtime check.  field, when set, is the single element of
-    F(t, x); build such a perturbation with single_valued, so that values
-    describes the same set.
+    constant, finite and >= 0.  Upper semicontinuity of F(t, .) is a
+    contract on the supplied map, not a runtime check.  field, when set, is
+    the single element of F(t, x); build such a perturbation with
+    single_valued, so that values describes the same set.
     """
 
     values: Callable[[float, Array], SetDescription]
@@ -37,6 +38,10 @@ class Perturbation:
     lipschitz_h: float
     time_independent: bool = False
     field: Callable[[float, Array], Array] | None = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.lipschitz_h < math.inf:
+            raise ValueError(f"lipschitz_h must be finite and >= 0, got {self.lipschitz_h}")
 
     @classmethod
     def single_valued(

@@ -77,6 +77,21 @@ class TestProjectCommand:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("projection failed: non-finite result [nan, 0.0]")
 
+    @pytest.mark.parametrize("text, message", [
+        # the least-distance NNLS does not terminate on the second cut
+        ("set.center = 0,0\nset.radius = 1e150\npoint = 1.1e150,1\n",
+         "projection failed: least-distance NNLS did not terminate on 2 cuts\n"),
+        # g(0) overflows, so the first cut's offset is -inf
+        ("set.center = 2e154,0\nset.radius = 1e154\npoint = 0,0\n",
+         "projection failed: non-finite result [1e+154, 0.0], certificate inf\n"),
+    ], ids=["nnls", "overflowing_cut"])
+    def test_failed_cutting_planes_exit_budget(self, tmp_path, capfd, text, message):
+        cfg = write(tmp_path / "p.cfg", "set.kind = sublevel_ball\n" + text)
+        assert main(["project", "--config", cfg]) == EXIT_BUDGET
+        captured = capfd.readouterr()  # at the file descriptors, where LAPACK would write
+        assert captured.out == ""
+        assert captured.err == message
+
     def test_tiny_halfspace_normal_gives_a_finite_point(self, tmp_path, capsys):
         cfg = write(tmp_path / "p.cfg", "set.kind = halfspace\nset.normal = 1e-160,0\n"
                     "set.offset = 1\npoint = 0,0\n")

@@ -445,6 +445,21 @@ class _Above(SetDescription):
         return float(np.max(self.lo - x))
 
 
+@dataclass(frozen=True)
+class _Certified(_Above):
+    """{x : x >= lo}, whose certified projection is its own: the closed form at certificate cert."""
+
+    cert: float = 2.0**-14
+    converged: bool = True
+
+    def project(self, x):
+        raise AssertionError("the kind's certified_project is the route")
+
+    def certified_project(self, x, cfg):
+        z = np.maximum(geometry.point_of(self, x), self.lo)
+        return ProjectionResult(z, self.cert, 3, converged=self.converged)
+
+
 class TestSetKindContract:
     """Each kind owns dim, residual and feas_tol, and project and lmo where it has them."""
 
@@ -488,6 +503,26 @@ class TestSetKindContract:
         audit = theorem1_audit(traj, problem)
         assert all(c["verdict"] == "certified" for c in audit["checks"])
 
+    def test_kind_certificate_passes_through_approx_project(self):
+        s = _Certified(np.array([1.0, 0.0]))
+        res = approx_project(s, [0.0, -2.0], ProjectorConfig(eps=1e-3))
+        assert res.point.tolist() == [1.0, 0.0] and residual(s, res.point) <= 0.0
+        assert (res.certified_eps, res.iterations, res.converged) == (2.0**-14, 3, True)
+
+    def test_distance_raises_on_the_kind_unconverged_result(self):
+        s = _Certified(np.array([1.0, 0.0]), cert=0.25, converged=False)
+        with pytest.raises(ProjectionFailed, match="certificate 2.500e-01 exceeds eps"):
+            distance(s, [0.0, -2.0])
+
+    def test_solve_records_the_kind_certificate(self):
+        # 2**-14 lies below eps_n = 8**-3, so every step converges and keeps it
+        problem = SweepingProblem(MovingSet(lambda t: _Certified(np.array([t, 0.0])), lipschitz=1.0),
+                                  zero_perturbation(), [0.0, 0.0], 1.0)
+        traj = solve(problem, 8)
+        assert traj.nodes.tolist() == [[k / 8, 0.0] for k in range(9)]
+        assert [(d.certified_eps, d.iterations, d.converged) for d in traj.diagnostics] == \
+            [(2.0**-14, 3, True)] * 8
+
     def test_non_kind_is_rejected_at_construction(self):
         with pytest.raises(UnsupportedKind, match="C\\(0\\) is not a set kind: tuple"):
             SweepingProblem(MovingSet.fixed((0.0, 1.0)), zero_perturbation(), [0.0], 1.0)
@@ -521,6 +556,19 @@ class TestConstruction:
         # an infinite radius would give an LMO atom of (-inf, nan)
         with pytest.raises(ValueError, match="ball radius must be positive and finite"):
             Ball([0.0, 0.0], radius)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_sublevel_level_finite(self, level):
+        # level = inf made every point a member
+        with pytest.raises(ValueError, match="sublevel level must be finite"):
+            Sublevel(ball_fn([0.0, 0.0], 1.0), level, slater=[0.0, 0.0])
+
+    @pytest.mark.parametrize("lipschitz", [math.nan, math.inf, -1.0])
+    def test_moving_set_lipschitz_finite_and_nonnegative(self, lipschitz):
+        # L_C = nan let the audit pass with every check inconclusive, and
+        # L_C = -1 refuted six checks without naming the constant
+        with pytest.raises(ValueError, match="lipschitz must be finite and >= 0"):
+            MovingSet(lambda t: UNIT_BALL, lipschitz=lipschitz)
 
     def test_slater_strictness(self):
         with pytest.raises(ValueError):

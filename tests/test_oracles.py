@@ -478,6 +478,16 @@ class TestCuttingPlane:
         assert res.certified_eps == math.inf and not res.converged
         assert res.iterations == 1
 
+    def test_non_finite_cut_ends_the_route_loudly(self):
+        # g(0) = 4e308 - 1e308 overflows, so the first cut's offset is -inf; added,
+        # it made the least-distance NNLS raise numpy's LinAlgError
+        s = Sublevel(ball_fn([2e154, 0.0], 1e154), 0.0, slater=[2e154, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = approx_project(s, [0.0, 0.0])
+        assert res.point.tolist() == [1e154, 0.0]
+        assert res.certified_eps == math.inf and not res.converged
+        assert res.iterations == 1
+
     def test_supporting_bound_does_not_overflow_into_a_zero_certificate(self):
         # on a disk of radius 1e150, h * h overflows at distances above about
         # 1e4, where |x - p|^2 does not; read as inf, the bound certified a
@@ -941,6 +951,14 @@ class TestPolyhedronProjection:
     def test_empty_intersection_raises(self):
         with pytest.raises(ProjectionFailed, match="empty"):
             _project_polyhedron([np.array([1.0]), np.array([-1.0])], [-1.0, -1.0], np.zeros(1))
+
+    def test_linalg_error_becomes_projection_failed(self, capfd):
+        # a @ x overflows, so E holds NaN and the SVD does not converge
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ProjectionFailed, match="SVD did not converge") as failed:
+                _project_polyhedron([np.array([1e200, 0.0])], [0.0], np.array([1e200, 0.0]))
+        assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
+        capfd.readouterr()  # LAPACK reports the NaN on stderr itself
 
 
 class TestApproxProject:

@@ -158,6 +158,14 @@ class TestCatalog:
         assert p.lipschitz_h == 0.0
         assert p.h(np.array([5.0, 5.0])) == 0.0
 
+    @pytest.mark.parametrize("lipschitz_h", [math.nan, math.inf, -1.0])
+    def test_rejects_lipschitz_h_that_is_not_finite_and_nonnegative(self, lipschitz_h):
+        # L_h = nan once let the audit pass with six of its seven checks inconclusive
+        with pytest.raises(ValueError, match="lipschitz_h must be finite and >= 0"):
+            Perturbation(lambda t, x: Box(x, x), lambda x: 0.0, lipschitz_h)
+        with pytest.raises(ValueError, match="lipschitz_h must be finite and >= 0"):
+            Perturbation.single_valued(lambda t, x: np.zeros(2), lambda x: 0.0, lipschitz_h)
+
     def test_linear_decay_monotonicity_modulus(self):
         # F(t, x) = {-x}: <y - y', x - x'> <= k ||x - x'||^2 with modulus k = 0
         p = linear_decay_perturbation()
