@@ -958,7 +958,7 @@ class TestPolyhedronProjection:
             with pytest.raises(ProjectionFailed, match="SVD did not converge") as failed:
                 _project_polyhedron([np.array([1e200, 0.0])], [0.0], np.array([1e200, 0.0]))
         assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
-        capfd.readouterr()  # LAPACK reports the NaN on stderr itself
+        capfd.readouterr()  # LAPACK reports the bad argument on stdout itself
 
 
 class TestApproxProject:
