@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -190,11 +191,16 @@ def cmd_project(args) -> int:
     except ProjectionFailed as exc:
         print(f"projection failed: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    if not all(map(math.isfinite, [*res.point.tolist(), res.certified_eps])):
-        print(f"projection failed: non-finite result {res.point.tolist()}, "
+    point = res.point.tolist()
+    if not all(map(math.isfinite, point)):
+        print(f"projection failed: non-finite result {point}, "
               f"certificate {res.certified_eps}", file=sys.stderr)
         return EXIT_BUDGET
-    print(json.dumps({**vars(res), "point": res.point.tolist()}, indent=2, sort_keys=True))
+    if not math.isfinite(res.certified_eps):
+        print(f"projection failed: certificate {res.certified_eps} at point {point}",
+              file=sys.stderr)
+        return EXIT_BUDGET
+    print(json.dumps({**vars(res), "point": point}, indent=2, sort_keys=True))
     return EXIT_OK if res.converged else EXIT_BUDGET
 
 
@@ -272,7 +278,12 @@ def cmd_rate(args) -> int:
     return EXIT_OK if study.passed else EXIT_SOLVE
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """catchup's parser, built on main's first call and kept: parse_args keeps no state.
+
+    Each parse_args call fills a fresh namespace, so no call sees another's arguments.
+    """
     parser = _Parser(prog="catchup")
     parser.add_argument("--seed", type=int, default=0,
                         help="accepted for scripted runs (acceptance criterion 9 passes it); "
@@ -292,8 +303,12 @@ def main(argv=None) -> int:
             p.add_argument("--permissive", action="store_true",
                            help="downgrade failed projection certificates to warnings")
         p.set_defaults(func=fn)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, UnsupportedKind) as exc:
         print(f"config error: {exc}", file=sys.stderr)

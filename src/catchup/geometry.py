@@ -10,6 +10,7 @@ that approx_project takes under "auto".
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,6 +31,9 @@ class NoRoot(ValueError):
 
 
 _FLOAT = np.dtype(float)
+# bound once: as_vec runs on nearly every point, where a global and an attribute lookup cost more
+_ndarray = np.ndarray
+_isfinite = math.isfinite
 
 
 def as_vec(x) -> Array:
@@ -41,7 +45,7 @@ def as_vec(x) -> Array:
     runs only when the sum is not finite, which finite coordinates reach
     when their sum overflows.
     """
-    if type(x) is np.ndarray and x.dtype == _FLOAT and x.ndim == 1:
+    if type(x) is _ndarray and x.dtype == _FLOAT and x.ndim == 1:
         v = x
     else:
         v = np.asarray(x, dtype=float)
@@ -49,7 +53,7 @@ def as_vec(x) -> Array:
             v = v.reshape(1)
         if v.ndim != 1:
             raise ValueError(f"expected a 1-d point, got shape {v.shape}")
-    if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
+    if not _isfinite(sum(v.tolist())) and not np.isfinite(v).all():
         raise ValueError("point has non-finite coordinates")
     return v
 
@@ -109,7 +113,7 @@ class SetDescription:
 
     def certified_project(self, x, cfg) -> ProjectionResult:
         """The closed form at certificate 0: exact_project checks x and copies a member."""
-        return ProjectionResult(exact_project(self, x), 0.0, 0, converged=True)
+        return ProjectionResult(exact_project(self, x), 0.0, 0, True)  # positional: binding is dearer
 
     def project(self, x: Array) -> Array:
         raise UnsupportedKind(f"no closed-form projection for {type(self).__name__}")
@@ -132,7 +136,7 @@ class Halfspace(SetDescription):
 
     def __post_init__(self):
         normal = as_vec(self.normal)
-        if not normal.any():
+        if not any(normal.tolist()):  # -0.0 is falsy, as in normal.any()
             raise ValueError("halfspace normal must be nonzero")
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
@@ -236,18 +240,21 @@ class Box(SetDescription):
     hi: Array
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_vec(self.lo))
-        object.__setattr__(self, "hi", as_vec(self.hi))
-        if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
+        lo, hi = as_vec(self.lo), as_vec(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        # finite coordinates compare the same as Python floats, without numpy's dispatch
+        if lo.shape != hi.shape or any(map(operator.gt, lo.tolist(), hi.tolist())):
             raise ValueError("box requires lo <= hi componentwise")
 
     dim = property(lambda self: self.lo.shape[0])
 
     def project(self, x: Array) -> Array:
-        return np.clip(x, self.lo, self.hi)
+        """np.clip(x, lo, hi)'s bits, signed zeros included, without its Python wrapper."""
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def residual(self, x: Array) -> float:
-        return float(np.max(np.maximum(self.lo - x, x - self.hi)))
+        return float(np.maximum(self.lo - x, x - self.hi).max())
 
     def lmo(self) -> LMO:
         return lmo_box(self.lo, self.hi)

@@ -229,12 +229,17 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
     program (1974, ch. 23).  The NNLS stops only when no cut outside its passive
     set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0, an
-    NNLS cycle or a LinAlgError.
+    NNLS cycle or a LinAlgError, and on a b - A x that is not finite, before
+    LAPACK sees it: its argument check would print to standard output.
     """
     a = np.array(cuts_a)
     b = np.array(cuts_b, dtype=float)
     m, d = a.shape
-    e = -np.vstack([a.T, b - a @ x])
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = b - a @ x
+    if not np.isfinite(slack).all():
+        raise ProjectionFailed(f"least-distance NNLS on {m} cuts: b - A x is not finite")
+    e = -np.vstack([a.T, slack])
     e /= np.linalg.norm(e, axis=0)  # scaling u_i leaves r unchanged
     f = np.eye(d + 1)[d]
     u = np.zeros(m)
@@ -274,7 +279,7 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
                 passive &= u > 0.0
             dropped = (dropped | (np.arange(m) == t)) & np.array_equal(s, u)
             u = s
-    except np.linalg.LinAlgError as exc:  # a non-finite entry, as when a @ x overflows
+    except np.linalg.LinAlgError as exc:
         raise ProjectionFailed(f"least-distance NNLS on {m} cuts: {exc}") from exc
     raise ProjectionFailed(f"least-distance NNLS did not terminate on {m} cuts")
 

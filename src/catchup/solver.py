@@ -205,14 +205,8 @@ def step(
     lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
-    diag = StepDiagnostics(
-        predictor_distance=dist,
-        certified_eps=res.certified_eps,
-        budget_lambda=lam,
-        h_at_node=h_k,
-        iterations=res.iterations,
-        converged=res.converged,
-    )
+    # positional, in field order: binding six keywords costs more than the record
+    diag = StepDiagnostics(dist, res.certified_eps, lam, h_k, res.iterations, res.converged)
     return res.point, diag, integral
 
 
@@ -336,8 +330,8 @@ def interpolate(traj: Trajectory, t) -> Array:
     if sel.time_independent:
         partial = (ends - t_k)[:, None] * _cell_values(traj, cells)
     else:
-        partial = _rows(traj, (cell_integral(sel, traj.nodes[k], float(a), float(b))
-                               for k, a, b in zip(cells, t_k, ends)), cells.size)
+        partial = _rows(traj, (cell_integral(sel, traj.nodes[k], a, b) for k, a, b
+                               in zip(cells.tolist(), t_k.tolist(), ends.tolist())), cells.size)
     share = ((t_in - t_k) / grid.mu)[:, None]
     out[inside] = traj.nodes[cells] + share * _moves(traj)[cells] + partial
     return out[0] if single else out
@@ -362,8 +356,8 @@ def velocity(traj: Trajectory, t) -> Array:
     if sel.time_independent:
         values = _cell_values(traj, cells)
     else:
-        values = _rows(traj, (sel.value(float(s), traj.nodes[k]) for s, k in zip(ts, cells)),
-                       cells.size)
+        values = _rows(traj, (sel.value(s, traj.nodes[k])
+                              for s, k in zip(ts.tolist(), cells.tolist())), cells.size)
     out = _moves(traj)[cells] / grid.mu + values
     return out[0] if single else out
 

@@ -81,9 +81,9 @@ class TestProjectCommand:
         # the least-distance NNLS does not terminate on the second cut
         ("set.center = 0,0\nset.radius = 1e150\npoint = 1.1e150,1\n",
          "projection failed: least-distance NNLS did not terminate on 2 cuts\n"),
-        # g(0) overflows, so the first cut's offset is -inf
+        # g(0) overflows, so the first cut's offset is -inf: a finite point, certificate inf
         ("set.center = 2e154,0\nset.radius = 1e154\npoint = 0,0\n",
-         "projection failed: non-finite result [1e+154, 0.0], certificate inf\n"),
+         "projection failed: certificate inf at point [1e+154, 0.0]\n"),
     ], ids=["nnls", "overflowing_cut"])
     def test_failed_cutting_planes_exit_budget(self, tmp_path, capfd, text, message):
         cfg = write(tmp_path / "p.cfg", "set.kind = sublevel_ball\n" + text)

@@ -952,13 +952,21 @@ class TestPolyhedronProjection:
         with pytest.raises(ProjectionFailed, match="empty"):
             _project_polyhedron([np.array([1.0]), np.array([-1.0])], [-1.0, -1.0], np.zeros(1))
 
-    def test_linalg_error_becomes_projection_failed(self, capfd):
-        # a @ x overflows, so E holds NaN and the SVD does not converge
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ProjectionFailed, match="SVD did not converge") as failed:
-                _project_polyhedron([np.array([1e200, 0.0])], [0.0], np.array([1e200, 0.0]))
+    def test_linalg_error_becomes_projection_failed(self, monkeypatch):
+        # a finite E no longer reaches a failing LAPACK call, so the SVD is made to fail
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(ProjectionFailed, match="SVD did not converge") as failed:
+            _project_polyhedron([np.array([1.0, 0.0])], [0.0], np.array([2.0, 0.0]))
         assert isinstance(failed.value.__cause__, np.linalg.LinAlgError)
-        capfd.readouterr()  # LAPACK reports the bad argument on stdout itself
+
+    def test_non_finite_slack_fails_before_lapack(self, capfd):
+        # a @ x overflows, so b - A x is -inf: LAPACK would print its argument check on fd 1
+        with pytest.raises(ProjectionFailed, match="b - A x is not finite"):
+            _project_polyhedron([np.array([1e200, 0.0])], [0.0], np.array([1e200, 0.0]))
+        assert capfd.readouterr().out == ""
 
 
 class TestApproxProject:
