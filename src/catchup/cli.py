@@ -280,10 +280,7 @@ def cmd_rate(args) -> int:
 
 @functools.cache
 def _parser() -> _Parser:
-    """catchup's parser, built on main's first call and kept: parse_args keeps no state.
-
-    Each parse_args call fills a fresh namespace, so no call sees another's arguments.
-    """
+    """The parser, built on main's first call and kept: each parse_args fills a new namespace."""
     parser = _Parser(prog="catchup")
     parser.add_argument("--seed", type=int, default=0,
                         help="accepted for scripted runs (acceptance criterion 9 passes it); "

@@ -113,7 +113,7 @@ class SetDescription:
 
     def certified_project(self, x, cfg) -> ProjectionResult:
         """The closed form at certificate 0: exact_project checks x and copies a member."""
-        return ProjectionResult(exact_project(self, x), 0.0, 0, True)  # positional: binding is dearer
+        return ProjectionResult(exact_project(self, x), 0.0, 0, True)  # positional: it is hot
 
     def project(self, x: Array) -> Array:
         raise UnsupportedKind(f"no closed-form projection for {type(self).__name__}")

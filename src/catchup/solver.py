@@ -205,7 +205,7 @@ def step(
     lam = 4.0 * math.sqrt(projector.eps) + (
         problem.moving_set.lipschitz + h_k + math.sqrt(problem.gamma)
     ) * grid.mu
-    # positional, in field order: binding six keywords costs more than the record
+    # positional, in field order: binding six keywords costs more than the whole positional call
     diag = StepDiagnostics(dist, res.certified_eps, lam, h_k, res.iterations, res.converged)
     return res.point, diag, integral
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import catchup
 from catchup.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -361,6 +366,42 @@ class TestConfigErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "project,solve,rate,audit" in capsys.readouterr().out
+
+
+class TestInProcessCalls:
+    """main keeps one parser per process, so each call must still read only its own arguments."""
+
+    @staticmethod
+    def _outputs(out: Path) -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+
+    def test_consecutive_calls_match_fresh_processes(self, tmp_path, capfd):
+        # max_iter = 1 leaves every Frank-Wolfe step unconverged: --permissive finishes the
+        # run and fails its audit, and without the flag the first step aborts the solve
+        solve_cfg = write(tmp_path / "s.cfg", "problem = translating_disk\nn = 8\n"
+                          "oracle.method = fw\noracle.max_iter = 1\n")
+        project_cfg = write(tmp_path / "p.cfg", "set.kind = ball\nset.center = 0,0\n"
+                            "set.radius = 1\npoint = 2,1.5\n")
+        calls = [
+            ["solve", "--permissive", "--config", solve_cfg, "--out", "OUT"],
+            ["solve", "--config", solve_cfg, "--out", "OUT"],
+            ["project", "--config", project_cfg],
+            ["project", "--config", project_cfg, "--out", "OUT"],  # a usage error
+        ]
+        env = {**os.environ, "PYTHONPATH": str(Path(catchup.__file__).resolve().parents[1])}
+        for i, argv in enumerate(calls):
+            fresh = [str(tmp_path / f"fresh{i}") if a == "OUT" else a for a in argv]
+            proc = subprocess.run([sys.executable, "-m", "catchup.cli", *fresh], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            here = [str(tmp_path / f"here{i}") if a == "OUT" else a for a in argv]
+            capfd.readouterr()
+            code = main(here)
+            captured = capfd.readouterr()
+            assert (code, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr.replace(f"fresh{i}", f"here{i}"))
+            assert self._outputs(tmp_path / f"here{i}") == self._outputs(tmp_path / f"fresh{i}")
+        assert [json.loads(self._outputs(tmp_path / f"here{i}")["trajectory.json"])["complete"]
+                for i in (0, 1)] == [True, False]
 
 
 class TestNonFiniteValues:

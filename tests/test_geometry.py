@@ -273,6 +273,29 @@ def _sets_and_points(draw):
     return s, x
 
 
+# boxes from subnormal to overflowing scales: lo - x and x - hi overflow at 1e308
+_BOX_SCALES = [1e-300, 1.0, 1e300, 1e308]
+
+
+@st.composite
+def _box_vectors(draw, d, count):
+    """count vectors of d coordinates at one scale, each often 0.0, -0.0 or the scale itself."""
+    scale = draw(st.sampled_from(_BOX_SCALES))
+    element = st.floats(-scale, scale) | st.sampled_from([-0.0, 0.0, scale])
+    return tuple(draw(arrays(np.float64, d, elements=element)) for _ in range(count))
+
+
+@st.composite
+def _boxes_and_points(draw):
+    a, b, x = draw(_box_vectors(draw(st.integers(1, 17)), 3))
+    return np.minimum(a, b), np.maximum(a, b), x
+
+
+def _bits(v):
+    """A float as float.hex, which tells -0.0 from 0.0; a warning's text as it is."""
+    return v.hex() if isinstance(v, float) else v
+
+
 def _warns(f):
     """f's result, or the RuntimeWarning it raises when warnings are errors."""
     with warnings.catch_warnings():
@@ -295,6 +318,33 @@ class TestMatchesNumpyReference:
         assert residual(s, x) == _reference_residual(s, x)
         assert _warns(lambda: distance(s, x)) == _warns(lambda: float(np.linalg.norm(x - want)))
         assert _warns(lambda: geometry.norm(x)) == _warns(lambda: float(np.linalg.norm(x)))
+
+    @given(_boxes_and_points())
+    @example((np.array([-0.0, 0.0]), np.array([0.0, 0.0]), np.array([0.0, -0.0])))
+    @example((np.array([-0.0, -0.0]), np.array([-0.0, 1.0]), np.array([0.0, -0.0])))
+    @example((np.array([0.0, -1.0]), np.array([0.0, 1.0]), np.array([-0.0, -0.0])))
+    @example((np.array([1.5, -2.0]), np.array([1.5, -2.0]), np.array([3.0, -2.0])))  # lo == hi
+    @example((np.array([-1e308]), np.array([1e308]), np.array([-1e308])))  # x - hi overflows
+    @settings(max_examples=300, deadline=None)
+    def test_box_bit_for_bit(self, case):
+        lo, hi, x = case
+        s = Box(lo, hi)
+        assert exact_project(s, x).tobytes() == np.clip(x, lo, hi).tobytes()
+        assert _bits(_warns(lambda: residual(s, x))) == _bits(
+            _warns(lambda: float(np.max(np.maximum(lo - x, x - hi)))))
+
+    @given(st.integers(1, 17).flatmap(lambda d: _box_vectors(d, 2)))
+    @example((np.array([0.0]), np.array([-0.0])))
+    @example((np.array([-0.0, 1.0]), np.array([0.0, 1.0])))
+    @example((np.array([1.0, 2.0]), np.array([1.0, 2.0 - 2.0**-52])))
+    @settings(max_examples=300, deadline=None)
+    def test_box_rejects_exactly_lo_above_hi(self, bounds):
+        lo, hi = bounds
+        if np.any(lo > hi):
+            with pytest.raises(ValueError, match="lo <= hi"):
+                Box(lo, hi)
+        else:
+            Box(lo, hi)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
