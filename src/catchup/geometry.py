@@ -243,8 +243,10 @@ class Box(SetDescription):
         lo, hi = as_vec(self.lo), as_vec(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        if lo.shape != hi.shape:
+            raise ValueError(f"box lo has dimension {lo.shape[0]}, hi has {hi.shape[0]}")
         # finite coordinates compare the same as Python floats, without numpy's dispatch
-        if lo.shape != hi.shape or any(map(operator.gt, lo.tolist(), hi.tolist())):
+        if any(map(operator.gt, lo.tolist(), hi.tolist())):
             raise ValueError("box requires lo <= hi componentwise")
 
     dim = property(lambda self: self.lo.shape[0])

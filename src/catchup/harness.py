@@ -260,13 +260,19 @@ def stability_study(
     """Track approximate projections of x_n -> x with certificates eps_n -> 0.
 
     Ground truth is the closed-form projection of the limit point; records
-    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).  A gap that
-    is not finite raises ProjectionFailed.
+    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).  A projection
+    that does not reach its eps_n, or a gap that is not finite, raises
+    ProjectionFailed.
     """
     target = exact_project(s, x)
     gaps = []
-    for p, eps in zip(points, eps_seq):
+    for i, (p, eps) in enumerate(zip(points, eps_seq)):
         res = approx_project(s, p, ProjectorConfig(eps=eps, method=method))
+        if not res.converged:
+            raise ProjectionFailed(
+                f"stability study: projection {i} certificate {res.certified_eps:.3e} "
+                f"exceeds eps {eps:.3e}"
+            )
         gap = norm(res.point - target)
         if not math.isfinite(gap):
             raise ProjectionFailed(f"stability study: ||z_n - proj(x)|| = {gap} is not finite")

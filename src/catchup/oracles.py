@@ -229,8 +229,10 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     u >= 0, E = -[A^T; (b - A x)^T], f = e_{d+1}: Lawson & Hanson's least-distance
     program (1974, ch. 23).  The NNLS stops only when no cut outside its passive
     set is violated at y beyond rounding.  Raises ProjectionFailed on r = 0, an
-    NNLS cycle or a LinAlgError, and on a b - A x that is not finite, before
-    LAPACK sees it: its argument check would print to standard output.
+    NNLS cycle or a LinAlgError, and on a b - A x that is not finite or a
+    column of E whose norm is 0 or overflows, before LAPACK sees it: its
+    argument check would print to standard output, and a column divided by an
+    infinite norm would drop its cut.
     """
     a = np.array(cuts_a)
     b = np.array(cuts_b, dtype=float)
@@ -240,7 +242,14 @@ def _project_polyhedron(cuts_a: list[Array], cuts_b: list[float], x: Array) -> A
     if not np.isfinite(slack).all():
         raise ProjectionFailed(f"least-distance NNLS on {m} cuts: b - A x is not finite")
     e = -np.vstack([a.T, slack])
-    e /= np.linalg.norm(e, axis=0)  # scaling u_i leaves r unchanged
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(e, axis=0)
+    bad = np.flatnonzero((scale == 0.0) | (scale == math.inf))
+    if bad.size:
+        raise ProjectionFailed(
+            f"least-distance NNLS on {m} cuts: column {bad[0]} of E has norm {scale[bad[0]]}"
+        )
+    e /= scale  # scaling u_i leaves r unchanged
     f = np.eye(d + 1)[d]
     u = np.zeros(m)
     passive = np.zeros(m, dtype=bool)

@@ -27,8 +27,6 @@ from .perturbation import (
     make_selection,
 )
 
-_NODE_SNAP = 1e-9
-
 
 class OutOfRange(ValueError):
     """Time outside [0, T], or a grid node where a derivative jumps."""
@@ -56,19 +54,20 @@ class Grid:
         return k * self.horizon / self.n
 
     def cell_index(self, t):
-        """Index k with t in [t_k, t_{k+1}), snapping float-noise at nodes.
+        """Index k < n with node(k) <= t < node(k+1), by comparison with the nodes.
 
-        Elementwise on a 1-d array of times, which gives an int array; a
-        scalar time gives an int.  Raises OutOfRange if any time lies outside
-        [0, T].
+        t >= node(n) falls in the last cell.  floor(t n / T) carries two
+        roundings, so it is off by at most one cell, and one comparison with
+        each of its nodes corrects it.  Elementwise on a 1-d array of times,
+        which gives an int array; a scalar time gives an int.  Raises
+        OutOfRange if any time lies outside [0, T].
         """
         ts = np.asarray(t, dtype=float)
         outside = ~((ts >= 0.0) & (ts <= self.horizon))
         if outside.any():
             raise OutOfRange(f"t={ts[outside][0]} outside [0, {self.horizon}]")
-        r = ts * self.n / self.horizon
-        k = np.floor(r)
-        k = np.minimum(k + (r - k > 1.0 - _NODE_SNAP), self.n - 1).astype(int)
+        k = np.minimum(np.floor(ts * self.n / self.horizon), self.n - 1).astype(int)
+        k = k - (self.node(k) > ts) + ((self.node(k + 1) <= ts) & (k < self.n - 1))
         return int(k) if k.ndim == 0 else k
 
     def theta(self, t):
@@ -78,7 +77,7 @@ class Grid:
 def _left_cells(grid: Grid, ts: Array) -> Array:
     """Index k of the cell (t_k, t_{k+1}] holding each t > 0: a node ends its left cell."""
     k = grid.cell_index(ts)
-    return k - ((grid.node(k) >= ts) & (k > 0))
+    return k - ((grid.node(k) == ts) & (k > 0))
 
 
 @dataclass(frozen=True)
@@ -326,13 +325,13 @@ def interpolate(traj: Trajectory, t) -> Array:
     t_in = ts[inside]
     cells = _computed_cells(traj, t_in, _left_cells(grid, t_in))
     t_k = grid.node(cells)
-    ends = np.minimum(t_in, grid.node(cells + 1))
+    elapsed = t_in - t_k
     if sel.time_independent:
-        partial = (ends - t_k)[:, None] * _cell_values(traj, cells)
+        partial = elapsed[:, None] * _cell_values(traj, cells)
     else:
         partial = _rows(traj, (cell_integral(sel, traj.nodes[k], a, b) for k, a, b
-                               in zip(cells.tolist(), t_k.tolist(), ends.tolist())), cells.size)
-    share = ((t_in - t_k) / grid.mu)[:, None]
+                               in zip(cells.tolist(), t_k.tolist(), t_in.tolist())), cells.size)
+    share = (elapsed / grid.mu)[:, None]
     out[inside] = traj.nodes[cells] + share * _moves(traj)[cells] + partial
     return out[0] if single else out
 
@@ -348,11 +347,11 @@ def velocity(traj: Trajectory, t) -> Array:
     """
     grid, sel = traj.grid, traj.selection
     ts, single = _times(t)
-    r = ts * grid.n / grid.horizon
-    bad = ~((ts > 0.0) & (ts < grid.horizon)) | (np.abs(r - np.round(r)) < _NODE_SNAP)
+    cells = grid.cell_index(ts)
+    bad = (ts == grid.horizon) | (grid.node(cells) == ts)
     if bad.any():
         raise OutOfRange(f"t={ts[bad][0]} is a grid node or outside (0, {grid.horizon})")
-    cells = _computed_cells(traj, ts, grid.cell_index(ts))
+    cells = _computed_cells(traj, ts, cells)
     if sel.time_independent:
         values = _cell_values(traj, cells)
     else:
@@ -474,8 +473,7 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     cfg = ProjectorConfig(eps=DISTANCE_EPS)
     dist = np.empty(ts.size)
     certs = np.empty(ts.size)
-    thetas = np.where(ts < grid.horizon, grid.theta(ts), grid.horizon)
-    for i, (theta, xt) in enumerate(zip(thetas, interp)):
+    for i, (theta, xt) in enumerate(zip(grid.theta(ts), interp)):
         res = approx_project(problem.moving_set.at(float(theta)), xt, cfg)
         d = norm(xt - res.point)
         if not math.isfinite(d):

@@ -83,9 +83,9 @@ class TestProjectCommand:
         assert captured.err.startswith("projection failed: non-finite result [nan, 0.0]")
 
     @pytest.mark.parametrize("text, message", [
-        # the least-distance NNLS does not terminate on the second cut
+        # the first cut's column of E squares to inf, so it cannot be normalised
         ("set.center = 0,0\nset.radius = 1e150\npoint = 1.1e150,1\n",
-         "projection failed: least-distance NNLS did not terminate on 2 cuts\n"),
+         "projection failed: least-distance NNLS on 1 cuts: column 0 of E has norm inf\n"),
         # g(0) overflows, so the first cut's offset is -inf: a finite point, certificate inf
         ("set.center = 2e154,0\nset.radius = 1e154\npoint = 0,0\n",
          "projection failed: certificate inf at point [1e+154, 0.0]\n"),
@@ -309,9 +309,11 @@ class TestConfigErrors:
         ("set.kind = ball\nset.center = 0,nan\nset.radius = 1\npoint = 2,0\n",
          ("set.center", "non-finite")),
         ("set.kind = box\nset.lo = 1,0\nset.hi = 0,1\npoint = 2,0\n", ()),
+        ("set.kind = box\nset.lo = 0,0\nset.hi = 1\npoint = 0,0\n",
+         ("box lo has dimension 2, hi has 1",)),
         ("set.kind = halfspace\nset.normal = 0,0\nset.offset = 0\npoint = 2,0\n", ()),
     ], ids=["sublevel_radius_zero", "sublevel_radius_negative", "nan_center", "box_lo_above_hi",
-            "zero_normal"])
+            "box_shapes", "zero_normal"])
     def test_project_rejects_invalid_set(self, tmp_path, capsys, text, names):
         cfg = write(tmp_path / "p.cfg", text)
         err = assert_config_error(["project", "--config", cfg], capsys)

@@ -586,6 +586,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Box([1.0], [0.0])
 
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([0.0, 0.0], [1.0], "box lo has dimension 2, hi has 1"),
+        ([0.0], [1.0, 2.0, 3.0], "box lo has dimension 1, hi has 3"),
+    ])
+    def test_box_names_the_shapes_it_cannot_pair(self, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Box(lo, hi)
+
     def test_halfspace_nonzero_normal(self):
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)

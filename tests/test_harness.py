@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from catchup.geometry import Ball, norm
+from catchup.geometry import Ball, exact_project, norm
 from catchup.harness import (
     CATALOG,
     EVAL_GRID_SIZE,
@@ -16,6 +16,7 @@ from catchup.harness import (
     stability_study,
     sup_error,
 )
+from catchup.oracles import ProjectionResult
 from catchup.solver import OutOfRange, ProjectionFailed, interpolate, solve
 
 
@@ -158,6 +159,13 @@ class TestRateStudy:
         assert '"strictly_decreasing"' in rs.to_json()
 
 
+class _CertifiedAtQuarter(Ball):
+    """A ball whose certified projection is its closed form at certificate 0.25."""
+
+    def certified_project(self, x, cfg):
+        return ProjectionResult(exact_project(self, x), 0.25, 7, 0.25 <= cfg.eps)
+
+
 class TestStabilityStudy:
     def test_radial_approach_converges(self):
         ball = Ball([0.0, 0.0], 1.0)
@@ -176,6 +184,13 @@ class TestStabilityStudy:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ProjectionFailed, match="not finite"):
             stability_study(Ball([1e308, 0.0], 1.0), x, [x], [1e-8])
+
+    def test_unconverged_projection_raises_naming_it(self):
+        ball = _CertifiedAtQuarter([0.0, 0.0], 1.0)
+        x = np.array([2.0, 0.0])
+        with pytest.raises(ProjectionFailed,
+                           match=r"projection 1 certificate 2\.500e-01 exceeds eps 1\.000e-08"):
+            stability_study(ball, x, [x, x], [1.0, 1e-8])
 
     def test_requires_convergence_when_eps_fixed_small(self):
         ball = Ball([0.0, 0.0], 1.0)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchup import oracles
@@ -68,6 +68,45 @@ class TestGrid:
             Grid(0.0, 4)
         with pytest.raises(ValueError):
             Grid(1.0, 0)
+
+
+@st.composite
+def _grid_nodes(draw):
+    """A grid of up to 10**8 cells and the index k < n of one of its nodes."""
+    n = draw(st.integers(1, 10**8))
+    return Grid(draw(st.floats(1e-3, 1e3)), n), draw(st.integers(0, n - 1))
+
+
+class TestGridPlacement:
+    """Each node time falls in its own cell, and the float just below it in the cell before."""
+
+    @given(_grid_nodes())
+    @example((Grid(0.1, 10**7), 6257460))  # t n / T rounds to k - 1.9e-9 there
+    @settings(max_examples=300, deadline=None)
+    def test_node_times_fall_in_their_own_cells(self, case):
+        g, k = case
+        t = g.node(k)
+        assert g.cell_index(t) == k
+        if k >= 1:
+            assert g.cell_index(np.nextafter(t, -np.inf)) == k - 1
+        if k < g.n - 1:
+            assert g.theta(t) == g.node(k + 1)
+
+    def test_audit_b_at_the_horizon_targets_the_last_step_set(self):
+        # node(3) = 0.6999999999999998 < T = 0.7: b's sample at t = T is checked
+        # against C(node(3)), the set the last step projected onto
+        seen = []
+
+        def at(t):
+            seen.append(t)
+            return Ball([0.0, 0.0], 1.0)
+
+        problem = SweepingProblem(MovingSet(at), zero_perturbation(), [0.5, 0.0], 0.7)
+        traj = solve(problem, 3)
+        assert seen[-1] == traj.grid.node(3) == 0.6999999999999998
+        seen.clear()
+        theorem1_audit(traj, problem)
+        assert len(seen) == AUDIT_TIME_SAMPLES and seen[-1] == 0.6999999999999998
 
 
 class TestEpsSchedule:
@@ -256,7 +295,8 @@ class TestInterpolant:
 
     def test_velocity_constant_drag(self):
         traj = solve(make_problem("dragging_interval"), 16)
-        for t in (0.13, 0.5 + 1e-3, 0.87):
+        # the floats next to node 4 lie in cell interiors
+        for t in (0.13, 0.5 + 1e-3, 0.87, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)):
             assert np.allclose(velocity(traj, t), [1.0])
 
     def test_velocity_zero_when_static(self):
