@@ -971,8 +971,8 @@ class TestPolyhedronProjection:
     @pytest.mark.parametrize("scale, norm_text", [(1e-200, "0.0"), (1e200, "inf")])
     def test_column_of_e_without_a_finite_positive_norm_fails(self, capfd, scale, norm_text):
         # the cut's column (a, b - a x) of E squares to 0 or to inf: divided by 0 it
-        # reaches LAPACK, which prints its argument check on fd 1, and divided by inf
-        # it drops the cut, so that x = (1, 0) came back violating it by 1e200
+        # would reach LAPACK, which prints its argument check on fd 1, and divided by
+        # inf it would drop the cut and return x = (1, 0), which violates it by 1e200
         with pytest.raises(ProjectionFailed, match=f"column 0 of E has norm {norm_text}$"):
             _project_polyhedron([np.array([scale, 0.0])], [0.0], np.array([1.0, 0.0]))
         assert capfd.readouterr().out == ""
