@@ -63,9 +63,52 @@ def norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
-def scale_exponent(v: Array) -> int:
-    """The k with 2**k max |v_i| in [0.5, 1): 0 when that maximum is 0 or not finite."""
-    return -math.frexp(max(map(abs, v.tolist())))[1]
+def scale_exponent(v) -> int:
+    """The k with 2**k max |v_i| in [0.5, 1): 0 when that maximum is 0 or not finite.
+
+    v is a 1-d float array or a sequence of floats.
+    """
+    return -math.frexp(max(map(abs, v.tolist() if type(v) is _ndarray else v)))[1]
+
+
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
+# plain sums of squares in [_SQUARES_MIN, _SQUARES_MAX) are summed by Dekker's split and fsum
+_SQUARES_MIN, _SQUARES_MAX = 2.0**-960, 2.0**1000
+
+
+def sum_of_squares(w) -> float:
+    """The sum of w_i**2 over a sequence of floats, correctly rounded; inf where it overflows.
+
+    Where the plain sum of the rounded squares lies in [2**-960, 2**1000),
+    each square splits exactly into p + e, its rounded value and its
+    rounding error, by Dekker's two-product on Veltkamp's split (*Numer.
+    Math.* 18, 1971), and math.fsum rounds the sum of all of them once.  The
+    split is exact where |w_i| is 0 or at least 2**-485.  A smaller square
+    is off by at most 2**-1074, under 2**-61 of the sum's ulp, which can
+    change the rounding only where the rest of the sum lies that close to a
+    midpoint.  Outside that range a Dekker product or one of fsum's partial
+    sums could overflow, or the squares are subnormal, so the sum is taken
+    in exact rationals instead.  No BLAS kernel is involved, so the value is
+    the same on every machine.  NaN where a coordinate is NaN.
+    """
+    squares = [a * a for a in w]
+    total = sum(squares)
+    if _SQUARES_MIN <= total < _SQUARES_MAX:
+        terms = []
+        for a, p in zip(w, squares):
+            t = a * _SPLIT
+            hi = t - (t - a)
+            lo = a - hi
+            terms += (p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
+        return math.fsum(terms)
+    if total != total:
+        return total
+    from fractions import Fraction  # here, off the start-up path: only this branch needs it
+
+    try:
+        return float(sum(Fraction(a) ** 2 for a in w))
+    except OverflowError:  # the sum, or a coordinate, is infinite
+        return math.inf
 
 
 def row_norms(rows: Array) -> Array:
@@ -87,8 +130,8 @@ class ConvexFnOracle:
     subgrad: Callable[[Array], Array]
 
 
-LMO = Callable[[Array], tuple[float, ...]]
-"""Maps a direction w to an atom s minimizing <w, s> over the set, as a tuple of floats."""
+LMO = Callable[[tuple[float, ...]], tuple[float, ...]]
+"""Maps a direction w, a tuple of floats, to an atom s minimizing <w, s> over the set, as one."""
 
 
 @dataclass
@@ -192,46 +235,60 @@ class Ball(SetDescription):
         return norm(x - self.center) - self.radius
 
     def lmo(self) -> LMO:
-        return lmo_ball(self.center, self.radius)
+        """c - (radius / ||w||) w, and the centre for w = 0, on floats.
 
+        ||w|| is the square root of sum_of_squares(w), correctly rounded, so
+        each atom has the same bits on every machine.  Only where that sum
+        overflows is w first scaled by 2**scale_exponent(w), as project
+        scales.  In the plane the closure is unrolled for Frank-Wolfe's
+        innermost call, and hands every direction that the unrolled sum
+        cannot take to the general one.
+        """
+        c = tuple(self.center.tolist())
+        radius = float(self.radius)
+        sqrt, fsum, inf = math.sqrt, math.fsum, math.inf  # locals on Frank-Wolfe's innermost call
 
-def lmo_ball(center, radius: float) -> LMO:
-    """The ball's LMO: c - (radius / ||w||) w, and the centre for w = 0.
-
-    Each coordinate is the same IEEE operation as the numpy expression, and
-    ||w|| is one float64 dot; in the plane the closure is unrolled on floats.
-    Only where w.w overflows is w first scaled by 2**scale_exponent(w), as
-    Ball.project scales.
-    """
-    c = as_vec(center)
-    radius = float(radius)
-    inf = math.inf
-    if c.shape[0] == 2:
-        c0, c1 = c.tolist()
-
-        def lmo2(w: Array) -> tuple[float, float]:
-            nw = math.sqrt(w.dot(w))  # norm(w), inline on Frank-Wolfe's innermost call
+        def lmo(w: tuple[float, ...]) -> tuple[float, ...]:
+            nw = sqrt(sum_of_squares(w))
             if nw == 0.0:
-                return c0, c1
+                return c
             if nw == inf:
-                w = np.ldexp(w, scale_exponent(w))
-                nw = norm(w)
+                e = scale_exponent(w)
+                w = [math.ldexp(a, e) for a in w]
+                nw = sqrt(sum_of_squares(w))
             k = radius / nw
-            w0, w1 = w.tolist()
+            return tuple([ci - k * wi for ci, wi in zip(c, w, strict=True)])
+
+        if len(c) != 2:
+            return lmo
+        c0, c1 = c
+        split, lower, upper = _SPLIT, _SQUARES_MIN, _SQUARES_MAX
+
+        def lmo2(w: tuple[float, float]) -> tuple[float, float]:
+            w0, w1 = w
+            p0 = w0 * w0
+            p1 = w1 * w1
+            if not lower <= p0 + p1 < upper:  # zero, tiny, large, inf or NaN
+                return lmo(w)
+            t = w0 * split  # sum_of_squares((w0, w1)), unrolled
+            h0 = t - (t - w0)
+            l0 = w0 - h0
+            t = w1 * split
+            h1 = t - (t - w1)
+            l1 = w1 - h1
+            nw = sqrt(fsum((p0, ((h0 * h0 - p0) + 2.0 * h0 * l0) + l0 * l0,
+                            p1, ((h1 * h1 - p1) + 2.0 * h1 * l1) + l1 * l1)))
+            if nw == 0.0:
+                return c
+            k = radius / nw
             return c0 - k * w0, c1 - k * w1
 
         return lmo2
 
-    def lmo(w: Array) -> tuple[float, ...]:
-        nw = math.sqrt(w.dot(w))
-        if nw == 0.0:
-            return tuple(c.tolist())
-        if nw == inf:
-            w = np.ldexp(w, scale_exponent(w))
-            nw = norm(w)
-        return tuple((c - (radius / nw) * w).tolist())
 
-    return lmo
+def lmo_ball(center, radius: float) -> LMO:
+    """The LMO of Ball(center, radius), which checks both as the ball does."""
+    return Ball(center, radius).lmo()
 
 
 @dataclass(frozen=True)
@@ -259,21 +316,21 @@ class Box(SetDescription):
         return float(np.maximum(self.lo - x, x - self.hi).max())
 
     def lmo(self) -> LMO:
-        return lmo_box(self.lo, self.hi)
+        """lo_i where w_i > 0, else hi_i, chosen on floats.
+
+        Ties (w_i == 0, either sign of zero) and NaN resolve to hi for determinism.
+        """
+        lo, hi = self.lo.tolist(), self.hi.tolist()
+
+        def lmo(w: tuple[float, ...]) -> tuple[float, ...]:
+            return tuple([l if wi > 0.0 else h for wi, l, h in zip(w, lo, hi, strict=True)])
+
+        return lmo
 
 
 def lmo_box(lo, hi) -> LMO:
-    """The box's LMO: lo_i where w_i > 0, else hi_i, chosen on floats.
-
-    Ties (w_i == 0, either sign of zero) and NaN resolve to hi for determinism.
-    """
-    lo = as_vec(lo).tolist()
-    hi = as_vec(hi).tolist()
-
-    def lmo(w: Array) -> tuple[float, ...]:
-        return tuple([l if wi > 0.0 else h for wi, l, h in zip(w.tolist(), lo, hi, strict=True)])
-
-    return lmo
+    """The LMO of Box(lo, hi), which checks both as the box does."""
+    return Box(lo, hi).lmo()
 
 
 @dataclass(frozen=True)

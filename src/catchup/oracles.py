@@ -23,7 +23,10 @@ superlinearly down to a few ulps of |w|.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul, sub
 from typing import Optional
 
 import numpy as np
@@ -43,7 +46,6 @@ from .geometry import (
 
 METHODS = ("auto", "fw")
 _EPS = float(np.finfo(float).eps)
-_TINY = 2.0**-1020  # four times the least normal double, 2**-1022
 
 
 class ZeroSubgradient(Exception):
@@ -71,6 +73,10 @@ class ProjectorConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        try:
+            operator.index(self.max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.method not in METHODS:
@@ -106,73 +112,47 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     f(z) - min f <= g, so the final gap certifies z as an approximate
     projection.  Iterates stay feasible because each update is a convex
     combination of feasible points.  x is a 1-d float array that has
-    already been checked, and the LMO returns its atom as a tuple of floats.
+    already been checked.  The LMO is handed the direction 2 (z - x) as a
+    tuple of floats and returns its atom as one; the start atom is
+    lmo((1.0,) * d), independent of x.
 
-    In the plane (two coordinates) the loop keeps x, z, v, s and z - s as
-    Python floats and writes g = 2v and z - s into two buffers: g's is what
-    the LMO is handed, so the LMO must not keep its argument, and every
-    inner product is the same float64 dot as in the loop for other
-    dimensions.  The writes go through memoryviews of the buffers, which
-    store a float's 8 bytes as they are in half the time of numpy's item
-    assignment.  Each element-wise step is one IEEE operation, which rounds
-    the same in a Python float as in a numpy element, so both loops give the
-    same bits; only numpy's per-call dispatch on 2-vectors is saved (and its
-    overflow warnings: a float overflows to inf silently).  A sum in Python
-    would not do for the dots: a 2-element BLAS dot may fuse its
-    multiply-add and round once.
+    The loop runs on Python floats and calls no numpy before it returns.
+    Each element-wise step is one IEEE operation, and each inner product is
+    a plain sum of rounded products, left to right from the first, so every
+    iterate has the same bits on every machine; a BLAS dot would hand them
+    to whichever kernel numpy picked, which may or may not fuse a
+    multiply-add.  One numerator num = <z - x, z - s> gives both the gap,
+    num + num, and the step tau = num / |z - s|^2.  In the plane the loop is
+    unrolled: it gives the general loop's bits at about a third of its cost.
 
-    The plane's line search also reads its numerator <v, z - s> off the gap
-    as gap / 2, which saves a dot.  g = 2v is exact, so <g, z - s> is the
-    numerator's dot with every product and sum scaled by 2.  When the gap is
-    finite and at least _TINY, and each |v_i (z_i - s_i)| is at least _TINY
-    too, no product, rounded product or sum of either dot is subnormal or
-    infinite.  Scaling
-    by 2 then commutes with every rounding, in any summation order and with
-    or without a fused multiply-add, so gap / 2 is that dot's value bit for
-    bit.  Otherwise the numerator is the dot itself.
-
-    Both loops cap the step tau = <v, z - s> / |z - s|^2 at 1.0 and stop,
-    unconverged, at a step that is not above 0.0 (negative, -0.0, -inf or
-    NaN, as when the dots overflow): z would not move, so no later
-    iteration could do better.  Two comparisons do this for a tenth of
-    the cost of builtin min and max, which were the largest piece of the
-    plane's interpreter work per iteration.  The lower test reads
-    "not tau > 0.0" rather than "tau < 0.0": every comparison with NaN is
-    False, so the latter would let a NaN step through.
+    tau is capped at 1.0, and the loop stops, unconverged, at a step that is
+    not above 0.0 (negative, -0.0, -inf or NaN, as when the products
+    overflow): z would not move, so no later iteration could do better.  The
+    test reads "not tau > 0.0" rather than "tau < 0.0": every comparison
+    with NaN is False, so the latter would let a NaN step through.  It also
+    stops, unconverged, when |z - s|^2 underflows to 0 while the gap still
+    exceeds cfg.eps.
     """
-    # deterministic starting atom, independent of x
-    start = lmo(np.ones_like(x))
-    gap = np.inf
+    start = lmo((1.0,) * x.shape[0])
+    eps = cfg.eps
+    gap = math.inf
     if x.shape[0] == 2:
-        eps, tiny, inf = cfg.eps, _TINY, math.inf
         x0, x1 = x.tolist()
         z0, z1 = start
-        g, zs = np.empty(2), np.empty(2)
-        g_dot, zs_dot = g.dot, zs.dot
-        gm, zsm = memoryview(g), memoryview(zs)  # item writes without numpy's dispatch
         for it in range(cfg.max_iter):
             v0 = z0 - x0
             v1 = z1 - x1
-            gm[0] = v0 + v0
-            gm[1] = v1 + v1
-            s0, s1 = lmo(g)
+            s0, s1 = lmo((v0 + v0, v1 + v1))
             zs0 = z0 - s0
             zs1 = z1 - s1
-            zsm[0] = zs0
-            zsm[1] = zs1
-            gap = float(g_dot(zs))
+            num = v0 * zs0 + v1 * zs1
+            gap = num + num
             if gap <= eps:
                 return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=True)
-            denom = float(zs_dot(zs))
+            denom = zs0 * zs0 + zs1 * zs1
             if denom == 0.0:
                 return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), it, converged=False)
-            p0 = v0 * zs0
-            p1 = v1 * zs1
-            # |p| >= tiny as two comparisons, both False on NaN
-            if tiny <= gap < inf and (p0 >= tiny or p0 <= -tiny) and (p1 >= tiny or p1 <= -tiny):
-                tau = 0.5 * gap / denom
-            else:
-                tau = float(np.array((v0, v1)).dot(zs)) / denom
+            tau = num / denom
             if tau > 1.0:
                 tau = 1.0
             elif not tau > 0.0:  # not tau < 0.0, which lets NaN through
@@ -180,25 +160,25 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
             z0 = z0 - tau * zs0
             z1 = z1 - tau * zs1
         return ProjectionResult(np.array((z0, z1)), max(gap, 0.0), cfg.max_iter, converged=False)
-    z = np.array(start)
+    xs = x.tolist()
+    z = list(start)
     for it in range(cfg.max_iter):
-        v = z - x
-        grad = v + v  # not v: 2 <v, zs> and <2v, zs> differ once products are subnormal
-        zs = z - lmo(grad)
-        gap = float(grad.dot(zs))
-        if gap <= cfg.eps:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=True)
-        denom = float(zs.dot(zs))
-        if denom == 0.0:  # |s - z|^2 underflowed while the gap still exceeds eps
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        # <x - z, s - z> = <v, zs> exactly: negating both factors is exact
-        tau = float(v.dot(zs)) / denom
+        v = list(map(sub, z, xs))
+        zs = list(map(sub, z, lmo(tuple(map(add, v, v)))))
+        num = reduce(add, map(mul, v, zs))  # seeded by the first product, as in the plane
+        gap = num + num
+        if gap <= eps:
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=True)
+        denom = reduce(add, map(mul, zs, zs))
+        if denom == 0.0:
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        tau = num / denom
         if tau > 1.0:
             tau = 1.0
         elif not tau > 0.0:  # not tau < 0.0, which lets NaN through
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        z = z - tau * zs
-    return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        z = [a - tau * b for a, b in zip(z, zs)]
+    return ProjectionResult(np.array(z), max(gap, 0.0), cfg.max_iter, converged=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ class Grid:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ValueError("n must be >= 1")
 

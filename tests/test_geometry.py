@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from catchup.geometry import (
     prox_eps0,
     residual,
     row_norms,
+    sum_of_squares,
 )
 from catchup.oracles import ProjectionFailed, ProjectionResult, ProjectorConfig, approx_project
 from catchup.perturbation import Perturbation, zero_perturbation
@@ -398,6 +400,46 @@ class TestRowNorms:
         v = np.array([[math.nan, 1.0], [math.inf, 0.0], [-math.inf, math.nan], [3.0, 4.0]])
         got = row_norms(v)
         assert math.isnan(got[0]) and got[1] == math.inf and math.isnan(got[2]) and got[3] == 5.0
+
+
+# 0, or a magnitude whose square's rounding error is a multiple of the least subnormal
+# (|a| >= 2**-485), so that Dekker's split of the square is exact; squares may overflow
+_SPLIT_EXACT = (st.just(0.0) | st.floats(2.0**-485, allow_infinity=False)).flatmap(
+    lambda a: st.sampled_from((a, -a)))
+
+
+class TestSumOfSquares:
+    """sum_of_squares is the exact sum of the squares, rounded once, wherever Dekker's split is exact."""
+
+    @given(st.lists(_SPLIT_EXACT, min_size=1, max_size=4))
+    @example([math.nextafter(2.0**512, 0.0)])  # the largest finite square: Dekker's hi * hi overflows
+    @example([2.0**512])  # the least square that overflows
+    @example([1.3e154, 1.3e154])  # finite squares whose sum overflows
+    @example([9.4e153, 9.4e153])  # finite squares whose sum is finite and above 2**1000
+    @example([math.nextafter(2.0**500, 0.0), 1.0])  # a sum just below 2**1000
+    @example([2.0**500])  # a sum at 2**1000, where exact rationals take over
+    @example([2.0**-480, 3.0 * 2.0**-490])  # a sum at 2**-960, where the split and fsum take over
+    @example([2.0**-485, 2.0**-485 * (1.0 + 2.0**-52)])  # the least magnitudes whose split is exact
+    @example([1.0, 2.0**-27, 2.0**-27])  # the exact sum is a midpoint: it rounds to even
+    @example([1.0] + [2.0**-27] * 6)  # a midpoint that rounds up, where a plain sum gives 1.0
+    @example([0.0, -0.0])
+    @settings(max_examples=500, deadline=None)
+    def test_is_the_exact_sum_rounded_once(self, w):
+        try:
+            want = float(sum(Fraction(a) ** 2 for a in w))
+        except OverflowError:
+            want = math.inf
+        got = sum_of_squares(w)
+        assert got == want and type(got) is float
+
+    @pytest.mark.parametrize("w", [[5e-324], [1e-170, 3e-171, 0.0], [5e-324, 1e-200]])
+    def test_subnormal_squares_are_summed_exactly(self, w):
+        assert sum_of_squares(w) == float(sum(Fraction(a) ** 2 for a in w))
+
+    def test_nan_and_infinite_coordinates(self):
+        assert math.isnan(sum_of_squares([math.nan, 1.0]))
+        assert math.isnan(sum_of_squares([math.inf, math.nan]))
+        assert sum_of_squares([1.0, -math.inf]) == math.inf
 
 
 def _today_ball_project(s, x):

@@ -63,6 +63,24 @@ class TestLinearMinimizationOracles:
         with pytest.raises(ValueError):
             lmo_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])(np.array(w))
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_ball_lmo_checks_its_radius_as_the_ball_does(self, radius):
+        # radius -1 gave the atom (0.707, 0.707), which Frank-Wolfe certified at 0
+        with pytest.raises(ValueError, match="^ball radius must be positive and finite$"):
+            lmo_ball([0.0, 0.0], radius)
+
+    def test_ball_lmo_checks_its_centre_as_the_ball_does(self):
+        with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+            lmo_ball([0.0, math.nan], 1.0)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        ([1.0], [0.0], "box requires lo <= hi componentwise"),
+        ([0.0, 0.0], [1.0], "box lo has dimension 2, hi has 1"),
+    ])
+    def test_box_lmo_checks_its_ends_as_the_box_does(self, lo, hi, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lmo_box(lo, hi)
+
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_lmo_optimality_on_ball(self, d):
@@ -109,25 +127,36 @@ class TestFrankWolfe:
         assert res.iterations == 2
 
 
+def _exact_sum_of_squares(w):
+    """The sum of w_i**2 in rationals, rounded once: inf where it overflows, NaN on a NaN."""
+    if any(a != a for a in w):
+        return math.nan
+    try:
+        return float(sum(Fraction(a) ** 2 for a in w))
+    except OverflowError:
+        return math.inf
+
+
 def _reference_ball_atom(c, radius, w):
-    """c - (radius / ||w||) w with np.linalg.norm, and c for w = 0.
+    """c - (radius / ||w||) w on floats, with ||w|| from the exact sum of squares, and c for w = 0.
 
     Where ||w||^2 overflows, w is first scaled by the power of two that
     takes its largest |w_i| into [0.5, 1).
     """
-    nw = float(np.linalg.norm(w))
+    nw = math.sqrt(_exact_sum_of_squares(w))
     if nw == 0.0:
-        return c.copy()
+        return tuple(c)
     if nw == math.inf:
-        w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-        nw = float(np.linalg.norm(w))
-    return c - (radius / nw) * w
+        k = -math.frexp(max(abs(a) for a in w))[1]
+        w = [math.ldexp(a, k) for a in w]
+        nw = math.sqrt(_exact_sum_of_squares(w))
+    return tuple(ci - (radius / nw) * wi for ci, wi in zip(c, w))
 
 
 def _reference_lmo_ball(center, radius):
-    """Reference ball LMO, with np.linalg.norm."""
-    c = np.asarray(center, dtype=float)
-    return lambda w: _reference_ball_atom(c, radius, w)
+    """Reference ball LMO, with the exact sum of squares."""
+    c = [float(a) for a in center]
+    return lambda w: _reference_ball_atom(c, float(radius), w)
 
 
 def _reference_lmo_box(lo, hi):
@@ -136,32 +165,40 @@ def _reference_lmo_box(lo, hi):
     hi = np.asarray(hi, dtype=float)
 
     def lmo(w):
-        return np.where(w > 0.0, lo, hi)
+        return tuple(np.where(np.array(w) > 0.0, lo, hi).tolist())
 
     return lmo
 
 
+def _dot(a, b):
+    """<a, b> as a plain float sum, left to right from the first product."""
+    total = a[0] * b[0]
+    for p, q in zip(a[1:], b[1:]):
+        total += p * q
+    return total
+
+
 def _reference_frank_wolfe(lmo, x, cfg):
     """Reference Frank-Wolfe loop: the textbook iteration, every quantity recomputed."""
-    lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
-    x = np.asarray(x, dtype=float)
-    z = lmo(np.ones_like(x))
-    gap = np.inf
+    x = [float(a) for a in x]
+    z = list(lmo((1.0,) * len(x)))
+    gap = math.inf
     for it in range(cfg.max_iter):
-        grad = 2.0 * (z - x)
-        s = lmo(grad)
-        gap = float(np.dot(grad, z - s))
+        grad = [2.0 * (a - b) for a, b in zip(z, x)]
+        s = lmo(tuple(grad))
+        dz = [a - b for a, b in zip(s, z)]
+        num = _dot([a - b for a, b in zip(x, z)], dz)
+        gap = 2.0 * num
         if gap <= cfg.eps:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=True)
-        dz = s - z
-        denom = float(np.dot(dz, dz))
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=True)
+        denom = _dot(dz, dz)
         if denom == 0.0:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        tau = float(np.dot(x - z, dz)) / denom
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        tau = num / denom
         if not tau > 0.0:  # z cannot move: stop
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        z = z + min(1.0, tau) * dz
-    return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        z = [a + min(1.0, tau) * b for a, b in zip(z, dz)]
+    return ProjectionResult(np.array(z), max(gap, 0.0), cfg.max_iter, converged=False)
 
 
 @st.composite
@@ -185,10 +222,10 @@ def fw_cases(draw):
 class TestFrankWolfeMatchesReference:
     """The streamlined loop must reproduce the textbook one bit for bit."""
 
-    # a subnormal gap: dot(2v, s - z) rounds differently from 2 * dot(v, s - z)
+    # a subnormal gap: <2v, s - z> rounds differently from 2 <v, s - z>
     @example(((lmo_box([0.0], [0.7]), _reference_lmo_box([0.0], [0.7])),
               np.array([5e-324]), ProjectorConfig(eps=1e-12)))
-    # the same in the plane, where the loop runs on Python floats
+    # the same in the plane, where the loop is unrolled
     @example(((lmo_box([0.0, 0.0], [0.7, 0.7]), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
               np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
     # |s - z|^2 underflows to 0 while the gap exceeds eps: unconverged at iteration 0
@@ -196,17 +233,17 @@ class TestFrankWolfeMatchesReference:
               np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
     # x is the start atom, so the LMO gets the zero direction
     @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
-              np.array(lmo_ball([0.0, 0.0], 1.0)(np.ones(2))), ProjectorConfig()))
+              np.array(lmo_ball([0.0, 0.0], 1.0)((1.0, 1.0))), ProjectorConfig()))
     # the iteration cap
     @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
               np.array([2.0, 1.0]), ProjectorConfig(eps=1e-16, max_iter=1)))
-    # subnormal products v_i (z_i - s_i): the line search takes the dot on every iteration
+    # subnormal directions and products v_i (z_i - s_i): ||w||^2 is summed in rationals
     @example(((lmo_ball([0.0, 0.0], 1e-160), _reference_lmo_ball([0.0, 0.0], 1e-160)),
               np.array([3e-160, 1e-161]), ProjectorConfig(eps=5e-324)))
-    # a zero product on the first iteration takes the dot, the second step reads it off the gap
+    # a zero product on the first iteration
     @example(((lmo_box([0.0, 0.0], [1.0, 1.0]), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
               np.array([0.5, 3.0]), ProjectorConfig(eps=1e-14)))
-    # a subnormal product under a normal gap: halving the gap would round the numerator differently
+    # a subnormal product under a normal gap
     @example(((lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152),
                _reference_lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152)),
               np.array([-1.2155261538884718e-152, 8.847370707222149e-159]), ProjectorConfig(eps=5e-324, max_iter=7)))
@@ -223,7 +260,7 @@ class TestFrankWolfeMatchesReference:
 
     def test_same_iterates_across_scales(self):
         # planar balls and boxes from 1e-160 to 1e150 and on the subnormal grid,
-        # where the line search's numerator is read off the gap or falls back to the dot
+        # where products and squares round to subnormals or to 0
         rng = np.random.default_rng(18)
         for _ in range(1000):
             if rng.random() < 0.2:
@@ -253,25 +290,25 @@ class TestFrankWolfeMatchesReference:
 
 
 def _generic_frank_wolfe(lmo, x, cfg):
-    """The d-dimensional loop's form on numpy arrays: z - min(1, r) (z - s), stopping where r is not > 0."""
-    lmo = lambda w, atom=lmo: np.asarray(atom(w), dtype=float)
-    z = lmo(np.ones_like(x))
-    gap = np.inf
+    """The loop's form on Python floats: z - min(1, r) (z - s), stopping where r is not > 0."""
+    x = [float(a) for a in x]
+    z = list(lmo((1.0,) * len(x)))
+    gap = math.inf
     for it in range(cfg.max_iter):
-        v = z - x
-        grad = v + v
-        zs = z - lmo(grad)
-        gap = float(grad.dot(zs))
+        v = [a - b for a, b in zip(z, x)]
+        zs = [a - b for a, b in zip(z, lmo(tuple(a + a for a in v)))]
+        num = _dot(v, zs)
+        gap = num + num
         if gap <= cfg.eps:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=True)
-        denom = float(zs.dot(zs))
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=True)
+        denom = _dot(zs, zs)
         if denom == 0.0:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        tau = float(v.dot(zs)) / denom
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        tau = num / denom
         if not tau > 0.0:
-            return ProjectionResult(z, max(gap, 0.0), it, converged=False)
-        z = z - min(1.0, tau) * zs
-    return ProjectionResult(z, max(gap, 0.0), cfg.max_iter, converged=False)
+            return ProjectionResult(np.array(z), max(gap, 0.0), it, converged=False)
+        z = [a - min(1.0, tau) * b for a, b in zip(z, zs)]
+    return ProjectionResult(np.array(z), max(gap, 0.0), cfg.max_iter, converged=False)
 
 
 def _bits(v: float) -> bytes:
@@ -284,10 +321,11 @@ def fw_cases_at_any_scale(draw):
     d = draw(st.integers(1, 4))
     coords = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
     if draw(st.booleans()):
-        center, radius = draw(coords), draw(st.floats(0.0, 1e308))
+        center, radius = draw(coords), draw(st.floats(0.0, 1e308, exclude_min=True))
         lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
     else:
-        lo, hi = draw(coords), draw(coords)
+        ends = list(zip(draw(coords), draw(coords)))
+        lo, hi = [min(e) for e in ends], [max(e) for e in ends]
         lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
     x = np.array(draw(coords))
     cfg = ProjectorConfig(eps=draw(st.floats(5e-324, 1e300)), max_iter=draw(st.integers(1, 50)))
@@ -303,9 +341,8 @@ class TestFrankWolfeMatchesReferenceBytes:
     @staticmethod
     def _check(case):
         (lmo, reference_lmo), x, cfg = case
-        with np.errstate(over="ignore", invalid="ignore"):  # the overflowing examples
-            got = frank_wolfe_project(lmo, x, cfg)
-            want = _generic_frank_wolfe(reference_lmo, x, cfg)
+        got = frank_wolfe_project(lmo, x, cfg)
+        want = _generic_frank_wolfe(reference_lmo, x, cfg)
         assert got.point.tobytes() == want.point.tobytes()
         assert _bits(got.certified_eps) == _bits(want.certified_eps)
         assert got.iterations == want.iterations
@@ -340,32 +377,31 @@ class TestFrankWolfeMatchesReferenceBytes:
 
 
 class TestLmoAtoms:
-    """Each LMO returns its atom as a tuple of Python floats, with the numpy formula's bits."""
+    """Each LMO takes a tuple of floats and returns its atom as one, with the reference formula's bits."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("w", ["zero", "nonzero"])
     def test_atom_is_a_tuple_of_floats(self, d, w):
-        w = np.zeros(d) if w == "zero" else np.linspace(-1.0, 2.0, d)
+        w = (0.0,) * d if w == "zero" else tuple(np.linspace(-1.0, 2.0, d).tolist())
         for lmo in (lmo_ball(np.arange(d, dtype=float), np.float64(1.5)), lmo_ball(np.zeros(d), 2),
                     lmo_box(-np.ones(d), np.ones(d))):
             s = lmo(w)
             assert type(s) is tuple and len(s) == d
             assert all(type(c) is float for c in s)
 
-    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2),  # w.dot(w) stays finite
+    @given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=2),  # ||w||^2 stays finite
            st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
            st.floats(1e-3, 1e100))  # radius / ||w|| stays finite
     @example([0.0, 0.0], [1.0, -2.0], 3.0)
     @example([-0.0, 0.0], [0.0, 0.0], 1.0)
-    @example([3e200, -4e200], [1.0, -2.0], 5.0)  # w.w overflows: the atom of w scaled by a power of two
+    @example([3e200, -4e200], [1.0, -2.0], 5.0)  # ||w||^2 overflows: the atom of w scaled by a power of two
+    @example([1e-170, 3e-171], [1.0, -2.0], 5.0)  # subnormal squares
+    @example([0.068, -0.57], [0.0, 0.0], 1.0)  # a plain sum of the squares gives another ||w||
     @settings(max_examples=300, deadline=None)
-    def test_plane_ball_atom_is_the_numpy_formula(self, w, center, radius):
-        w = np.array(w)
-        c = np.array(center)
-        with np.errstate(over="ignore"):
-            got = lmo_ball(center, radius)(w)
-            want = _reference_ball_atom(c, radius, w)
-        assert np.array(got).tobytes() == want.tobytes()
+    def test_plane_ball_atom_is_the_reference_formula(self, w, center, radius):
+        got = lmo_ball(center, radius)(tuple(w))
+        want = _reference_ball_atom(center, radius, w)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ball_atom_when_w_squared_overflows(self, d):
@@ -994,6 +1030,16 @@ class TestApproxProject:
         # eps = inf once let Frank-Wolfe's start atom pass as a converged projection
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             ProjectorConfig(eps=eps)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", None])
+    def test_config_rejects_max_iter_that_is_not_an_integer(self, max_iter):
+        # max_iter = 2.5 was accepted, and Frank-Wolfe's range() then raised a TypeError
+        with pytest.raises(ValueError, match="^max_iter must be an integer"):
+            ProjectorConfig(max_iter=max_iter)
+
+    def test_config_takes_a_numpy_integer_max_iter(self):
+        res = approx_project(Ball([0, 0], 1), [3, 0.1], ProjectorConfig(max_iter=np.int64(3), method="fw"))
+        assert res.iterations <= 3
 
     @pytest.mark.parametrize("method", ["exact", "cutting", "atuo"])
     def test_config_rejects_unknown_method(self, method):

@@ -69,6 +69,20 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(1.0, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        # n = 2.5 was accepted, and solve's node arrays then raised a TypeError
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            Grid(1.0, n)
+
+    def test_solve_rejects_n_that_is_not_an_integer(self):
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+            solve(make_problem("dragging_interval"), 2.5)
+
+    def test_takes_a_numpy_integer_n(self):
+        assert Grid(1.0, np.int64(4)).node(np.int64(2)) == 0.5
+        assert solve(make_problem("dragging_interval"), np.int64(4)).nodes.shape[0] == 5
+
 
 @st.composite
 def _grid_nodes(draw):
