@@ -23,10 +23,9 @@ superlinearly down to a few ulps of |w|.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import Optional
 
 import numpy as np
@@ -74,7 +73,7 @@ class ProjectorConfig:
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps must be positive and finite, got {self.eps}")
         try:
-            operator.index(self.max_iter)
+            index(self.max_iter)  # an int or numpy integer, not a float
         except TypeError:
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
@@ -123,7 +122,7 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     to whichever kernel numpy picked, which may or may not fuse a
     multiply-add.  One numerator num = <z - x, z - s> gives both the gap,
     num + num, and the step tau = num / |z - s|^2.  In the plane the loop is
-    unrolled: it gives the general loop's bits at about a third of its cost.
+    unrolled: it gives the general loop's bits at under half its cost.
 
     tau is capped at 1.0, and the loop stops, unconverged, at a step that is
     not above 0.0 (negative, -0.0, -inf or NaN, as when the products
