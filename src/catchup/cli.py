@@ -21,13 +21,15 @@ Each command reads these keys, and any other key is a config error:
 The method is auto or fw.  solve, rate and audit take --out; solve and
 audit take --permissive.
 
+Configs are read as UTF-8, and each key may appear once.
+
 Exit codes: 0 success, 1 config or usage error (including an unknown key,
-a method the set cannot use, a value its constructor rejects, such as one
-that is not finite, an eps_n that underflows to 0, and a point that is not
-finite or of another dimension than the set), 2 projection budget exhausted,
-a non-finite projection or a failed one (project, which then prints nothing
-to stdout), 3 solve aborted on a failed projection step, a non-finite one
-among them.
+a repeated key, a config that is not UTF-8, a method the set cannot use, a
+value its constructor rejects, such as one that is not finite, an eps_n that
+underflows to 0, and a point that is not finite or of another dimension than
+the set), 2 projection budget exhausted, a non-finite projection or a failed
+one (project, which then prints nothing to stdout), 3 solve aborted on a
+failed projection step, a non-finite one among them.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_config(text: str) -> dict[str, str]:
+    """The config's keys and values; a line that is not key = value, or repeats a key, raises."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -86,7 +90,11 @@ def parse_config(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 
@@ -163,8 +171,8 @@ def _schedule(cfg: dict) -> EpsSchedule:
 def _load(args) -> dict[str, str]:
     """The command's config; a key the command does not read is a config error."""
     try:
-        cfg = parse_config(Path(args.config).read_text())
-    except OSError as exc:
+        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     keys = _KEYS[args.command]
     if args.command == "project":

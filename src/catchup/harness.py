@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import (
     Ball, Box, Halfspace, MovingSet, Sublevel, ball_fn, exact_project, norm, row_norms,
+    sum_of_squares,
 )
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 from .perturbation import linear_decay_perturbation, zero_perturbation
@@ -30,6 +31,7 @@ from .solver import (
 )
 
 EVAL_GRID_SIZE = 1000
+_EPS = 2.0**-52  # the spacing of doubles at 1
 ROUNDING_ULPS = 4  # rate-study errors within this many ulps of the largest node norm are rounding
 
 
@@ -137,10 +139,13 @@ def sup_error(traj: Trajectory, reference) -> float:
     finer Trajectory, sampled in one more array call.  A callable's points
     (a float for d = 1) are stacked into one (times, d) array first, so a
     reference of another dimension raises ValueError instead of
-    broadcasting.  Every error is norm's value, from row_norms.  Raises
-    OutOfRange on a partial trajectory whose last computed node is before T.
-    A NaN error at any time makes the result NaN, as ndarray.max gives it,
-    so no err <= bound check can pass on it.
+    broadcasting.  np.vecdot's squares, one BLAS dot per time, pick the
+    times whose square lies within the dot's rounding, 2(d + 1) eps relative,
+    of the largest; the result is the largest sqrt(sum_of_squares) of their
+    errors, correctly rounded squares, so it is the same on every BLAS
+    kernel.  Raises OutOfRange on a partial trajectory whose last computed
+    node is before T.  A NaN error at any time makes the result NaN, as
+    ndarray.max gives it, so no err <= bound check can pass on it.
     """
     ts = np.linspace(0.0, traj.grid.horizon, EVAL_GRID_SIZE)
     xs = interpolate(traj, ts)
@@ -151,7 +156,21 @@ def sup_error(traj: Trajectory, reference) -> float:
     if refs.shape != xs.shape:
         raise ValueError(f"reference points have dimension {refs.shape[1]}, "
                          f"the trajectory's have {xs.shape[1]}")
-    return float(row_norms(xs - refs).max())
+    errs = xs - refs
+    squares = np.vecdot(errs, errs)
+    top = squares.max()
+    if top != top:
+        return math.nan
+    near = squares >= top * (1.0 - 2.0 * (errs.shape[1] + 1) * _EPS)
+    return max(math.sqrt(sum_of_squares(row)) for row in errs[near].tolist())
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs, with every sum taken by math.fsum."""
+    x_bar = math.fsum(xs) / len(xs)
+    y_bar = math.fsum(ys) / len(ys)
+    dx = [x - x_bar for x in xs]
+    return math.fsum(a * (y - y_bar) for a, y in zip(dx, ys)) / math.fsum(a * a for a in dx)
 
 
 @dataclass
@@ -208,8 +227,8 @@ def rate_study(
 ) -> RateStudy:
     """Sup errors against the analytic solution along an n-ladder, and the
     fitted log-log slope vs mu_n.  method defaults to the problem's own."""
-    if any(b <= a for a, b in zip(ladder, ladder[1:])) or not ladder:
-        raise ValueError("ladder must be nonempty and strictly increasing")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])) or len(ladder) < 2:
+        raise ValueError("ladder must hold at least two sizes, strictly increasing")
     if schedule is None:
         schedule = EpsSchedule()
     entry = _entry(problem_id)
@@ -225,9 +244,7 @@ def rate_study(
         eps.append(traj.eps_n)
         node_scale = max(node_scale, float(row_norms(traj.nodes).max()))
 
-    log_mu = np.log(np.array(mus))
-    safe_err = np.maximum(np.array(errors), 1e-300)
-    slope = float(np.polyfit(log_mu, np.log(safe_err), 1)[0])
+    slope = _slope([math.log(mu) for mu in mus], [math.log(max(e, 1e-300)) for e in errors])
     ratios = [errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(len(errors) - 1)]
     return RateStudy(problem_id, list(ladder), mus, eps, errors, slope, ratios, node_scale)
 
@@ -260,10 +277,16 @@ def stability_study(
     """Track approximate projections of x_n -> x with certificates eps_n -> 0.
 
     Ground truth is the closed-form projection of the limit point; records
-    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).  A projection
-    that does not reach its eps_n, or a gap that is not finite, raises
-    ProjectionFailed.
+    the gap ||z_n - proj_s(x)|| for each supplied (x_n, eps_n).  Raises
+    ValueError unless there is one eps_n per point and at least one point.  A
+    projection that does not reach its eps_n, or a gap that is not finite,
+    raises ProjectionFailed.
     """
+    points, eps_seq = list(points), list(eps_seq)
+    if len(points) != len(eps_seq):
+        raise ValueError(f"stability study: {len(points)} points but {len(eps_seq)} budgets")
+    if not points:
+        raise ValueError("stability study: no points")
     target = exact_project(s, x)
     gaps = []
     for i, (p, eps) in enumerate(zip(points, eps_seq)):

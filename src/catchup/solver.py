@@ -138,6 +138,8 @@ class SweepingProblem:
         if not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be positive and finite")
         self.x0 = as_vec(self.x0)
+        if self.x0.shape[0] == 0:
+            raise ValueError("x0 has dimension 0; a problem needs at least one coordinate")
         c0 = self.moving_set.at(0.0)
         if self.x0.shape[0] != _dim(c0, "C(0)"):
             raise ValueError(f"x0 has dimension {self.x0.shape[0]}, C(0) has {c0.dim}")
@@ -521,33 +523,26 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_float(v: float) -> str:
-    """A float as json writes it: its repr, or NaN/Infinity/-Infinity where not finite.
+# json's C encoder, which runs only without indent, given json.dumps(indent=2)'s
+# separator between the items of a row two levels deep
+_encode_rows = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
 
-    float.__repr__ raises TypeError on any other type, so an int in a float
-    field fails instead of silently changing its format.
+
+def _json_rows(rows: list) -> str:
+    """A list of non-empty lists or dicts, as json.dumps(indent=2) writes it as a field's value.
+
+    The C encoder writes the rows with their items already laid out; only
+    the brackets between rows need lines of their own.  No number, bool or
+    key holds a bracket or a brace, so each "],\n      [" (or "},\n      {")
+    is a row boundary.
     """
-    if v - v == 0.0:
-        return float.__repr__(v)
-    return "NaN" if v != v else "Infinity" if v > 0.0 else "-Infinity"
-
-
-def _json_list(items: list[str], indent: str) -> str:
-    """Encoded items as json's two-space indented list, closed at indent."""
-    if not items:
+    if not rows:
         return "[]"
-    return "[\n" + indent + "  " + (",\n" + indent + "  ").join(items) + "\n" + indent + "]"
-
-
-# a StepDiagnostics record at depth 2, its fields in sorted key order
-_DIAG_ROW = """{
-      "budget_lambda": %s,
-      "certified_eps": %s,
-      "converged": %s,
-      "h_at_node": %s,
-      "iterations": %d,
-      "predictor_distance": %s
-    }"""
+    text = _encode_rows(rows)
+    opening, closing = text[1], text[-2]
+    inner = text[2:-2].replace(f"{closing},\n      {opening}",
+                               f"\n    {closing},\n    {opening}\n      ")
+    return f"[\n    {opening}\n      {inner}\n    {closing}\n  ]"
 
 
 def audit_to_json(audit: dict) -> str:
@@ -560,26 +555,13 @@ def trajectory_to_json(traj: Trajectory, audit: dict | str | None = None) -> str
 
     The bytes are exactly those of json.dumps(payload, indent=2,
     sort_keys=True) + "\n" on the dict of horizon, n, mu, eps_n, complete,
-    nodes, vars() of each diagnostic and audit.  json only uses its C encoder
-    when indent is None, so that call runs a pure-Python generator over every
-    float; here each node row and each diagnostic is one string template
-    instead, and only the scalars and the audit go through json.dumps.  The
-    audit may be given already encoded, as audit_to_json's string, so that a
-    caller writing audit.json too encodes it once.
+    nodes, vars() of each diagnostic and audit.  json.dumps with indent runs
+    a pure-Python generator over every float, so the nodes and the
+    diagnostics, which hold nearly all of them, go through json's C encoder
+    instead (_json_rows).  The audit may be given already encoded, as
+    audit_to_json's string, so that a caller writing audit.json too encodes
+    it once.
     """
-    row = _json_list(["%s"] * traj.nodes.shape[1], "    ")
-    nodes = [row % tuple(map(_json_float, r)) for r in traj.nodes.tolist()]
-    diags = [
-        _DIAG_ROW % (
-            _json_float(dg.budget_lambda),
-            _json_float(dg.certified_eps),
-            "true" if dg.converged else "false",
-            _json_float(dg.h_at_node),
-            dg.iterations,
-            _json_float(dg.predictor_distance),
-        )
-        for dg in traj.diagnostics
-    ]
     # json escapes every newline inside a string, so each raw newline of the
     # audit's own encoding is indentation, one level shallower than here
     if isinstance(audit, dict):
@@ -587,11 +569,11 @@ def trajectory_to_json(traj: Trajectory, audit: dict | str | None = None) -> str
     fields = [] if audit is None else ['"audit": ' + audit[:-1].replace("\n", "\n  ")]
     fields += [
         '"complete": ' + json.dumps(traj.complete),
-        '"diagnostics": ' + _json_list(diags, "  "),
+        '"diagnostics": ' + _json_rows([vars(dg) for dg in traj.diagnostics]),
         '"eps_n": ' + json.dumps(traj.eps_n),
         '"horizon": ' + json.dumps(traj.grid.horizon),
         '"mu": ' + json.dumps(traj.grid.mu),
         '"n": ' + json.dumps(traj.grid.n),
-        '"nodes": ' + _json_list(nodes, "  "),
+        '"nodes": ' + _json_rows(traj.nodes.tolist()),
     ]
     return "{\n  " + ",\n  ".join(fields) + "\n}\n"

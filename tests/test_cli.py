@@ -35,6 +35,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("nonsense line\n")
 
+    def test_rejects_a_repeated_key_naming_both_lines(self):
+        from catchup.cli import ConfigError
+        with pytest.raises(ConfigError, match=r"^line 3: key 'problem' repeats line 1$"):
+            parse_config("problem = interior_ode\n# the disk instead\nproblem = translating_disk\n")
+
 
 class TestBuildSet:
     def test_ball(self):
@@ -277,6 +282,25 @@ class TestConfigErrors:
         cfg = write(tmp_path / "s.cfg", "problem = interior_ode\nn = 8\noracle.method = bogus\n")
         assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["project", "solve", "rate", "audit"])
+    def test_repeated_key(self, tmp_path, capsys, command):
+        text = {"project": "set.kind = ball\nset.center = 0,0\nset.radius = 1\npoint = 2,0\n",
+                "rate": "problem = translating_disk\nladder = 4,8\n"}.get(
+            command, "problem = interior_ode\nn = 8\n")
+        cfg = write(tmp_path / "c.cfg", text + text.splitlines()[0] + "\n")
+        out = [] if command == "project" else ["--out", str(tmp_path / "o")]
+        err = assert_config_error([command, "--config", cfg, *out], capsys)
+        assert "repeats line 1" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_bytes(b"\xff\xfeproblem = interior_ode\nn = 8\n")
+        err = assert_config_error(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")],
+                                  capsys)
+        assert err.startswith("config error: cannot read config:") and "utf-8" in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["solve", "rate", "audit"])
     def test_fw_on_halfspace(self, tmp_path, capsys, command):

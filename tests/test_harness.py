@@ -153,6 +153,10 @@ class TestRateStudy:
         with pytest.raises(ValueError):
             rate_study("dragging_interval", [])
 
+    def test_one_size_fits_no_slope(self):
+        with pytest.raises(ValueError, match="at least two sizes"):
+            rate_study("interior_ode", [16])
+
     def test_serialization(self):
         rs = rate_study("translating_halfspace", [8, 16])
         assert rs.to_csv().startswith("n,mu,eps_n,sup_error\n")
@@ -191,6 +195,15 @@ class TestStabilityStudy:
         with pytest.raises(ProjectionFailed,
                            match=r"projection 1 certificate 2\.500e-01 exceeds eps 1\.000e-08"):
             stability_study(ball, x, [x, x], [1.0, 1e-8])
+
+    @pytest.mark.parametrize("points, eps, message", [
+        ([[2.0, 0.0], [2.1, 0.0], [2.2, 0.0]], [1e-6], "3 points but 1 budgets"),
+        ([[2.0, 0.0]], [1e-6, 1e-8], "1 points but 2 budgets"),
+        ([], [], "no points"),
+    ], ids=["fewer_budgets", "fewer_points", "empty"])
+    def test_one_budget_per_point(self, points, eps, message):
+        with pytest.raises(ValueError, match=message):
+            stability_study(Ball([0.0, 0.0], 1.0), [2.0, 0.0], points, eps)
 
     def test_requires_convergence_when_eps_fixed_small(self):
         ball = Ball([0.0, 0.0], 1.0)

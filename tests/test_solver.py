@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from catchup.solver import (
     EpsSchedule,
     Grid,
     OutOfRange,
-    _DIAG_ROW,
     ProjectionFailed,
     StepDiagnostics,
     SweepingProblem,
@@ -180,6 +178,11 @@ class TestSweepingProblem:
         ms = MovingSet.fixed(Ball([0.0], 1.0))
         with pytest.raises(ValueError, match="dimension"):
             SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0)
+
+    def test_rejects_a_zero_dimensional_x0(self):
+        ms = MovingSet.fixed(Ball([], 1.0))
+        with pytest.raises(ValueError, match="x0 has dimension 0"):
+            SweepingProblem(ms, zero_perturbation(), [], 1.0)
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("name", ["horizon", "gamma"])
@@ -619,9 +622,11 @@ def _trajectories(draw):
     rows = draw(st.integers(1, 6))
     nodes = np.array(draw(st.lists(st.lists(_JSON_FLOATS, min_size=d, max_size=d),
                                    min_size=rows, max_size=rows)))
+    # a float field sometimes holds an int, which json writes as an int
+    field = st.one_of(_JSON_FLOATS, st.integers(-10**6, 10**6))
     diags = draw(st.lists(st.builds(
-        StepDiagnostics, predictor_distance=_JSON_FLOATS, certified_eps=_JSON_FLOATS,
-        budget_lambda=_JSON_FLOATS, h_at_node=_JSON_FLOATS,
+        StepDiagnostics, predictor_distance=field, certified_eps=field,
+        budget_lambda=field, h_at_node=field,
         iterations=st.integers(0, 10**6), converged=st.booleans()), max_size=rows))
     grid = Grid(draw(st.floats(1e-3, 1e3)), draw(st.integers(1, 10**6)))
     traj = dataclasses.replace(_base_run(), grid=grid, nodes=nodes, diagnostics=diags,
@@ -650,15 +655,3 @@ class TestJsonWriter:
         audit = theorem1_audit(traj, prob)
         assert trajectory_to_json(traj) == _json_reference(traj)
         assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
-
-    def test_template_keys_are_the_diagnostic_fields(self):
-        dg = StepDiagnostics(predictor_distance=0.0, certified_eps=0.0, budget_lambda=0.0,
-                             h_at_node=0.0, iterations=0, converged=True)
-        assert re.findall(r'"(\w+)":', _DIAG_ROW) == sorted(vars(dg))
-
-    def test_int_in_a_float_field_raises(self):
-        dg = StepDiagnostics(predictor_distance=0.0, certified_eps=0, budget_lambda=0.0,
-                             h_at_node=0.0, iterations=0, converged=True)
-        traj = dataclasses.replace(_base_run(), diagnostics=[dg] * 8)
-        with pytest.raises(TypeError):
-            trajectory_to_json(traj)
