@@ -283,23 +283,18 @@ class TestConfigErrors:
         assert_config_error(["solve", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert not (tmp_path / "o" / "trajectory.csv").exists()
 
-    @pytest.mark.parametrize("command", ["project", "solve", "rate", "audit"])
-    def test_repeated_key(self, tmp_path, capsys, command):
-        text = {"project": "set.kind = ball\nset.center = 0,0\nset.radius = 1\npoint = 2,0\n",
-                "rate": "problem = translating_disk\nladder = 4,8\n"}.get(
-            command, "problem = interior_ode\nn = 8\n")
-        cfg = write(tmp_path / "c.cfg", text + text.splitlines()[0] + "\n")
-        out = [] if command == "project" else ["--out", str(tmp_path / "o")]
-        err = assert_config_error([command, "--config", cfg, *out], capsys)
-        assert "repeats line 1" in err
-        assert not (tmp_path / "o").exists()
-
-    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data, message", [
+        (b"problem = interior_ode\nproblem = translating_disk\nn = 8\n",
+         "config error: line 2: key 'problem' repeats line 1\n"),
+        (b"\xff\xfeproblem = interior_ode\nn = 8\n",
+         "config error: cannot read config: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["repeated_key", "not_utf8"])
+    def test_config_text(self, tmp_path, capsys, data, message):
         cfg = tmp_path / "s.cfg"
-        cfg.write_bytes(b"\xff\xfeproblem = interior_ode\nn = 8\n")
+        cfg.write_bytes(data)
         err = assert_config_error(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")],
                                   capsys)
-        assert err.startswith("config error: cannot read config:") and "utf-8" in err
+        assert err.startswith(message)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["solve", "rate", "audit"])
