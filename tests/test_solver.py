@@ -643,6 +643,17 @@ class TestJsonWriter:
         traj, audit = case
         assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
 
+    def test_int_in_a_float_field_raises(self):
+        # a Python int is written as json writes it (see _trajectories); a
+        # NumPy integer is no JSON number, so the writer raises as json.dumps does
+        dg = StepDiagnostics(predictor_distance=0.0, certified_eps=np.int64(0), budget_lambda=0.0,
+                             h_at_node=0.0, iterations=0, converged=True)
+        traj = dataclasses.replace(_base_run(), diagnostics=[dg] * 8)
+        with pytest.raises(TypeError):
+            _json_reference(traj)
+        with pytest.raises(TypeError):
+            trajectory_to_json(traj)
+
     @pytest.mark.parametrize("pid, run", [
         ("interior_ode", lambda prob: solve(prob, 7)),
         ("sublevel_disk", lambda prob: solve(prob, 7)),
