@@ -133,10 +133,10 @@ def fine_grid_reference(problem_id: str, n_ref: int) -> Trajectory:
 def sup_error(traj: Trajectory, reference) -> float:
     """Max interpolant error over EVAL_GRID_SIZE uniform times in [0, T].
 
-    The interpolant is sampled in one array call of interpolate, so a
-    time-independent selection is evaluated once per cell, at t_k.
-    reference is either a callable t -> point, called once per time, or a
-    finer Trajectory, sampled in one more array call.  A callable's points
+    The interpolant is sampled in one array call of interpolate, which
+    evaluates no selection: it reads the values the run stored.  reference
+    is either a callable t -> point, called once per time, or a finer
+    Trajectory, sampled in one more array call.  A callable's points
     (a float for d = 1) are stacked into one (times, d) array first, so a
     reference of another dimension raises ValueError instead of
     broadcasting.  np.vecdot's squares, one BLAS dot per time, pick the

@@ -65,6 +65,11 @@ class Selection:
     f: Callable[[float, Array], Array]
     time_independent: bool = False
 
+    @property
+    def quad_nodes(self) -> int:
+        """q, the values cell_integral takes on a cell: one for a time-independent selection."""
+        return 1 if self.time_independent else DEFAULT_QUAD_NODES
+
     def value(self, t: float, x: Array) -> Array:
         """f(t, x) as a vector; ValueError unless it has the shape of the state x."""
         v = as_vec(self.f(t, x))
@@ -113,27 +118,27 @@ def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
     )
 
 
-def cell_integral(sel: Selection, x, a: float, b: float) -> Array:
-    """Approximate integral of s -> sel.f(s, x) over [a, b], x frozen.
+def cell_integral(sel: Selection, x, a: float, b: float) -> tuple[Array, Array]:
+    """Approximate integral of s -> sel.f(s, x) over [a, b], x frozen, and the (q, d) values summed.
 
-    Composite midpoint rule with q = DEFAULT_QUAD_NODES sub-nodes; a single
-    evaluation when the selection is declared time-independent, which makes
-    the value exact.  The rule is exact on integrands linear in time;
-    otherwise the per-cell error is bounded by (b-a)^3 * M2 / (24 q^2) for
-    |d^2 f/dt^2| <= M2.
+    Composite midpoint rule: h = (b - a) / q times the sum of f at a + (j + 0.5) h,
+    q = sel.quad_nodes; a selection declared time-independent is evaluated once,
+    at a (q = 1), which makes the integral exact.  The rule is exact on integrands
+    linear in time; otherwise the per-cell error is bounded by (b-a)^3 * M2 / (24 q^2)
+    for |d^2 f/dt^2| <= M2.  An empty cell evaluates nothing and gives q zero values.
     """
     if a > b:
         raise ValueError("need a <= b")
     x = as_vec(x)
+    q = sel.quad_nodes
     if a == b:
-        return np.zeros(x.shape[0])
+        return np.zeros(x.shape[0]), np.zeros((q, x.shape[0]))
     if sel.time_independent:
-        return (b - a) * sel.value(a, x)
-    h = (b - a) / DEFAULT_QUAD_NODES
-    total = np.zeros(x.shape[0])
-    for j in range(DEFAULT_QUAD_NODES):
-        total += sel.value(a + (j + 0.5) * h, x)
-    return h * total
+        v = sel.value(a, x)
+        return (b - a) * v, v[None]
+    h = (b - a) / q
+    values = np.array([sel.value(a + (j + 0.5) * h, x) for j in range(q)])
+    return h * sum(values, np.zeros(x.shape[0])), values
 
 
 # ---------------------------------------------------------------------------

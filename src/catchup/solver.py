@@ -41,8 +41,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         try:
             operator.index(self.n)
         except TypeError:
@@ -172,8 +172,8 @@ class Trajectory:
     grid: Grid
     nodes: Array  # (n+1, d)
     integrals: Array  # (n, d) stored per-cell selection integrals
+    values: Array  # (n, q, d) the selection values each cell integral summed
     diagnostics: list[StepDiagnostics]
-    selection: Selection
     schedule: EpsSchedule
     complete: bool = True
 
@@ -193,14 +193,15 @@ def step(
     x_k: Array,
     selection: Selection,
     projector: ProjectorConfig,
-) -> tuple[Array, StepDiagnostics, Array]:
+) -> tuple[Array, StepDiagnostics, Array, Array]:
     """One catching-up update: integrate the frozen selection, then project.
 
-    The projector's eps is the grid's certificate budget eps_n.  Raises
-    ProjectionFailed when ||predictor - point|| is not finite.
+    The projector's eps is the grid's certificate budget eps_n.  Returns the
+    next node, the step's diagnostics and cell_integral's integral and values.
+    Raises ProjectionFailed when ||predictor - point|| is not finite.
     """
     t_k, t_k1 = grid.node(k), grid.node(k + 1)
-    integral = cell_integral(selection, x_k, t_k, t_k1)
+    integral, values = cell_integral(selection, x_k, t_k, t_k1)
     predictor = x_k + integral
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
@@ -213,7 +214,7 @@ def step(
     ) * grid.mu
     # positional, in field order: binding six keywords costs more than the whole positional call
     diag = StepDiagnostics(dist, res.certified_eps, lam, h_k, res.iterations, res.converged)
-    return res.point, diag, integral
+    return res.point, diag, integral, values
 
 
 def solve(
@@ -242,23 +243,23 @@ def solve(
 
     nodes = np.zeros((n + 1, d))
     integrals = np.zeros((n, d))
+    values = np.zeros((n, selection.quad_nodes, d))
     nodes[0] = problem.x0
     diags: list[StepDiagnostics] = []
     projector = ProjectorConfig(eps=eps_n, max_iter=max_iter, method=method)
 
     def partial() -> Trajectory:
         done = len(diags)
-        return Trajectory(
-            grid, nodes[: done + 1], integrals[:done], diags, selection, schedule, complete=False,
-        )
+        return Trajectory(grid, nodes[: done + 1], integrals[:done], values[:done], diags,
+                          schedule, complete=False)
 
     for k in range(n):
         try:
-            x_next, diag, integral = step(problem, grid, k, nodes[k], selection, projector)
+            x_next, diag, integrals[k], values[k] = step(
+                problem, grid, k, nodes[k], selection, projector)
         except ProjectionFailed as exc:
             raise ProjectionFailed(str(exc), partial=partial()) from exc
         nodes[k + 1] = x_next
-        integrals[k] = integral
         diags.append(diag)
         if not diag.converged and not permissive:
             raise ProjectionFailed(
@@ -266,7 +267,7 @@ def solve(
                 partial=partial(),
             )
 
-    return Trajectory(grid, nodes, integrals, diags, selection, schedule)
+    return Trajectory(grid, nodes, integrals, values, diags, schedule)
 
 
 def _times(t) -> tuple[Array, bool]:
@@ -288,83 +289,73 @@ def _computed_cells(traj: Trajectory, ts: Array, cells: Array) -> Array:
     return cells
 
 
-def _rows(traj: Trajectory, rows, count: int) -> Array:
-    """The count vectors that rows yields, one per row, filled as they come."""
-    out = np.empty((count, traj.nodes.shape[1]))
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
-
-
 def _moves(traj: Trajectory) -> Array:
     """The projection move nodes[k+1] - nodes[k] - integrals[k] of every computed cell k."""
     return traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
 
 
-def _cell_values(traj: Trajectory, cells: Array) -> Array:
-    """A time-independent selection at (t_k, x_k), evaluated once per distinct cell k."""
-    sampled = np.zeros(traj.steps_taken, dtype=bool)
-    sampled[cells] = True
-    values = np.empty((traj.steps_taken, traj.nodes.shape[1]))
-    for k in np.flatnonzero(sampled).tolist():
-        values[k] = traj.selection.value(traj.grid.node(k), traj.nodes[k])
-    return values[cells]
+def _sub_cells(traj: Trajectory, cells: Array, elapsed: Array) -> tuple[Array, Array]:
+    """The sub-cell j = floor(e / h) holding each elapsed time e = t - t_k of cell k, and h.
+
+    h = (t_{k+1} - t_k) / q, as cell_integral forms it.  j is at most q - 1:
+    an interior sub-cell end belongs to the later sub-cell, and t_{k+1} to
+    the last.
+    """
+    q = traj.values.shape[1]
+    h = (traj.grid.node(cells + 1) - traj.grid.node(cells)) / q
+    return np.minimum(elapsed // h, q - 1).astype(int), h
 
 
 def interpolate(traj: Trajectory, t) -> Array:
     """Evaluate the piecewise interpolant through the stored nodes.
 
-    Inside a cell the value is the node plus a linear share of the
-    projection move plus the partial selection integral, recomputed with the
-    same quadrature as the stored cell integral so node evaluations
-    telescope exactly.  A time-independent selection is evaluated once per
-    sampled cell, at t_k, as cell_integral evaluates it.
+    Inside a cell k the value is the node plus a linear share of the
+    projection move plus the partial integral of g = values[k], the values
+    the step summed, each constant on its sub-cell: h (g_0 + ... + g_{j-1})
+    + (e - j h) g_j at e = t - t_k on sub-cell j (see _sub_cells).  At q = 1
+    that is e g_0.  No selection is evaluated.
 
     t is a time or a 1-d array of times; an array gives one row per time.
     Raises OutOfRange outside [0, T] and, on a partial trajectory, past the
     last computed node.
     """
-    grid, sel = traj.grid, traj.selection
+    grid = traj.grid
     ts, single = _times(t)
     inside = ts != 0.0
     out = np.empty((ts.size, traj.nodes.shape[1]))
     out[~inside] = traj.nodes[0]
     t_in = ts[inside]
     cells = _computed_cells(traj, t_in, _left_cells(grid, t_in))
-    t_k = grid.node(cells)
-    elapsed = t_in - t_k
-    if sel.time_independent:
-        partial = elapsed[:, None] * _cell_values(traj, cells)
-    else:
-        partial = _rows(traj, (cell_integral(sel, traj.nodes[k], a, b) for k, a, b
-                               in zip(cells.tolist(), t_k.tolist(), t_in.tolist())), cells.size)
+    elapsed = t_in - grid.node(cells)
+    j, h = _sub_cells(traj, cells, elapsed)
+    g, rows = traj.values[cells], np.arange(cells.size)
+    partial = (elapsed - j * h)[:, None] * g[rows, j]
+    later = j > 0  # j = 0 adds no sum, so q = 1 gives e g_0's bits
+    partial[later] += h[later, None] * np.cumsum(g, axis=1)[rows[later], j[later] - 1]
     share = (elapsed / grid.mu)[:, None]
     out[inside] = traj.nodes[cells] + share * _moves(traj)[cells] + partial
     return out[0] if single else out
 
 
 def velocity(traj: Trajectory, t) -> Array:
-    """d/dt of the interpolant; defined in cell interiors only.
+    """d/dt of the interpolant, moves_k / mu + values[k, j] on sub-cell j of cell k.
 
-    t is a time or a 1-d array of times; an array gives one row per time.  A
-    time-independent selection is evaluated once per sampled cell, at t_k;
-    a time-dependent one at each t.  Raises OutOfRange at a grid node, where
-    the derivative jumps, outside (0, T) and, on a partial trajectory, past
-    the last computed node.
+    Defined in cell interiors only; at an interior sub-cell end it is the
+    right-hand value, that of the later sub-cell (see _sub_cells).  No
+    selection is evaluated.  t is a time or a 1-d array of times; an array
+    gives one row per time.  Raises OutOfRange at a grid node, where the
+    derivative jumps, outside (0, T) and, on a partial trajectory, past the
+    last computed node.
     """
-    grid, sel = traj.grid, traj.selection
+    grid = traj.grid
     ts, single = _times(t)
     cells = grid.cell_index(ts)
     bad = (ts == grid.horizon) | (grid.node(cells) == ts)
     if bad.any():
         raise OutOfRange(f"t={ts[bad][0]} is a grid node or outside (0, {grid.horizon})")
     cells = _computed_cells(traj, ts, cells)
-    if sel.time_independent:
-        values = _cell_values(traj, cells)
-    else:
-        values = _rows(traj, (sel.value(s, traj.nodes[k])
-                              for s, k in zip(ts.tolist(), cells.tolist())), cells.size)
-    out = _moves(traj)[cells] / grid.mu + values
+    j, _ = _sub_cells(traj, cells, ts - grid.node(cells))
+    out = _moves(traj)[cells] / grid.mu + traj.values[cells, j]
     return out[0] if single else out
 
 
@@ -412,9 +403,10 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     ProjectionFailed.
 
     The interpolant is sampled at AUDIT_TIME_SAMPLES uniform times in one
-    array call of interpolate, and the velocity at three interior points of
-    each cell in one array call of velocity; a time-independent selection is
-    evaluated once per cell, at t_k.
+    array call of interpolate.  The velocity is read in one array call of
+    velocity at the midpoint of each sub-cell, once per stored selection
+    value, so c is the exact maximum over the run.  No selection is
+    evaluated.
     """
     grid = traj.grid
     mu = grid.mu
@@ -489,8 +481,9 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     record("b_set_distance", dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
            lower=lower_ends(dist, certs))
 
-    # (c): velocity bound sampled at three interior points of each cell
-    tv = grid.node(np.arange(traj.steps_taken))[:, None] + np.array([0.25, 0.5, 0.75]) * mu
+    # (c): velocity bound at the midpoint of every sub-cell, where it takes each stored value
+    k, q = np.arange(traj.steps_taken)[:, None], traj.values.shape[1]
+    tv = grid.node(k) + (np.arange(q) + 0.5) * ((grid.node(k + 1) - grid.node(k)) / q)
     record("c_velocity_bound", row_norms(velocity(traj, tv.reshape(-1))), const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catchup import geometry, oracles
@@ -640,17 +640,17 @@ def restore_cases(draw):
             center = np.array(draw(vec))
             reach = float(np.linalg.norm(slater - center))
             return ball_fn(center, reach * draw(st.floats(1.01, 4.0)) + draw(st.floats(1e-3, 10.0)))
-        a = np.array(draw(vec))
-        assume(a.any())
+        a = np.array(draw(vec.filter(any)))
         return affine_fn(a, float(a.dot(slater)) + draw(st.floats(1e-3, 100.0)))
 
     kind = draw(st.sampled_from(["ball_fn", "affine_fn", "max_fn"]))
     fn = max_fn([component() for _ in range(draw(st.integers(2, 3)))]) if kind == "max_fn" else component()
     s = Sublevel(fn, 0.0, slater=slater)
-    w = np.array(draw(vec)) * draw(st.sampled_from([1.0, 1.0, 10.0, 1e3]))
-    cut = separation_oracle(s, w)
-    assume(cut is not None)
-    return s, w, cut
+    # filter redraws only w (and a above), where assume rejected the whole case: at some
+    # fixed seeds that tripped hypothesis's filter_too_much health check
+    scaled = st.tuples(vec, st.sampled_from([1.0, 1.0, 10.0, 1e3])).map(lambda p: np.array(p[0]) * p[1])
+    w = draw(scaled.filter(lambda w: separation_oracle(s, w) is not None))
+    return s, w, separation_oracle(s, w)
 
 
 def _directions(count):

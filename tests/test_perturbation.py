@@ -17,7 +17,7 @@ from catchup.perturbation import (
     min_norm_selection,
     zero_perturbation,
 )
-from catchup.solver import SweepingProblem, solve, velocity
+from catchup.solver import SweepingProblem, solve
 
 SINGLE_VALUED = (zero_perturbation, linear_decay_perturbation)
 
@@ -68,27 +68,39 @@ class TestCellIntegral:
             return np.array([2.0])
 
         sel = Selection(f=f, time_independent=True)
-        v = cell_integral(sel, [0.0], 0.0, 0.5)
+        v, values = cell_integral(sel, [0.0], 0.0, 0.5)
         assert np.allclose(v, [1.0])
-        assert len(calls) == 1
+        assert calls == [0.0]
+        assert np.array_equal(values, [[2.0]])
+
+    def test_hands_back_the_values_it_summed(self):
+        # f at the midpoints 1/8, 3/8, 5/8, 7/8 of the four sub-cells, summed in order
+        sel = Selection(f=lambda t, x: np.array([t, 1.0 - t]) + x)
+        x = np.array([0.1, -0.3])
+        v, values = cell_integral(sel, x, 0.0, 1.0)
+        mids = np.array([0.125, 0.375, 0.625, 0.875])
+        assert np.array_equal(values, np.stack([mids, 1.0 - mids], axis=1) + x)
+        assert np.array_equal(v, 0.25 * (((values[0] + values[1]) + values[2]) + values[3]))
 
     def test_exact_on_linear_integrands(self):
         sel = Selection(f=lambda t, x: np.array([3.0 * t + 1.0]))
-        v = cell_integral(sel, [0.0], 0.0, 2.0)
+        v, _ = cell_integral(sel, [0.0], 0.0, 2.0)
         assert v[0] == pytest.approx(8.0, abs=1e-12)  # int_0^2 (3t+1) dt
 
     def test_quadratic_frozen_value(self):
         # composite midpoint with the default q=4 on t^2 over [0,1]:
         # (1/4) * sum ((2j+1)/8)^2 = 0.328125 exactly
         sel = Selection(f=lambda t, x: np.array([t * t]))
-        v = cell_integral(sel, [0.0], 0.0, 1.0)
+        v, _ = cell_integral(sel, [0.0], 0.0, 1.0)
         assert v[0] == 0.328125
         # error against 1/3 obeys the (b-a)^3 M2 / (24 q^2) bound with M2 = 2
         assert abs(v[0] - 1.0 / 3.0) <= 2.0 / (24.0 * 16.0)
 
     def test_empty_cell(self):
         sel = Selection(f=lambda t, x: np.array([1.0]))
-        assert np.allclose(cell_integral(sel, [0.0], 0.3, 0.3), [0.0])
+        v, values = cell_integral(sel, [0.0], 0.3, 0.3)
+        assert np.array_equal(v, [0.0])
+        assert np.array_equal(values, np.zeros((4, 1)))
 
     def test_rejects_reversed_interval(self):
         sel = Selection(f=lambda t, x: np.array([1.0]))
@@ -129,14 +141,6 @@ class TestWrongDimensionField:
                                   [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="shape"):
             solve(problem, 4)
-
-    def test_velocity_rejects_it(self):
-        problem = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), zero_perturbation(),
-                                  [0.0, 0.0], 1.0)
-        traj = solve(problem, 4)
-        traj.selection = Selection(f=self.one_vector.field, time_independent=True)
-        with pytest.raises(ValueError, match="shape"):
-            velocity(traj, 0.3)
 
 
 class TestCatalog:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn, norm
-from catchup.harness import make_problem, reference_solution
-from catchup.perturbation import Selection, zero_perturbation
+from catchup.harness import make_problem, reference_solution, sup_error
+from catchup.perturbation import Perturbation, Selection, zero_perturbation
 from catchup.solver import (
     AUDIT_TIME_SAMPLES,
     EpsSchedule,
@@ -66,6 +66,12 @@ class TestGrid:
             Grid(0.0, 4)
         with pytest.raises(ValueError):
             Grid(1.0, 0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_a_horizon_that_is_not_positive_and_finite(self, horizon):
+        # Grid(inf, 4) was accepted, and node(0) = 0 * inf / 4 was nan
+        with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
+            Grid(horizon, 4)
 
     @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
     def test_rejects_n_that_is_not_an_integer(self, n):
@@ -198,6 +204,27 @@ class TestSweepingProblem:
             SweepingProblem(ms, zero_perturbation(), [0.0, 0.0], **{"horizon": 1.0, name: math.inf})
 
 
+def _time_dependent(problem):
+    """problem with its perturbation declared time-dependent: q = 4 values a cell."""
+    return dataclasses.replace(problem, perturbation=dataclasses.replace(
+        problem.perturbation, time_independent=False))
+
+
+def _check_partial_after_three_cells(problem, selection_fails_after):
+    """A selection that fails in cell 3 leaves the clean run's first three cells, values included."""
+    clean = solve(problem, 8)
+    # three cells' worth of selections: one a cell, or one per quadrature node
+    selection_fails_after(3 * clean.values.shape[1])
+    with pytest.raises(ProjectionFailed, match="selection") as exc:
+        solve(problem, 8)
+    partial = exc.value.partial
+    assert partial is not None and not partial.complete
+    assert partial.steps_taken == 3
+    assert np.array_equal(partial.nodes, clean.nodes[:4])
+    assert np.array_equal(partial.integrals, clean.integrals[:3])
+    assert np.array_equal(partial.values, clean.values[:3])
+
+
 class TestSolve:
     def test_dragging_interval_nodes_exact(self):
         prob = make_problem("dragging_interval")
@@ -245,15 +272,11 @@ class TestSolve:
             solve(drift_in_fixed_ball, 4)
 
     def test_unconverged_selection_carries_partial(self, drift_in_fixed_ball, selection_fails_after):
-        clean = solve(drift_in_fixed_ball, 8)
-        selection_fails_after(3)
-        with pytest.raises(ProjectionFailed, match="selection") as exc:
-            solve(drift_in_fixed_ball, 8)
-        partial = exc.value.partial
-        assert partial is not None and not partial.complete
-        assert partial.steps_taken == 3
-        assert np.array_equal(partial.nodes, clean.nodes[:4])
-        assert np.array_equal(partial.integrals, clean.integrals[:3])
+        _check_partial_after_three_cells(drift_in_fixed_ball, selection_fails_after)
+
+    def test_unconverged_time_dependent_selection_carries_partial(self, drift_in_fixed_ball,
+                                                                  selection_fails_after):
+        _check_partial_after_three_cells(_time_dependent(drift_in_fixed_ball), selection_fails_after)
 
     @pytest.mark.parametrize("permissive", [False, True])
     def test_non_finite_projection_fails_the_step(self, jumping_ball, permissive):
@@ -352,8 +375,7 @@ class TestArraySampling:
             return _fw_partial()
         problem = drift_in_fixed_ball
         if request.param == "drift_time_dependent":
-            problem = dataclasses.replace(problem, perturbation=dataclasses.replace(
-                problem.perturbation, time_independent=False))
+            problem = _time_dependent(problem)
         return solve(problem, 16)
 
     def test_interpolate_array_equals_stacked_scalars(self, traj):
@@ -389,19 +411,89 @@ class TestArraySampling:
             with pytest.raises(OutOfRange, match="last computed node"):
                 velocity(partial, t)
 
-    def test_audit_evaluates_a_time_independent_selection_once_per_cell(self):
-        n = 64
-        problem = make_problem("interior_ode")
-        traj = solve(problem, n)
+    @pytest.mark.parametrize("time_independent", [True, False])
+    def test_audit_and_sup_error_evaluate_no_selection(self, drift_in_fixed_ball, monkeypatch,
+                                                       time_independent):
+        problem = drift_in_fixed_ball if time_independent else _time_dependent(drift_in_fixed_ball)
         calls = []
+        value = Selection.value
 
-        def counted(t, x):
+        def counted(sel, t, x):
             calls.append(t)
-            return traj.selection.f(t, x)
+            return value(sel, t, x)
 
-        audited = dataclasses.replace(traj, selection=Selection(counted, time_independent=True))
-        assert theorem1_audit(audited, problem) == theorem1_audit(traj, problem)
-        assert 0 < len(calls) <= n + AUDIT_TIME_SAMPLES
+        monkeypatch.setattr(Selection, "value", counted)
+        traj = solve(problem, 64)
+        assert len(calls) == traj.values.shape[0] * traj.values.shape[1]
+        calls.clear()
+        theorem1_audit(traj, problem)
+        sup_error(traj, lambda t: np.zeros(2))
+        assert calls == []
+
+
+def _linear_drift(a, b):
+    """F(t, x) = {a + b t}, time-dependent, inside Ball(0, 1e3) from x0 = 0: x(t) = a t + b t^2 / 2."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    field = Perturbation.single_valued(lambda t, x: a + b * t, lambda x: norm(a) + norm(b), 0.0)
+    return SweepingProblem(MovingSet.fixed(Ball(np.zeros(a.size), 1e3)), field,
+                           np.zeros(a.size), 1.0)
+
+
+def _sub_cell_midpoints(traj):
+    """t_k + (j + 1/2) h for every computed cell k and sub-cell j, as cell_integral takes them."""
+    g, q = traj.grid, traj.values.shape[1]
+    k = np.arange(traj.steps_taken)
+    h = (g.node(k + 1) - g.node(k)) / q
+    return g.node(k)[:, None] + (np.arange(q) + 0.5) * h[:, None]
+
+
+class TestStoredValues:
+    """The interpolant and the velocity of a time-dependent run, from the values each step summed."""
+
+    def test_nodes_are_interpolated_at_four_quadrature_nodes(self):
+        traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 32)
+        assert traj.values.shape == (32, 4, 2)
+        interp = interpolate(traj, traj.grid.node(np.arange(33)))
+        assert np.abs(interp - traj.nodes).max() <= 1e-12
+
+    def test_velocity_at_sub_cell_midpoints_is_the_stored_value(self):
+        traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 16)
+        moves = traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
+        for k, row in enumerate(_sub_cell_midpoints(traj)):
+            for j, t in enumerate(row):
+                expect = moves[k] / traj.grid.mu + traj.values[k, j]
+                assert np.array_equal(velocity(traj, t), expect), (k, j)
+
+    def test_velocity_at_a_sub_cell_end_is_the_later_value(self):
+        # one cell of width 1: the sub-cells end at 0.25, 0.5 and 0.75, exactly
+        traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 1)
+        move = (traj.nodes[1] - traj.nodes[0] - traj.integrals[0]) / traj.grid.mu
+        for j, t in ((1, 0.25), (2, 0.5), (3, 0.75)):
+            assert np.array_equal(velocity(traj, t), move + traj.values[0, j])
+
+    def test_audit_c_is_the_largest_stored_velocity(self):
+        problem = _linear_drift([1.0, -2.0], [3.0, 0.5])
+        traj = solve(problem, 16)
+        moves = traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
+        speeds = [norm(move / traj.grid.mu + g) for move, cell in zip(moves, traj.values)
+                  for g in cell]
+        checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, problem)["checks"]}
+        assert checks["c_velocity_bound"] == max(speeds)
+
+    @given(a=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+           b=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+           n=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_selection_error_is_within_the_sub_cell_bound(self, a, b, n):
+        # g is constant on each sub-cell of width h = mu / q, at the midpoint value of
+        # a + b t, so its integral misses b (t - m)^2 / 2 there: at most h^2 ||b|| / 8
+        traj = solve(_linear_drift(a, b), n)
+        q = traj.values.shape[1]
+        ts = np.concatenate([np.linspace(0.0, 1.0, 101), _sub_cell_midpoints(traj).reshape(-1)])
+        exact = np.outer(ts, a) + np.outer(ts * ts / 2.0, b)
+        err = np.linalg.norm(interpolate(traj, ts) - exact, axis=1)
+        bound = (traj.grid.mu / q) ** 2 * norm(np.array(b)) / 8.0
+        assert err.max() <= bound + 1e-12
 
 
 class TestAudit:
@@ -439,7 +531,7 @@ class TestAudit:
         traj = solve(drift_in_fixed_ball, 8)
         assert theorem1_audit(traj, drift_in_fixed_ball)["passed"]
         partial = dataclasses.replace(
-            traj, nodes=traj.nodes[:4], integrals=traj.integrals[:3],
+            traj, nodes=traj.nodes[:4], integrals=traj.integrals[:3], values=traj.values[:3],
             diagnostics=traj.diagnostics[:3], complete=False,
         )
         report = theorem1_audit(partial, drift_in_fixed_ball)
@@ -450,7 +542,7 @@ class TestAudit:
     def test_zero_step_partial_audit_is_valid_json(self):
         traj = solve(make_problem("dragging_interval"), 8)
         partial = dataclasses.replace(
-            traj, nodes=traj.nodes[:1], integrals=traj.integrals[:0],
+            traj, nodes=traj.nodes[:1], integrals=traj.integrals[:0], values=traj.values[:0],
             diagnostics=[], complete=False,
         )
         report = theorem1_audit(partial, make_problem("dragging_interval"))
@@ -606,7 +698,7 @@ def _audits():
     prob = make_problem("dragging_interval")
     traj = _base_run()
     partial = dataclasses.replace(traj, nodes=traj.nodes[:1], integrals=traj.integrals[:0],
-                                  diagnostics=[], complete=False)
+                                  values=traj.values[:0], diagnostics=[], complete=False)
     return theorem1_audit(traj, prob), theorem1_audit(partial, prob)
 
 
