@@ -16,8 +16,6 @@ from .geometry import (
     max_fn,
     distance,
     exact_project,
-    lmo_ball,
-    lmo_box,
     prox_eps0,
     residual,
 )

@@ -29,7 +29,8 @@ value its constructor rejects, such as one that is not finite, an eps_n that
 underflows to 0, and a point that is not finite or of another dimension than
 the set), 2 projection budget exhausted, a non-finite projection or a failed
 one (project, which then prints nothing to stdout), 3 solve aborted on a
-failed projection step, a non-finite one among them.
+failed projection step, a non-finite one among them, or a failed audit or
+rate gate.  The audit projects nothing, so it cannot fail a projection.
 """
 
 from __future__ import annotations

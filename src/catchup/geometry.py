@@ -286,11 +286,6 @@ class Ball(SetDescription):
         return lmo2
 
 
-def lmo_ball(center, radius: float) -> LMO:
-    """The LMO of Ball(center, radius), which checks both as the ball does."""
-    return Ball(center, radius).lmo()
-
-
 @dataclass(frozen=True)
 class Box(SetDescription):
     lo: Array
@@ -326,11 +321,6 @@ class Box(SetDescription):
             return tuple([l if wi > 0.0 else h for wi, l, h in zip(w, lo, hi, strict=True)])
 
         return lmo
-
-
-def lmo_box(lo, hi) -> LMO:
-    """The LMO of Box(lo, hi), which checks both as the box does."""
-    return Box(lo, hi).lmo()
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DISTANCE_EPS, Array, MovingSet, SetDescription, UnsupportedKind, as_vec, norm, residual,
-    row_norms,
+    Array, MovingSet, SetDescription, UnsupportedKind, as_vec, norm, residual, row_norms,
 )
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project
 from .perturbation import (
@@ -49,6 +48,10 @@ class Grid:
             raise ValueError(f"n must be an integer, got {self.n!r}") from None
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.mu == 0.0:
+            raise ValueError(
+                f"cell width horizon / n underflows to 0 for horizon={self.horizon}, n={self.n}"
+            )
 
     @property
     def mu(self) -> float:
@@ -74,9 +77,6 @@ class Grid:
         k = np.minimum(np.floor(ts * self.n / self.horizon), self.n - 1).astype(int)
         k = k - (self.node(k) > ts) + ((self.node(k + 1) <= ts) & (k < self.n - 1))
         return int(k) if k.ndim == 0 else k
-
-    def theta(self, t):
-        return self.node(self.cell_index(t) + 1)
 
 
 def _left_cells(grid: Grid, ts: Array) -> Array:
@@ -306,14 +306,27 @@ def _sub_cells(traj: Trajectory, cells: Array, elapsed: Array) -> tuple[Array, A
     return np.minimum(elapsed // h, q - 1).astype(int), h
 
 
+def _in_cells(traj: Trajectory, cells: Array, elapsed: Array, j: Array, h: Array) -> Array:
+    """x_n(t_k + e) for each cell k, elapsed time e and its sub-cell j of width h.
+
+    The node plus a linear share e / mu of the projection move plus the
+    partial integral of g = values[k], the values the step summed, each
+    constant on its sub-cell: h (g_0 + ... + g_{j-1}) + (e - j h) g_j.  At
+    q = 1 that is e g_0.
+    """
+    g, rows = traj.values[cells], np.arange(cells.size)
+    partial = (elapsed - j * h)[:, None] * g[rows, j]
+    later = j > 0  # j = 0 adds no sum, so q = 1 gives e g_0's bits
+    partial[later] += h[later, None] * np.cumsum(g, axis=1)[rows[later], j[later] - 1]
+    share = (elapsed / traj.grid.mu)[:, None]
+    return traj.nodes[cells] + share * _moves(traj)[cells] + partial
+
+
 def interpolate(traj: Trajectory, t) -> Array:
     """Evaluate the piecewise interpolant through the stored nodes.
 
-    Inside a cell k the value is the node plus a linear share of the
-    projection move plus the partial integral of g = values[k], the values
-    the step summed, each constant on its sub-cell: h (g_0 + ... + g_{j-1})
-    + (e - j h) g_j at e = t - t_k on sub-cell j (see _sub_cells).  At q = 1
-    that is e g_0.  No selection is evaluated.
+    At t in cell k and sub-cell j (see _sub_cells) the value is _in_cells'
+    at e = t - t_k.  No selection is evaluated.
 
     t is a time or a 1-d array of times; an array gives one row per time.
     Raises OutOfRange outside [0, T] and, on a partial trajectory, past the
@@ -327,13 +340,7 @@ def interpolate(traj: Trajectory, t) -> Array:
     t_in = ts[inside]
     cells = _computed_cells(traj, t_in, _left_cells(grid, t_in))
     elapsed = t_in - grid.node(cells)
-    j, h = _sub_cells(traj, cells, elapsed)
-    g, rows = traj.values[cells], np.arange(cells.size)
-    partial = (elapsed - j * h)[:, None] * g[rows, j]
-    later = j > 0  # j = 0 adds no sum, so q = 1 gives e g_0's bits
-    partial[later] += h[later, None] * np.cumsum(g, axis=1)[rows[later], j[later] - 1]
-    share = (elapsed / grid.mu)[:, None]
-    out[inside] = traj.nodes[cells] + share * _moves(traj)[cells] + partial
+    out[inside] = _in_cells(traj, cells, elapsed, *_sub_cells(traj, cells, elapsed))
     return out[0] if single else out
 
 
@@ -363,7 +370,6 @@ def velocity(traj: Trajectory, t) -> Array:
 # audit of the discrete a-priori bounds
 
 _AUDIT_SLACK = 1e-12
-AUDIT_TIME_SAMPLES = 256
 
 
 def audit_constants(problem: SweepingProblem, schedule: EpsSchedule) -> dict:
@@ -395,18 +401,26 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     Report-only: returns a verdict per bound with the worst value and the
     refuted cells.  A projection z with certificate eps_hat brackets the
     distance d between sqrt(max(||x - z||^2 - eps_hat, 0)) and ||x - z||;
-    a_i and b read d off that bracket, and every other value is exact.  A
-    check is refuted when a lower end exceeds the bound, certified when it
-    has values and every upper end is within it, inconclusive otherwise, and
-    passes unless refuted.  A partial trajectory is sampled up to its last
-    computed node and never passes.  A b distance that is not finite raises
-    ProjectionFailed.
+    a_i and b read d off the steps' brackets, and every other value is
+    exact.  A check is refuted when a lower end exceeds the bound, certified
+    when it has values and every upper end is within it, inconclusive
+    otherwise, and passes unless refuted.  A partial trajectory is read up
+    to its last computed node and never passes.
 
-    The interpolant is sampled at AUDIT_TIME_SAMPLES uniform times in one
-    array call of interpolate.  The velocity is read in one array call of
-    velocity at the midpoint of each sub-cell, once per stored selection
-    value, so c is the exact maximum over the run.  No selection is
-    evaluated.
+    Every supremum over [0, T] is read exactly from the stored run: no
+    projection, no set and no selection is evaluated.  On cell k, x_n is
+    affine between its breakpoints b_{k,j} = x_n(t_k + j h), j < q, and
+    x_{k+1}, so a_iii's convex ||x_n(t)|| peaks at a breakpoint or at the
+    last node, and a_v's ||x_n(t) - x_{k+1}|| at a breakpoint of cell k.  c
+    reads moves_k / mu + values[k, j], the velocity on each sub-cell.
+
+    b rests on every C(t) being convex, as every set kind is.  On cell k the
+    set is C(t_{k+1}), whose distance d is convex and 0 at x_{k+1}, so its
+    supremum is max_j d(b_{k,j}).  The step projected p_k = x_k + I_k onto
+    that set with the bracket [l_k, pd_k], and d is 1-Lipschitz, so
+    d(b_{k,j}) lies between l_k - ||b_{k,j} - p_k|| and pd_k + ||b_{k,j} -
+    p_k||.  With F = 0, b_{k,0} = p_k and b is the steps' own brackets.  A
+    set that is not convex must not reuse this argument.
     """
     grid = traj.grid
     mu = grid.mu
@@ -451,40 +465,32 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     record("a_ii_node_drift", row_norms(traj.nodes - traj.nodes[0]),
            const["K1"], cells=True)
 
-    ts = np.linspace(0.0, grid.horizon, AUDIT_TIME_SAMPLES)
-    if not traj.complete:
-        ts = ts[ts <= grid.node(traj.steps_taken)]
-    interp = interpolate(traj, ts)
+    # the breakpoints b_{k,j} = x_n(t_k + j h), j < q, of every computed cell k
+    q = traj.values.shape[1]
+    k = np.repeat(np.arange(traj.steps_taken), q)
+    j = np.tile(np.arange(q), traj.steps_taken)
+    h = (grid.node(k + 1) - grid.node(k)) / q
+    breaks = _in_cells(traj, k, j * h, j, h)
 
     # (a)(iii): uniform norm bound of the interpolant
-    record("a_iii_sup_norm", row_norms(interp), const["K2"])
+    record("a_iii_sup_norm", row_norms(np.vstack([breaks, traj.nodes[-1:]])), const["K2"])
 
     # (a)(iv): consecutive node increments
-    inc = row_norms(np.diff(traj.nodes[: traj.steps_taken + 1], axis=0))
+    inc = row_norms(np.diff(traj.nodes, axis=0))
     record("a_iv_node_increment", inc, const["K3"] * mu + sq_eps, cells=True)
 
     # (a)(v): deviation from the right node inside cells
-    inside = ts != 0.0
-    ahead = interp[inside] - traj.nodes[_left_cells(grid, ts[inside]) + 1]
-    record("a_v_cell_deviation", row_norms(ahead), const["K4"] * mu + 2.0 * sq_eps)
+    record("a_v_cell_deviation", row_norms(breaks - traj.nodes[k + 1]),
+           const["K4"] * mu + 2.0 * sq_eps)
 
-    # (b) at m = n: distance of the interpolant to C(theta_n(t))
-    cfg = ProjectorConfig(eps=DISTANCE_EPS)
-    dist = np.empty(ts.size)
-    certs = np.empty(ts.size)
-    for i, (theta, xt) in enumerate(zip(grid.theta(ts), interp)):
-        res = approx_project(problem.moving_set.at(float(theta)), xt, cfg)
-        d = norm(xt - res.point)
-        if not math.isfinite(d):
-            raise ProjectionFailed(f"audit b at t={ts[i]}: ||x - z|| = {d} is not finite")
-        dist[i], certs[i] = d, res.certified_eps
-    record("b_set_distance", dist, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
-           lower=lower_ends(dist, certs))
+    # (b) at m = n: distance of the interpolant to C(theta_n(t)) = C(t_{k+1}) on cell k,
+    # the step's bracket at its predictor p_k widened by ||b_{k,j} - p_k||
+    off = row_norms(breaks - (traj.nodes[:-1] + traj.integrals)[k])
+    record("b_set_distance", dist[k] + off, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
+           lower=lower_ends(dist, certs)[k] - off)
 
-    # (c): velocity bound at the midpoint of every sub-cell, where it takes each stored value
-    k, q = np.arange(traj.steps_taken)[:, None], traj.values.shape[1]
-    tv = grid.node(k) + (np.arange(q) + 0.5) * ((grid.node(k + 1) - grid.node(k)) / q)
-    record("c_velocity_bound", row_norms(velocity(traj, tv.reshape(-1))), const["K6"])
+    # (c): velocity bound on every sub-cell, where it takes each stored value
+    record("c_velocity_bound", row_norms(_moves(traj)[:, None] / mu + traj.values), const["K6"])
 
     failed_cells = [k for k, dg in enumerate(traj.diagnostics) if not dg.converged]
     return {

@@ -262,6 +262,20 @@ def _vectors(d, scale):
     return arrays(np.float64, d, elements=st.floats(-scale, scale))
 
 
+# the least float whose square rounds above 0: 2**-537.5 lies between it and the float
+# below, and math.sqrt(2.0) rounds up
+_LEAST_WITH_A_SQUARE = math.ldexp(math.sqrt(2.0), -538)
+
+
+@st.composite
+def _normals(draw, d):
+    """A d-vector of coordinates in [-10, 10], one of them, at least, with a square above 0."""
+    normal = draw(_vectors(d, 10.0))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    normal[draw(st.integers(0, d - 1))] = sign * draw(st.floats(_LEAST_WITH_A_SQUARE, 10.0))
+    return normal
+
+
 @st.composite
 def _sets_and_points(draw):
     d = draw(st.integers(1, 17))
@@ -270,7 +284,7 @@ def _sets_and_points(draw):
     if draw(st.booleans()):
         s = Ball(draw(_vectors(d, scale)), draw(st.floats(1e-3 * scale, 10.0 * scale)))
     else:
-        normal = draw(_vectors(d, 10.0).filter(lambda n: n.dot(n) > 0.0))
+        normal = draw(_normals(d))
         s = Halfspace(normal, draw(st.floats(-10.0 * scale, 10.0 * scale)))
     return s, x
 
@@ -471,7 +485,9 @@ class TestBallOverflow:
         d = data.draw(st.integers(1, 4))
         c = np.array(data.draw(st.lists(_WIDE, min_size=d, max_size=d)))
         x = np.array(data.draw(st.lists(_WIDE, min_size=d, max_size=d)))
-        radius = abs(data.draw(_WIDE.filter(lambda r: r != 0.0)))
+        # |r| for a nonzero r from _WIDE's ranges
+        radius = data.draw(st.one_of([st.floats(0.0, top, exclude_min=True)
+                                      for top in (1e-150, 1e-160, 10.0, 1e150, 1e160)]))
         s = Ball(c, radius)
         with np.errstate(over="ignore", under="ignore"):
             got = exact_project(s, x)

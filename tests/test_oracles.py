@@ -18,8 +18,6 @@ from catchup.geometry import (
     affine_fn,
     ball_fn,
     exact_project,
-    lmo_ball,
-    lmo_box,
     max_fn,
     residual,
 )
@@ -42,36 +40,36 @@ EPS = np.finfo(float).eps
 
 class TestLinearMinimizationOracles:
     def test_ball_points_against_direction(self):
-        s = lmo_ball(UNIT_BALL.center, UNIT_BALL.radius)(np.array([1.0, 0.0]))
+        s = UNIT_BALL.lmo()(np.array([1.0, 0.0]))
         assert np.allclose(s, [-1.0, 0.0])
 
     def test_ball_zero_direction_returns_center(self):
-        assert np.allclose(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius)(np.zeros(2)), UNIT_BALL.center)
+        assert np.allclose(UNIT_BALL.lmo()(np.zeros(2)), UNIT_BALL.center)
 
     def test_box_vertex(self):
         box = Box([0.0, 0.0], [2.0, 3.0])
-        s = lmo_box(box.lo, box.hi)(np.array([-1.0, 1.0]))
+        s = box.lmo()(np.array([-1.0, 1.0]))
         assert np.allclose(s, [2.0, 0.0])
 
     def test_box_ties_resolve_to_hi(self):
         # w_i = 0 of either sign picks hi; Frank-Wolfe's iterates on boxes rest on it
-        s = lmo_box([0.0, 0.0], [2.0, 3.0])(np.array([0.0, -0.0]))
+        s = Box([0.0, 0.0], [2.0, 3.0]).lmo()(np.array([0.0, -0.0]))
         assert list(s) == [2.0, 3.0]
 
     @pytest.mark.parametrize("w", [[1.0, -1.0], [1.0, -1.0, 0.0, 2.0]], ids=["shorter", "longer"])
     def test_box_rejects_direction_of_other_dimension(self, w):
         with pytest.raises(ValueError):
-            lmo_box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])(np.array(w))
+            Box([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]).lmo()(np.array(w))
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_ball_lmo_checks_its_radius_as_the_ball_does(self, radius):
         # radius -1 gave the atom (0.707, 0.707), which Frank-Wolfe certified at 0
         with pytest.raises(ValueError, match="^ball radius must be positive and finite$"):
-            lmo_ball([0.0, 0.0], radius)
+            Ball([0.0, 0.0], radius).lmo()
 
     def test_ball_lmo_checks_its_centre_as_the_ball_does(self):
         with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
-            lmo_ball([0.0, math.nan], 1.0)
+            Ball([0.0, math.nan], 1.0).lmo()
 
     @pytest.mark.parametrize("lo, hi, message", [
         ([1.0], [0.0], "box requires lo <= hi componentwise"),
@@ -79,13 +77,13 @@ class TestLinearMinimizationOracles:
     ])
     def test_box_lmo_checks_its_ends_as_the_box_does(self, lo, hi, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            lmo_box(lo, hi)
+            Box(lo, hi).lmo()
 
     @given(st.lists(st.floats(-5, 5), min_size=2, max_size=2))
     @settings(max_examples=100, deadline=None)
     def test_lmo_optimality_on_ball(self, d):
         d = np.asarray(d, float)
-        s = lmo_ball(UNIT_BALL.center, UNIT_BALL.radius)(d)
+        s = UNIT_BALL.lmo()(d)
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = rng.normal(size=2)
@@ -96,7 +94,7 @@ class TestLinearMinimizationOracles:
 class TestFrankWolfe:
     def test_exterior_point_on_ball(self):
         cfg = ProjectorConfig(eps=1e-10)
-        res = frank_wolfe_project(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius),
+        res = frank_wolfe_project(UNIT_BALL.lmo(),
                                   np.array([2.0, 0.0]), cfg)
         assert res.converged
         assert np.linalg.norm(res.point - [1.0, 0.0]) <= 1e-5
@@ -108,20 +106,20 @@ class TestFrankWolfe:
         cfg = ProjectorConfig(eps=1e-8)
         for _ in range(25):
             x = rng.uniform(-3, 3, size=2)
-            res = frank_wolfe_project(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius), x, cfg)
+            res = frank_wolfe_project(UNIT_BALL.lmo(), x, cfg)
             d_true = max(np.linalg.norm(x - UNIT_BALL.center) - UNIT_BALL.radius, 0.0)
             gap = float(np.dot(x - res.point, x - res.point)) - d_true * d_true
             assert gap <= res.certified_eps + 1e-12
 
     def test_result_is_feasible(self):
         cfg = ProjectorConfig(eps=1e-8)
-        res = frank_wolfe_project(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius),
+        res = frank_wolfe_project(UNIT_BALL.lmo(),
                                   np.array([5.0, -4.0]), cfg)
         assert residual(UNIT_BALL, res.point) <= UNIT_BALL.feas_tol
 
     def test_iteration_cap_reported(self):
         cfg = ProjectorConfig(eps=1e-16, max_iter=2)
-        res = frank_wolfe_project(lmo_ball(UNIT_BALL.center, UNIT_BALL.radius),
+        res = frank_wolfe_project(UNIT_BALL.lmo(),
                                   np.array([2.0, 1.0]), cfg)
         assert not res.converged
         assert res.iterations == 2
@@ -209,11 +207,11 @@ def fw_cases(draw):
     if draw(st.booleans()):
         center = draw(coords)
         radius = draw(st.floats(1e-3, 10))
-        lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+        lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
     else:
         lo = np.array(draw(coords))
         hi = lo + np.array(draw(st.lists(st.floats(0, 10), min_size=d, max_size=d)))
-        lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
+        lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
     x = np.array(draw(st.lists(st.floats(-20, 20), min_size=d, max_size=d)))
     cfg = ProjectorConfig(eps=draw(st.floats(1e-12, 1e-4)), max_iter=draw(st.integers(1, 2000)))
     return lmos, x, cfg
@@ -223,28 +221,29 @@ class TestFrankWolfeMatchesReference:
     """The streamlined loop must reproduce the textbook one bit for bit."""
 
     # a subnormal gap: <2v, s - z> rounds differently from 2 <v, s - z>
-    @example(((lmo_box([0.0], [0.7]), _reference_lmo_box([0.0], [0.7])),
+    @example(((Box([0.0], [0.7]).lmo(), _reference_lmo_box([0.0], [0.7])),
               np.array([5e-324]), ProjectorConfig(eps=1e-12)))
     # the same in the plane, where the loop is unrolled
-    @example(((lmo_box([0.0, 0.0], [0.7, 0.7]), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
+    @example(((Box([0.0, 0.0], [0.7, 0.7]).lmo(), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
               np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
     # |s - z|^2 underflows to 0 while the gap exceeds eps: unconverged at iteration 0
-    @example(((lmo_box([0.0, 0.0], [1e-170, 1e-170]), _reference_lmo_box([0.0, 0.0], [1e-170, 1e-170])),
+    @example(((Box([0.0, 0.0], [1e-170, 1e-170]).lmo(),
+               _reference_lmo_box([0.0, 0.0], [1e-170, 1e-170])),
               np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
     # x is the start atom, so the LMO gets the zero direction
-    @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
-              np.array(lmo_ball([0.0, 0.0], 1.0)((1.0, 1.0))), ProjectorConfig()))
+    @example(((Ball([0.0, 0.0], 1.0).lmo(), _reference_lmo_ball([0.0, 0.0], 1.0)),
+              np.array(Ball([0.0, 0.0], 1.0).lmo()((1.0, 1.0))), ProjectorConfig()))
     # the iteration cap
-    @example(((lmo_ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
+    @example(((Ball([0.0, 0.0], 1.0).lmo(), _reference_lmo_ball([0.0, 0.0], 1.0)),
               np.array([2.0, 1.0]), ProjectorConfig(eps=1e-16, max_iter=1)))
     # subnormal directions and products v_i (z_i - s_i): ||w||^2 is summed in rationals
-    @example(((lmo_ball([0.0, 0.0], 1e-160), _reference_lmo_ball([0.0, 0.0], 1e-160)),
+    @example(((Ball([0.0, 0.0], 1e-160).lmo(), _reference_lmo_ball([0.0, 0.0], 1e-160)),
               np.array([3e-160, 1e-161]), ProjectorConfig(eps=5e-324)))
     # a zero product on the first iteration
-    @example(((lmo_box([0.0, 0.0], [1.0, 1.0]), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
+    @example(((Box([0.0, 0.0], [1.0, 1.0]).lmo(), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
               np.array([0.5, 3.0]), ProjectorConfig(eps=1e-14)))
     # a subnormal product under a normal gap
-    @example(((lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152),
+    @example(((Ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152).lmo(),
                _reference_lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152)),
               np.array([-1.2155261538884718e-152, 8.847370707222149e-159]), ProjectorConfig(eps=5e-324, max_iter=7)))
     @given(fw_cases())
@@ -273,11 +272,11 @@ class TestFrankWolfeMatchesReference:
                 width = lambda: scale * rng.uniform(0.1, 2.0, size=2)
             if rng.random() < 0.5:
                 center, radius = coords(), float(width()[0])
-                lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+                lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
             else:
                 lo = coords()
                 hi = lo + width()
-                lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
+                lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
             x = 4.0 * coords()
             eps = max(scale * scale * 10.0 ** rng.uniform(-10, -2), 5e-324)
             cfg = ProjectorConfig(eps=eps, max_iter=int(rng.integers(1, 40)))
@@ -322,11 +321,11 @@ def fw_cases_at_any_scale(draw):
     coords = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
     if draw(st.booleans()):
         center, radius = draw(coords), draw(st.floats(0.0, 1e308, exclude_min=True))
-        lmos = (lmo_ball(center, radius), _reference_lmo_ball(center, radius))
+        lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
     else:
         ends = list(zip(draw(coords), draw(coords)))
         lo, hi = [min(e) for e in ends], [max(e) for e in ends]
-        lmos = (lmo_box(lo, hi), _reference_lmo_box(lo, hi))
+        lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
     x = np.array(draw(coords))
     cfg = ProjectorConfig(eps=draw(st.floats(5e-324, 1e300)), max_iter=draw(st.integers(1, 50)))
     return lmos, x, cfg
@@ -349,19 +348,19 @@ class TestFrankWolfeMatchesReferenceBytes:
         assert got.converged == want.converged
 
     # a coordinate pinned at -0.0: z + tau (s - z) would turn it into +0.0
-    @example(((lmo_box([-0.0, 1.0], [-0.0, 2.0]), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
+    @example(((Box([-0.0, 1.0], [-0.0, 2.0]).lmo(), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
               np.array([-0.0, 5.0]), ProjectorConfig(eps=1e-12)))
     # <v, z - s> and |z - s|^2 both overflow at iteration 0: a NaN ratio stops the loop
-    @example(((lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154),
+    @example(((Ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154).lmo(),
                _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154)),
               np.array([7.79517393694598e154, 1.2885715865266572e155]), ProjectorConfig()))
     # the same in three dimensions, through the generic loop
-    @example(((lmo_ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154),
+    @example(((Ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154).lmo(),
                _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154)),
               np.array([7.79517393694598e154, 1.2885715865266572e155, 0.0]), ProjectorConfig()))
     # an infinite ratio at iteration 0 clamps to 1.0
-    @example(((lmo_box([6.149282387045291e153, 5.951009689730982e153],
-                       [3.751852066556199e154, 1.7014162517462393e154]),
+    @example(((Box([6.149282387045291e153, 5.951009689730982e153],
+                       [3.751852066556199e154, 1.7014162517462393e154]).lmo(),
                _reference_lmo_box([6.149282387045291e153, 5.951009689730982e153],
                                   [3.751852066556199e154, 1.7014162517462393e154])),
               np.array([-2.3932111182176696e154, 3.335743331547268e154]), ProjectorConfig()))
@@ -383,8 +382,8 @@ class TestLmoAtoms:
     @pytest.mark.parametrize("w", ["zero", "nonzero"])
     def test_atom_is_a_tuple_of_floats(self, d, w):
         w = (0.0,) * d if w == "zero" else tuple(np.linspace(-1.0, 2.0, d).tolist())
-        for lmo in (lmo_ball(np.arange(d, dtype=float), np.float64(1.5)), lmo_ball(np.zeros(d), 2),
-                    lmo_box(-np.ones(d), np.ones(d))):
+        for lmo in (Ball(np.arange(d, dtype=float), np.float64(1.5)).lmo(),
+                    Ball(np.zeros(d), 2).lmo(), Box(-np.ones(d), np.ones(d)).lmo()):
             s = lmo(w)
             assert type(s) is tuple and len(s) == d
             assert all(type(c) is float for c in s)
@@ -399,7 +398,7 @@ class TestLmoAtoms:
     @example([0.068, -0.57], [0.0, 0.0], 1.0)  # a plain sum of the squares gives another ||w||
     @settings(max_examples=300, deadline=None)
     def test_plane_ball_atom_is_the_reference_formula(self, w, center, radius):
-        got = lmo_ball(center, radius)(tuple(w))
+        got = Ball(center, radius).lmo()(tuple(w))
         want = _reference_ball_atom(center, radius, w)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
@@ -409,7 +408,7 @@ class TestLmoAtoms:
         w = np.zeros(d)
         w[:2] = 3e200, -4e200
         with np.errstate(over="ignore"):
-            atom = lmo_ball(np.zeros(d), 5.0)(w)
+            atom = Ball(np.zeros(d), 5.0).lmo()(w)
         assert atom[:2] == pytest.approx((-3.0, 4.0), rel=4 * EPS)
         assert all(a == 0.0 for a in atom[2:])
 
@@ -424,7 +423,7 @@ class TestLmoAtoms:
         lo = np.array(lo)
         hi = lo + np.array(width)
         want = np.where(w > 0.0, lo, hi)
-        assert np.array(lmo_box(lo, hi)(w)).tobytes() == want.tobytes()
+        assert np.array(Box(lo, hi).lmo()(w)).tobytes() == want.tobytes()
 
 
 class TestSeparationOracle:
@@ -1081,7 +1080,7 @@ class TestApproxProject:
         with np.errstate(over="ignore", invalid="ignore"):
             res = approx_project(Ball(c, r), [0.0, 0.0, 0.0], ProjectorConfig(method="fw"))
         assert res.iterations <= 2 and not res.converged
-        assert res.point.tobytes() == np.array(lmo_ball(c, r)(np.ones(3))).tobytes()
+        assert res.point.tobytes() == np.array(Ball(c, r).lmo()(np.ones(3))).tobytes()
         assert res.certified_eps == math.inf
 
     @pytest.mark.parametrize("s, x", [

@@ -13,7 +13,6 @@ from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn, norm
 from catchup.harness import make_problem, reference_solution, sup_error
 from catchup.perturbation import Perturbation, Selection, zero_perturbation
 from catchup.solver import (
-    AUDIT_TIME_SAMPLES,
     EpsSchedule,
     Grid,
     OutOfRange,
@@ -48,12 +47,6 @@ class TestGrid:
         t = 2.0 / 3.0  # not representable; lands just below node 2
         assert g.cell_index(t) == 2
 
-    def test_delta_theta_bracket(self):
-        # the cell's left node is theta(t) - mu
-        g = Grid(1.0, 8)
-        for t in np.linspace(0.01, 0.99, 23):
-            assert g.theta(t) - g.mu <= t <= g.theta(t) + 1e-12
-
     def test_out_of_range(self):
         g = Grid(1.0, 4)
         with pytest.raises(OutOfRange):
@@ -72,6 +65,14 @@ class TestGrid:
         # Grid(inf, 4) was accepted, and node(0) = 0 * inf / 4 was nan
         with pytest.raises(ValueError, match="^horizon must be positive and finite$"):
             Grid(horizon, 4)
+
+    def test_rejects_a_cell_width_that_underflows(self):
+        # Grid(5e-324, 2) had mu = 0, and solve then failed on eps_n = 0 instead
+        with pytest.raises(ValueError, match=r"^cell width .* horizon=5e-324, n=2$"):
+            Grid(5e-324, 2)
+        problem = dataclasses.replace(make_problem("interior_ode"), horizon=5e-324)
+        with pytest.raises(ValueError, match=r"^cell width .* horizon=5e-324, n=2$"):
+            solve(problem, 2)
 
     @pytest.mark.parametrize("n", [2.5, 4.0, "4", None])
     def test_rejects_n_that_is_not_an_integer(self, n):
@@ -107,24 +108,6 @@ class TestGridPlacement:
         assert g.cell_index(t) == k
         if k >= 1:
             assert g.cell_index(np.nextafter(t, -np.inf)) == k - 1
-        if k < g.n - 1:
-            assert g.theta(t) == g.node(k + 1)
-
-    def test_audit_b_at_the_horizon_targets_the_last_step_set(self):
-        # node(3) = 0.6999999999999998 < T = 0.7: b's sample at t = T is checked
-        # against C(node(3)), the set the last step projected onto
-        seen = []
-
-        def at(t):
-            seen.append(t)
-            return Ball([0.0, 0.0], 1.0)
-
-        problem = SweepingProblem(MovingSet(at), zero_perturbation(), [0.5, 0.0], 0.7)
-        traj = solve(problem, 3)
-        assert seen[-1] == traj.grid.node(3) == 0.6999999999999998
-        seen.clear()
-        theorem1_audit(traj, problem)
-        assert len(seen) == AUDIT_TIME_SAMPLES and seen[-1] == 0.6999999999999998
 
 
 class TestEpsSchedule:
@@ -496,6 +479,57 @@ class TestStoredValues:
         assert err.max() <= bound + 1e-12
 
 
+class TestExactAudit:
+    """a_iii, a_v and b read exact sups, on a ball moving at velocity v with F = {a + b t}."""
+
+    def test_sups_inside_a_cell(self):
+        # F = (1 - t, 0) pins x at (1, 0) on the unit circle, so every node is (1, 0);
+        # inside cell k the interpolant bulges out by (t - t_k)(t_{k+1} - t) / 2,
+        # mu^2 / 8 at the cell's midpoint, which is the breakpoint j = 2 of q = 4
+        field = Perturbation.single_valued(lambda t, x: np.array([1.0 - t, 0.0]),
+                                           lambda x: 1.0, 0.0)
+        prob = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 1.0)), field, [1.0, 0.0], 1.0)
+        traj = solve(prob, 4)
+        assert (traj.nodes == [1.0, 0.0]).all()
+        checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, prob)["checks"]}
+        assert checks["a_iii_sup_norm"] == 1.0 + 0.25**2 / 8.0
+        assert checks["a_v_cell_deviation"] == 0.25**2 / 8.0
+        assert checks["a_iv_node_increment"] == 0.0
+
+    @given(v=st.tuples(*[st.floats(-20.0, 20.0)] * 2), a=st.tuples(*[st.floats(-2.0, 2.0)] * 2),
+           b=st.tuples(*[st.floats(-2.0, 2.0)] * 2), declared=st.floats(0.0, 1.0),
+           n=st.integers(1, 24))
+    @settings(max_examples=60, deadline=None)
+    def test_sups_bound_the_samples_and_b_brackets_the_breakpoints(self, v, a, b, declared, n):
+        v, a, b = np.array(v), np.array(a), np.array(b)
+        # an L_C declared below the speed ||v|| lets b's lower ends pass its bound
+        field = Perturbation.single_valued(lambda t, x: a + b * t,
+                                           lambda x: norm(a) + norm(b), 0.0)
+        prob = SweepingProblem(MovingSet(lambda t: Ball(t * v, 1.0), lipschitz=declared * norm(v)),
+                               field, [0.0, 0.0], 1.0)
+        traj = solve(prob, n)
+        g, q = traj.grid, traj.values.shape[1]
+        assert q == 4
+        checks = {c["name"]: c for c in theorem1_audit(traj, prob)["checks"]}
+        ts = np.linspace(0.0, 1.0, 2048)[1:]
+        xs = interpolate(traj, ts)
+        k = np.searchsorted(g.node(np.arange(n + 1)), ts) - 1  # t in (t_k, t_{k+1}]
+        tol = 1e-12 * (1.0 + np.abs(traj.nodes).max())
+        assert checks["a_iii_sup_norm"]["max_lhs"] >= np.linalg.norm(xs, axis=1).max() - tol
+        deviation = np.linalg.norm(xs - traj.nodes[k + 1], axis=1).max()
+        assert checks["a_v_cell_deviation"]["max_lhs"] >= deviation - tol
+        # d(x, C(t_{k+1})) at each breakpoint t_k + j h of cell k, in closed form
+        cells = np.repeat(np.arange(n), q)
+        t_break = g.node(cells) + np.tile(np.arange(q), n) * (g.mu / q)
+        ends = g.node(cells + 1)[:, None] * v
+        worst = np.maximum(np.linalg.norm(interpolate(traj, t_break) - ends, axis=1) - 1.0,
+                           0.0).max()
+        b_check = checks["b_set_distance"]
+        assert b_check["max_lhs"] >= worst - tol
+        if b_check["verdict"] == "refuted":
+            assert worst > b_check["bound"] + 1e-12 - tol
+
+
 class TestAudit:
     def test_constants_reproducible_formulas(self):
         prob = make_problem("dragging_interval")
@@ -549,7 +583,7 @@ class TestAudit:
         json.dumps(report, allow_nan=False)
         empty = {c["name"] for c in report["checks"] if c["max_lhs"] is None}
         assert empty == {"a_i_predictor_distance", "a_iv_node_increment",
-                         "a_v_cell_deviation", "c_velocity_bound"}
+                         "a_v_cell_deviation", "b_set_distance", "c_velocity_bound"}
         assert all(c["verdict"] == "inconclusive" and c["passed"]
                    for c in report["checks"] if c["name"] in empty)
         assert not report["passed"]
@@ -596,21 +630,55 @@ class TestAudit:
         traj = solve(prob, 64)
         rows = {
             "a_ii_node_drift": traj.nodes - traj.nodes[0],
-            "a_iii_sup_norm": interpolate(traj, np.linspace(0.0, 1.0, AUDIT_TIME_SAMPLES)),
+            "a_iii_sup_norm": traj.nodes,
             "a_iv_node_increment": np.diff(traj.nodes, axis=0),
         }
         checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, prob)["checks"]}
         for name, values in rows.items():
             assert checks[name] == max(map(norm, values)), name
 
-    def test_non_finite_set_distance_raises(self, jumping_ball):
-        # a run that stays in C(0), audited against the sets C(t > 0) it never met
-        fixed = dataclasses.replace(jumping_ball,
-                                    moving_set=MovingSet.fixed(jumping_ball.moving_set.at(0.0)))
-        traj = solve(fixed, 1)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ProjectionFailed, match="audit b at t=0.0: .* is not finite"):
-            theorem1_audit(traj, jumping_ball)
+    def test_projects_nothing_and_builds_no_set(self, monkeypatch):
+        # T = 0.7 at n = 3, where node(3) = 0.6999999999999998 < T; the audit
+        # reads b from the steps' own projections
+        seen = []
+
+        def at(t):
+            seen.append(t)
+            return Ball([0.0, 0.0], 1.0)
+
+        problem = SweepingProblem(MovingSet(at), zero_perturbation(), [0.5, 0.0], 0.7)
+        traj = solve(problem, 3)
+        assert seen[-1] == traj.grid.node(3) == 0.6999999999999998
+        projected = []
+        real = oracles.approx_project
+
+        def counted(*args):
+            projected.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracles, "approx_project", counted)
+        monkeypatch.setattr("catchup.solver.approx_project", counted)
+        seen.clear()
+        report = theorem1_audit(traj, problem)
+        assert seen == [] and projected == []
+        assert report["passed"]
+
+    def test_a_v_reads_mu_on_the_dragging_interval(self):
+        # x_n(t) runs from x_k to x_{k+1} = x_k + mu on each cell, so the sup of
+        # ||x_n(t) - x_{k+1}|| is mu, approached as t falls to t_k
+        prob = make_problem("dragging_interval")
+        checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(solve(prob, 16), prob)["checks"]}
+        assert checks["a_v_cell_deviation"] == 0.0625
+
+    @pytest.mark.parametrize("pid", ["dragging_interval", "translating_halfspace",
+                                     "translating_disk"])
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    def test_b_is_the_steps_own_distance_when_f_is_zero(self, pid, n):
+        # with F = 0 each cell's breakpoint is the predictor the step projected
+        prob = make_problem(pid)
+        traj = solve(prob, n, method="auto")
+        checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, prob)["checks"]}
+        assert checks["b_set_distance"] == max(dg.predictor_distance for dg in traj.diagnostics)
 
     def test_failed_step_fails_audit(self):
         prob = make_problem("translating_disk")
