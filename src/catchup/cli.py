@@ -234,13 +234,13 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         problem, traj = _solve_from_config(cfg, args.permissive)
-        audit = theorem1_audit(traj, problem)
     except ProjectionFailed as exc:
         if exc.partial is not None:
             (out / "trajectory.csv").write_text(trajectory_to_csv(exc.partial))
             (out / "trajectory.json").write_text(trajectory_to_json(exc.partial))
         print(f"solve aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    audit = theorem1_audit(traj, problem)
     report = audit_to_json(audit)
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
     (out / "trajectory.json").write_text(trajectory_to_json(traj, report))
@@ -254,10 +254,10 @@ def cmd_audit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         problem, traj = _solve_from_config(cfg, args.permissive)
-        audit = theorem1_audit(traj, problem)
     except ProjectionFailed as exc:
         print(f"solve aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    audit = theorem1_audit(traj, problem)
     report = audit_to_json(audit)
     (out / "audit.json").write_text(report)
     print(report, end="")

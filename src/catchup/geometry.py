@@ -240,50 +240,25 @@ class Ball(SetDescription):
         ||w|| is the square root of sum_of_squares(w), correctly rounded, so
         each atom has the same bits on every machine.  Only where that sum
         overflows is w first scaled by 2**scale_exponent(w), as project
-        scales.  In the plane the closure is unrolled for Frank-Wolfe's
-        innermost call, and hands every direction that the unrolled sum
-        cannot take to the general one.
+        scales.  Frank-Wolfe on a disk computes this atom inline and calls
+        the closure only for its start atom and for the directions whose
+        plain sum of squares lies outside [2**-960, 2**1000).
         """
         c = tuple(self.center.tolist())
         radius = float(self.radius)
-        sqrt, fsum, inf = math.sqrt, math.fsum, math.inf  # locals on Frank-Wolfe's innermost call
 
         def lmo(w: tuple[float, ...]) -> tuple[float, ...]:
-            nw = sqrt(sum_of_squares(w))
+            nw = math.sqrt(sum_of_squares(w))
             if nw == 0.0:
                 return c
-            if nw == inf:
+            if nw == math.inf:
                 e = scale_exponent(w)
                 w = [math.ldexp(a, e) for a in w]
-                nw = sqrt(sum_of_squares(w))
+                nw = math.sqrt(sum_of_squares(w))
             k = radius / nw
             return tuple([ci - k * wi for ci, wi in zip(c, w, strict=True)])
 
-        if len(c) != 2:
-            return lmo
-        c0, c1 = c
-        split, lower, upper = _SPLIT, _SQUARES_MIN, _SQUARES_MAX
-
-        def lmo2(w: tuple[float, float]) -> tuple[float, float]:
-            w0, w1 = w
-            p0 = w0 * w0
-            p1 = w1 * w1
-            if not lower <= p0 + p1 < upper:  # zero, tiny, large, inf or NaN
-                return lmo(w)
-            t = w0 * split  # sum_of_squares((w0, w1)), unrolled
-            h0 = t - (t - w0)
-            l0 = w0 - h0
-            t = w1 * split
-            h1 = t - (t - w1)
-            l1 = w1 - h1
-            nw = sqrt(fsum((p0, ((h0 * h0 - p0) + 2.0 * h0 * l0) + l0 * l0,
-                            p1, ((h1 * h1 - p1) + 2.0 * h1 * l1) + l1 * l1)))
-            if nw == 0.0:
-                return c
-            k = radius / nw
-            return c0 - k * w0, c1 - k * w1
-
-        return lmo2
+        return lmo
 
 
 @dataclass(frozen=True)

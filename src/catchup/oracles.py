@@ -31,8 +31,12 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    _SPLIT,
+    _SQUARES_MAX,
+    _SQUARES_MIN,
     LMO,
     Array,
+    Ball,
     ProjectionResult,
     SetDescription,
     Sublevel,
@@ -103,17 +107,17 @@ def lmo_for(s: SetDescription) -> LMO:
     return s.lmo()
 
 
-def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
-    """Minimize ||x - z||^2 over a compact convex set given by its LMO.
+def frank_wolfe_project(s: SetDescription, x, cfg: ProjectorConfig) -> ProjectionResult:
+    """Minimize ||x - z||^2 over s, a compact convex set with an LMO.
 
     Exact line search on the quadratic; stops when the duality gap
     g = 2 <z - x, z - s> drops to cfg.eps.  Convexity gives
     f(z) - min f <= g, so the final gap certifies z as an approximate
     projection.  Iterates stay feasible because each update is a convex
     combination of feasible points.  x is a 1-d float array that has
-    already been checked.  The LMO is handed the direction 2 (z - x) as a
-    tuple of floats and returns its atom as one; the start atom is
-    lmo((1.0,) * d), independent of x.
+    already been checked.  The LMO, lmo_for(s), is handed the direction
+    2 (z - x) as a tuple of floats and returns its atom as one; the start
+    atom is lmo((1.0,) * d), independent of x.
 
     The loop runs on Python floats and calls no numpy before it returns.
     Each element-wise step is one IEEE operation, and each inner product is
@@ -121,8 +125,10 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     iterate has the same bits on every machine; a BLAS dot would hand them
     to whichever kernel numpy picked, which may or may not fuse a
     multiply-add.  One numerator num = <z - x, z - s> gives both the gap,
-    num + num, and the step tau = num / |z - s|^2.  In the plane the loop is
-    unrolled: it gives the general loop's bits at under half its cost.
+    num + num, and the step tau = num / |z - s|^2.  On a disk (a Ball in the
+    plane) the loop inlines the ball's atom, with the LMO's bits, and calls the
+    LMO only for the start atom and where a direction's plain sum of squares
+    is outside [2**-960, 2**1000); any other set, a 2-d box too, takes the general loop.
 
     tau is capped at 1.0, and the loop stops, unconverged, at a step that is
     not above 0.0 (negative, -0.0, -inf or NaN, as when the products
@@ -132,18 +138,36 @@ def frank_wolfe_project(lmo: LMO, x, cfg: ProjectorConfig) -> ProjectionResult:
     stops, unconverged, when |z - s|^2 underflows to 0 while the gap still
     exceeds cfg.eps.
     """
+    lmo = lmo_for(s)
     start = lmo((1.0,) * x.shape[0])
     eps = cfg.eps
     gap = math.inf
-    if x.shape[0] == 2:
+    if type(s) is Ball and len(start) == 2:
         x0, x1 = x.tolist()
         z0, z1 = start
+        (c0, c1), radius = s.center.tolist(), float(s.radius)
+        sqrt, fsum, split, lower, upper = math.sqrt, math.fsum, _SPLIT, _SQUARES_MIN, _SQUARES_MAX
         for it in range(cfg.max_iter):
             v0 = z0 - x0
             v1 = z1 - x1
-            s0, s1 = lmo((v0 + v0, v1 + v1))
-            zs0 = z0 - s0
-            zs1 = z1 - s1
+            w0 = v0 + v0
+            w1 = v1 + v1
+            p0 = w0 * w0
+            p1 = w1 * w1
+            if lower <= p0 + p1 < upper:  # the ball's atom, sum_of_squares((w0, w1)) inline
+                t = w0 * split
+                h0 = t - (t - w0)
+                l0 = w0 - h0
+                t = w1 * split
+                h1 = t - (t - w1)
+                l1 = w1 - h1
+                k = radius / sqrt(fsum((p0, ((h0 * h0 - p0) + 2.0 * h0 * l0) + l0 * l0,
+                                        p1, ((h1 * h1 - p1) + 2.0 * h1 * l1) + l1 * l1)))
+                zs0 = z0 - (c0 - k * w0)
+                zs1 = z1 - (c1 - k * w1)
+            else:  # zero, tiny, large, inf or NaN
+                s0, s1 = lmo((w0, w1))
+                zs0, zs1 = z0 - s0, z1 - s1
             num = v0 * zs0 + v1 * zs1
             gap = num + num
             if gap <= eps:
@@ -465,8 +489,8 @@ def approx_project(s: SetDescription, x, cfg: ProjectorConfig | None = None) -> 
         cfg = ProjectorConfig()
     if cfg.method == "fw":
         x = point_of(s, x)
-        lmo = lmo_for(s)
         if residual(s, x) <= 0.0:
+            lmo_for(s)  # UnsupportedKind for a kind without a bounded LMO, member or not
             return ProjectionResult(x.copy(), 0.0, 0, converged=True)
-        return frank_wolfe_project(lmo, x, cfg)
+        return frank_wolfe_project(s, x, cfg)
     return s.certified_project(x, cfg)

@@ -122,20 +122,21 @@ def cell_integral(sel: Selection, x, a: float, b: float) -> tuple[Array, Array]:
     """Approximate integral of s -> sel.f(s, x) over [a, b], x frozen, and the (q, d) values summed.
 
     Composite midpoint rule: h = (b - a) / q times the sum of f at a + (j + 0.5) h,
-    q = sel.quad_nodes; a selection declared time-independent is evaluated once,
-    at a (q = 1), which makes the integral exact.  The rule is exact on integrands
-    linear in time; otherwise the per-cell error is bounded by (b-a)^3 * M2 / (24 q^2)
-    for |d^2 f/dt^2| <= M2.  An empty cell evaluates nothing and gives q zero values.
+    q = sel.quad_nodes, exact on integrands linear in time; otherwise the per-cell
+    error is bounded by (b-a)^3 * M2 / (24 q^2) for |d^2 f/dt^2| <= M2.  A selection
+    declared time-independent is evaluated once, at a (q = 1), which makes the
+    integral exact, and its value comes back as a d-vector, not a (1, d) row.  An
+    empty cell evaluates nothing and gives q zero values.
     """
     if a > b:
         raise ValueError("need a <= b")
     x = as_vec(x)
-    q = sel.quad_nodes
     if a == b:
-        return np.zeros(x.shape[0]), np.zeros((q, x.shape[0]))
-    if sel.time_independent:
+        return np.zeros(x.shape[0]), np.zeros((sel.quad_nodes, x.shape[0]))
+    if sel.time_independent:  # tested first: such a run reads no property on its steps
         v = sel.value(a, x)
-        return (b - a) * v, v[None]
+        return (b - a) * v, v
+    q = sel.quad_nodes
     h = (b - a) / q
     values = np.array([sel.value(a + (j + 0.5) * h, x) for j in range(q)])
     return h * sum(values, np.zeros(x.shape[0])), values

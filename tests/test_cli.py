@@ -215,17 +215,6 @@ class TestSolveCommand:
             payload = json.loads((out / "trajectory.json").read_text())
             assert payload["complete"] is False and payload["nodes"] == [[-1e308, 0.0]]
 
-    def test_failed_audit_projection_exits_solve(self, tmp_path, monkeypatch, capsys):
-        from catchup.solver import ProjectionFailed
-
-        def failing_audit(traj, problem):
-            raise ProjectionFailed("distance: certificate 1e+00 exceeds eps 1e-10")
-
-        monkeypatch.setattr("catchup.cli.theorem1_audit", failing_audit)
-        cfg = write(tmp_path / "s.cfg", "problem = dragging_interval\nn = 8\n")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SOLVE
-        assert "solve aborted" in capsys.readouterr().err
-
 
 class TestAuditCommand:
     def test_prints_report(self, tmp_path, capsys):

@@ -94,8 +94,7 @@ class TestLinearMinimizationOracles:
 class TestFrankWolfe:
     def test_exterior_point_on_ball(self):
         cfg = ProjectorConfig(eps=1e-10)
-        res = frank_wolfe_project(UNIT_BALL.lmo(),
-                                  np.array([2.0, 0.0]), cfg)
+        res = frank_wolfe_project(UNIT_BALL, np.array([2.0, 0.0]), cfg)
         assert res.converged
         assert np.linalg.norm(res.point - [1.0, 0.0]) <= 1e-5
         assert res.certified_eps <= 1e-10
@@ -106,21 +105,19 @@ class TestFrankWolfe:
         cfg = ProjectorConfig(eps=1e-8)
         for _ in range(25):
             x = rng.uniform(-3, 3, size=2)
-            res = frank_wolfe_project(UNIT_BALL.lmo(), x, cfg)
+            res = frank_wolfe_project(UNIT_BALL, x, cfg)
             d_true = max(np.linalg.norm(x - UNIT_BALL.center) - UNIT_BALL.radius, 0.0)
             gap = float(np.dot(x - res.point, x - res.point)) - d_true * d_true
             assert gap <= res.certified_eps + 1e-12
 
     def test_result_is_feasible(self):
         cfg = ProjectorConfig(eps=1e-8)
-        res = frank_wolfe_project(UNIT_BALL.lmo(),
-                                  np.array([5.0, -4.0]), cfg)
+        res = frank_wolfe_project(UNIT_BALL, np.array([5.0, -4.0]), cfg)
         assert residual(UNIT_BALL, res.point) <= UNIT_BALL.feas_tol
 
     def test_iteration_cap_reported(self):
         cfg = ProjectorConfig(eps=1e-16, max_iter=2)
-        res = frank_wolfe_project(UNIT_BALL.lmo(),
-                                  np.array([2.0, 1.0]), cfg)
+        res = frank_wolfe_project(UNIT_BALL, np.array([2.0, 1.0]), cfg)
         assert not res.converged
         assert res.iterations == 2
 
@@ -207,50 +204,50 @@ def fw_cases(draw):
     if draw(st.booleans()):
         center = draw(coords)
         radius = draw(st.floats(1e-3, 10))
-        lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
+        sets = (Ball(center, radius), _reference_lmo_ball(center, radius))
     else:
         lo = np.array(draw(coords))
         hi = lo + np.array(draw(st.lists(st.floats(0, 10), min_size=d, max_size=d)))
-        lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
+        sets = (Box(lo, hi), _reference_lmo_box(lo, hi))
     x = np.array(draw(st.lists(st.floats(-20, 20), min_size=d, max_size=d)))
     cfg = ProjectorConfig(eps=draw(st.floats(1e-12, 1e-4)), max_iter=draw(st.integers(1, 2000)))
-    return lmos, x, cfg
+    return sets, x, cfg
 
 
 class TestFrankWolfeMatchesReference:
     """The streamlined loop must reproduce the textbook one bit for bit."""
 
     # a subnormal gap: <2v, s - z> rounds differently from 2 <v, s - z>
-    @example(((Box([0.0], [0.7]).lmo(), _reference_lmo_box([0.0], [0.7])),
+    @example(((Box([0.0], [0.7]), _reference_lmo_box([0.0], [0.7])),
               np.array([5e-324]), ProjectorConfig(eps=1e-12)))
-    # the same in the plane, where the loop is unrolled
-    @example(((Box([0.0, 0.0], [0.7, 0.7]).lmo(), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
+    # the same in the plane, where a box takes the general loop
+    @example(((Box([0.0, 0.0], [0.7, 0.7]), _reference_lmo_box([0.0, 0.0], [0.7, 0.7])),
               np.array([5e-324, 5e-324]), ProjectorConfig(eps=1e-12)))
     # |s - z|^2 underflows to 0 while the gap exceeds eps: unconverged at iteration 0
-    @example(((Box([0.0, 0.0], [1e-170, 1e-170]).lmo(),
+    @example(((Box([0.0, 0.0], [1e-170, 1e-170]),
                _reference_lmo_box([0.0, 0.0], [1e-170, 1e-170])),
               np.array([1.0, 1.0]), ProjectorConfig(eps=1e-300)))
     # x is the start atom, so the LMO gets the zero direction
-    @example(((Ball([0.0, 0.0], 1.0).lmo(), _reference_lmo_ball([0.0, 0.0], 1.0)),
+    @example(((Ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
               np.array(Ball([0.0, 0.0], 1.0).lmo()((1.0, 1.0))), ProjectorConfig()))
     # the iteration cap
-    @example(((Ball([0.0, 0.0], 1.0).lmo(), _reference_lmo_ball([0.0, 0.0], 1.0)),
+    @example(((Ball([0.0, 0.0], 1.0), _reference_lmo_ball([0.0, 0.0], 1.0)),
               np.array([2.0, 1.0]), ProjectorConfig(eps=1e-16, max_iter=1)))
     # subnormal directions and products v_i (z_i - s_i): ||w||^2 is summed in rationals
-    @example(((Ball([0.0, 0.0], 1e-160).lmo(), _reference_lmo_ball([0.0, 0.0], 1e-160)),
+    @example(((Ball([0.0, 0.0], 1e-160), _reference_lmo_ball([0.0, 0.0], 1e-160)),
               np.array([3e-160, 1e-161]), ProjectorConfig(eps=5e-324)))
     # a zero product on the first iteration
-    @example(((Box([0.0, 0.0], [1.0, 1.0]).lmo(), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
+    @example(((Box([0.0, 0.0], [1.0, 1.0]), _reference_lmo_box([0.0, 0.0], [1.0, 1.0])),
               np.array([0.5, 3.0]), ProjectorConfig(eps=1e-14)))
     # a subnormal product under a normal gap
-    @example(((Ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152).lmo(),
+    @example(((Ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152),
                _reference_lmo_ball([-1.6991220960498802e-152, -1.9453723039386034e-159], 1.4297704417806662e-152)),
               np.array([-1.2155261538884718e-152, 8.847370707222149e-159]), ProjectorConfig(eps=5e-324, max_iter=7)))
     @given(fw_cases())
     @settings(max_examples=300, deadline=None)
     def test_same_iterates(self, case):
-        (lmo, reference_lmo), x, cfg = case
-        got = frank_wolfe_project(lmo, x, cfg)
+        (s, reference_lmo), x, cfg = case
+        got = frank_wolfe_project(s, x, cfg)
         want = _reference_frank_wolfe(reference_lmo, x, cfg)
         assert np.array_equal(got.point, want.point)
         assert got.certified_eps == want.certified_eps
@@ -272,16 +269,16 @@ class TestFrankWolfeMatchesReference:
                 width = lambda: scale * rng.uniform(0.1, 2.0, size=2)
             if rng.random() < 0.5:
                 center, radius = coords(), float(width()[0])
-                lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
+                sets = (Ball(center, radius), _reference_lmo_ball(center, radius))
             else:
                 lo = coords()
                 hi = lo + width()
-                lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
+                sets = (Box(lo, hi), _reference_lmo_box(lo, hi))
             x = 4.0 * coords()
             eps = max(scale * scale * 10.0 ** rng.uniform(-10, -2), 5e-324)
             cfg = ProjectorConfig(eps=eps, max_iter=int(rng.integers(1, 40)))
-            got = frank_wolfe_project(lmos[0], x, cfg)
-            want = _reference_frank_wolfe(lmos[1], x, cfg)
+            got = frank_wolfe_project(sets[0], x, cfg)
+            want = _reference_frank_wolfe(sets[1], x, cfg)
             assert np.array_equal(got.point, want.point)
             assert got.certified_eps == want.certified_eps
             assert got.iterations == want.iterations
@@ -321,14 +318,14 @@ def fw_cases_at_any_scale(draw):
     coords = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=d, max_size=d)
     if draw(st.booleans()):
         center, radius = draw(coords), draw(st.floats(0.0, 1e308, exclude_min=True))
-        lmos = (Ball(center, radius).lmo(), _reference_lmo_ball(center, radius))
+        sets = (Ball(center, radius), _reference_lmo_ball(center, radius))
     else:
         ends = list(zip(draw(coords), draw(coords)))
         lo, hi = [min(e) for e in ends], [max(e) for e in ends]
-        lmos = (Box(lo, hi).lmo(), _reference_lmo_box(lo, hi))
+        sets = (Box(lo, hi), _reference_lmo_box(lo, hi))
     x = np.array(draw(coords))
     cfg = ProjectorConfig(eps=draw(st.floats(5e-324, 1e300)), max_iter=draw(st.integers(1, 50)))
-    return lmos, x, cfg
+    return sets, x, cfg
 
 
 class TestFrankWolfeMatchesReferenceBytes:
@@ -339,8 +336,8 @@ class TestFrankWolfeMatchesReferenceBytes:
 
     @staticmethod
     def _check(case):
-        (lmo, reference_lmo), x, cfg = case
-        got = frank_wolfe_project(lmo, x, cfg)
+        (s, reference_lmo), x, cfg = case
+        got = frank_wolfe_project(s, x, cfg)
         want = _generic_frank_wolfe(reference_lmo, x, cfg)
         assert got.point.tobytes() == want.point.tobytes()
         assert _bits(got.certified_eps) == _bits(want.certified_eps)
@@ -348,19 +345,23 @@ class TestFrankWolfeMatchesReferenceBytes:
         assert got.converged == want.converged
 
     # a coordinate pinned at -0.0: z + tau (s - z) would turn it into +0.0
-    @example(((Box([-0.0, 1.0], [-0.0, 2.0]).lmo(), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
+    @example(((Box([-0.0, 1.0], [-0.0, 2.0]), _reference_lmo_box([-0.0, 1.0], [-0.0, 2.0])),
               np.array([-0.0, 5.0]), ProjectorConfig(eps=1e-12)))
     # <v, z - s> and |z - s|^2 both overflow at iteration 0: a NaN ratio stops the loop
-    @example(((Ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154).lmo(),
+    @example(((Ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154),
                _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153], 8.633905223186162e154)),
               np.array([7.79517393694598e154, 1.2885715865266572e155]), ProjectorConfig()))
     # the same in three dimensions, through the generic loop
-    @example(((Ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154).lmo(),
+    @example(((Ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154),
                _reference_lmo_ball([5.605212176551486e154, 2.504518145772393e153, 0.0], 8.633905223186162e154)),
               np.array([7.79517393694598e154, 1.2885715865266572e155, 0.0]), ProjectorConfig()))
+    # an inside point of a tiny disk: from iteration 4 on ||w||^2 falls under 2**-960,
+    # so the disk loop hands each direction to the ball's LMO
+    @example(((Ball([0.0, 0.0], 1e-140), _reference_lmo_ball([0.0, 0.0], 1e-140)),
+              np.array([1e-141, 0.0]), ProjectorConfig(eps=5e-324)))
     # an infinite ratio at iteration 0 clamps to 1.0
     @example(((Box([6.149282387045291e153, 5.951009689730982e153],
-                       [3.751852066556199e154, 1.7014162517462393e154]).lmo(),
+                       [3.751852066556199e154, 1.7014162517462393e154]),
                _reference_lmo_box([6.149282387045291e153, 5.951009689730982e153],
                                   [3.751852066556199e154, 1.7014162517462393e154])),
               np.array([-2.3932111182176696e154, 3.335743331547268e154]), ProjectorConfig()))

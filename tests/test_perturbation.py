@@ -71,7 +71,7 @@ class TestCellIntegral:
         v, values = cell_integral(sel, [0.0], 0.0, 0.5)
         assert np.allclose(v, [1.0])
         assert calls == [0.0]
-        assert np.array_equal(values, [[2.0]])
+        assert np.array_equal(values, [2.0])
 
     def test_hands_back_the_values_it_summed(self):
         # f at the midpoints 1/8, 3/8, 5/8, 7/8 of the four sub-cells, summed in order
