@@ -32,7 +32,6 @@ from .perturbation import (
     Perturbation,
     Selection,
     cell_integral,
-    constant_set_perturbation,
     linear_decay_perturbation,
     make_selection,
     min_norm_selection,
@@ -50,7 +49,6 @@ from .solver import (
     theorem1_audit,
     trajectory_to_csv,
     trajectory_to_json,
-    velocity,
 )
 from .harness import (
     CATALOG,

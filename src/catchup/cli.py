@@ -28,9 +28,10 @@ a repeated key, a config that is not UTF-8, a method the set cannot use, a
 value its constructor rejects, such as one that is not finite, an eps_n that
 underflows to 0, and a point that is not finite or of another dimension than
 the set), 2 projection budget exhausted, a non-finite projection or a failed
-one (project, which then prints nothing to stdout), 3 solve aborted on a
-failed projection step, a non-finite one among them, or a failed audit or
-rate gate.  The audit projects nothing, so it cannot fail a projection.
+one (project, which then prints nothing to stdout), 3 solve or rate
+aborted on a failed projection step, a non-finite one among them, or a
+failed audit or rate gate.  The audit projects nothing, so it cannot fail a
+projection.
 """
 
 from __future__ import annotations
@@ -282,6 +283,9 @@ def cmd_rate(args) -> int:
         raise ConfigError(f"unknown problem {cfg.get('problem')!r}")
     except ValueError as exc:
         raise ConfigError(str(exc))
+    except ProjectionFailed as exc:
+        print(f"rate aborted: {exc}", file=sys.stderr)
+        return EXIT_SOLVE
     (out / "rate.csv").write_text(study.to_csv())
     (out / "rate.json").write_text(study.to_json())
     return EXIT_OK if study.passed else EXIT_SOLVE

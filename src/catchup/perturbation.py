@@ -166,12 +166,3 @@ def linear_decay_perturbation() -> Perturbation:
         time_independent=True,
     )
 
-
-def constant_set_perturbation(s: SetDescription, h_bound: float) -> Perturbation:
-    """A fixed closed convex value F(t, x) = s with d(0, s) <= h_bound."""
-    return Perturbation(
-        values=lambda t, x: s,
-        h=lambda x: h_bound,
-        lipschitz_h=0.0,
-        time_independent=True,
-    )

@@ -29,7 +29,7 @@ from .perturbation import (
 
 
 class OutOfRange(ValueError):
-    """Time outside [0, T], or a grid node where a derivative jumps."""
+    """Time outside [0, T], or past a partial trajectory's last computed node."""
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,6 @@ class Grid:
         k = np.minimum(np.floor(ts * self.n / self.horizon), self.n - 1).astype(int)
         k = k - (self.node(k) > ts) + ((self.node(k + 1) <= ts) & (k < self.n - 1))
         return int(k) if k.ndim == 0 else k
-
-
-def _left_cells(grid: Grid, ts: Array) -> Array:
-    """Index k of the cell (t_k, t_{k+1}] holding each t > 0: a node ends its left cell."""
-    k = grid.cell_index(ts)
-    return k - ((grid.node(k) == ts) & (k > 0))
 
 
 @dataclass(frozen=True)
@@ -270,40 +264,9 @@ def solve(
     return Trajectory(grid, nodes, integrals, values, diags, schedule)
 
 
-def _times(t) -> tuple[Array, bool]:
-    """t as a 1-d array of times, and whether t was a single time."""
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ValueError(f"expected a time or a 1-d array of times, got shape {ts.shape}")
-    return ts.reshape(-1), ts.ndim == 0
-
-
-def _computed_cells(traj: Trajectory, ts: Array, cells: Array) -> Array:
-    """cells, once each is known to end at or before the last computed node."""
-    past = cells >= traj.steps_taken
-    if past.any():
-        raise OutOfRange(
-            f"t={ts[past][0]} is past the last computed node "
-            f"t={traj.grid.node(traj.steps_taken)}"
-        )
-    return cells
-
-
 def _moves(traj: Trajectory) -> Array:
     """The projection move nodes[k+1] - nodes[k] - integrals[k] of every computed cell k."""
     return traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
-
-
-def _sub_cells(traj: Trajectory, cells: Array, elapsed: Array) -> tuple[Array, Array]:
-    """The sub-cell j = floor(e / h) holding each elapsed time e = t - t_k of cell k, and h.
-
-    h = (t_{k+1} - t_k) / q, as cell_integral forms it.  j is at most q - 1:
-    an interior sub-cell end belongs to the later sub-cell, and t_{k+1} to
-    the last.
-    """
-    q = traj.values.shape[1]
-    h = (traj.grid.node(cells + 1) - traj.grid.node(cells)) / q
-    return np.minimum(elapsed // h, q - 1).astype(int), h
 
 
 def _in_cells(traj: Trajectory, cells: Array, elapsed: Array, j: Array, h: Array) -> Array:
@@ -325,44 +288,37 @@ def _in_cells(traj: Trajectory, cells: Array, elapsed: Array, j: Array, h: Array
 def interpolate(traj: Trajectory, t) -> Array:
     """Evaluate the piecewise interpolant through the stored nodes.
 
-    At t in cell k and sub-cell j (see _sub_cells) the value is _in_cells'
-    at e = t - t_k.  No selection is evaluated.
+    A time t > 0 lies in the cell k with t_k < t <= t_{k+1}, and at e =
+    t - t_k in its sub-cell j = min(floor(e / h), q - 1) of width h =
+    (t_{k+1} - t_k) / q, as cell_integral forms it: a node ends its left
+    cell, and an interior sub-cell end begins the later sub-cell.  The value
+    is _in_cells' at e.  No selection is evaluated.
 
     t is a time or a 1-d array of times; an array gives one row per time.
     Raises OutOfRange outside [0, T] and, on a partial trajectory, past the
     last computed node.
     """
     grid = traj.grid
-    ts, single = _times(t)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError(f"expected a time or a 1-d array of times, got shape {ts.shape}")
+    single = ts.ndim == 0
+    ts = ts.reshape(-1)
     inside = ts != 0.0
     out = np.empty((ts.size, traj.nodes.shape[1]))
     out[~inside] = traj.nodes[0]
     t_in = ts[inside]
-    cells = _computed_cells(traj, t_in, _left_cells(grid, t_in))
+    cells = grid.cell_index(t_in)
+    cells = cells - ((grid.node(cells) == t_in) & (cells > 0))
+    past = cells >= traj.steps_taken
+    if past.any():
+        raise OutOfRange(f"t={t_in[past][0]} is past the last computed node "
+                         f"t={grid.node(traj.steps_taken)}")
     elapsed = t_in - grid.node(cells)
-    out[inside] = _in_cells(traj, cells, elapsed, *_sub_cells(traj, cells, elapsed))
-    return out[0] if single else out
-
-
-def velocity(traj: Trajectory, t) -> Array:
-    """d/dt of the interpolant, moves_k / mu + values[k, j] on sub-cell j of cell k.
-
-    Defined in cell interiors only; at an interior sub-cell end it is the
-    right-hand value, that of the later sub-cell (see _sub_cells).  No
-    selection is evaluated.  t is a time or a 1-d array of times; an array
-    gives one row per time.  Raises OutOfRange at a grid node, where the
-    derivative jumps, outside (0, T) and, on a partial trajectory, past the
-    last computed node.
-    """
-    grid = traj.grid
-    ts, single = _times(t)
-    cells = grid.cell_index(ts)
-    bad = (ts == grid.horizon) | (grid.node(cells) == ts)
-    if bad.any():
-        raise OutOfRange(f"t={ts[bad][0]} is a grid node or outside (0, {grid.horizon})")
-    cells = _computed_cells(traj, ts, cells)
-    j, _ = _sub_cells(traj, cells, ts - grid.node(cells))
-    out = _moves(traj)[cells] / grid.mu + traj.values[cells, j]
+    q = traj.values.shape[1]
+    h = (grid.node(cells + 1) - grid.node(cells)) / q
+    j = np.minimum(elapsed // h, q - 1).astype(int)
+    out[inside] = _in_cells(traj, cells, elapsed, j, h)
     return out[0] if single else out
 
 
@@ -401,11 +357,11 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     Report-only: returns a verdict per bound with the worst value and the
     refuted cells.  A projection z with certificate eps_hat brackets the
     distance d between sqrt(max(||x - z||^2 - eps_hat, 0)) and ||x - z||;
-    a_i and b read d off the steps' brackets, and every other value is
-    exact.  A check is refuted when a lower end exceeds the bound, certified
-    when it has values and every upper end is within it, inconclusive
-    otherwise, and passes unless refuted.  A partial trajectory is read up
-    to its last computed node and never passes.
+    a_i reads d off the steps' brackets, b its lower ends, and every other
+    value is exact.  A check is refuted when a lower end exceeds the bound,
+    certified when it has values and every upper end is within it,
+    inconclusive otherwise, and passes unless refuted.  A partial trajectory
+    is read up to its last computed node and never passes.
 
     Every supremum over [0, T] is read exactly from the stored run: no
     projection, no set and no selection is evaluated.  On cell k, x_n is
@@ -416,11 +372,12 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
 
     b rests on every C(t) being convex, as every set kind is.  On cell k the
     set is C(t_{k+1}), whose distance d is convex and 0 at x_{k+1}, so its
-    supremum is max_j d(b_{k,j}).  The step projected p_k = x_k + I_k onto
-    that set with the bracket [l_k, pd_k], and d is 1-Lipschitz, so
-    d(b_{k,j}) lies between l_k - ||b_{k,j} - p_k|| and pd_k + ||b_{k,j} -
-    p_k||.  With F = 0, b_{k,0} = p_k and b is the steps' own brackets.  A
-    set that is not convex must not reuse this argument.
+    supremum is max_j d(b_{k,j}).  x_{k+1} lies in that set, so a_v's
+    ||b_{k,j} - x_{k+1}|| is an upper end of d(b_{k,j}).  The step projected
+    p_k = x_k + I_k onto it with the bracket [l_k, pd_k], and d is
+    1-Lipschitz, so l_k - ||b_{k,j} - p_k|| is a lower end.  With F = 0,
+    b_{k,0} = p_k and b is the steps' own brackets.  A set that is not
+    convex must not reuse this argument.
     """
     grid = traj.grid
     mu = grid.mu
@@ -480,13 +437,13 @@ def theorem1_audit(traj: Trajectory, problem: SweepingProblem) -> dict:
     record("a_iv_node_increment", inc, const["K3"] * mu + sq_eps, cells=True)
 
     # (a)(v): deviation from the right node inside cells
-    record("a_v_cell_deviation", row_norms(breaks - traj.nodes[k + 1]),
-           const["K4"] * mu + 2.0 * sq_eps)
+    dev = row_norms(breaks - traj.nodes[k + 1])
+    record("a_v_cell_deviation", dev, const["K4"] * mu + 2.0 * sq_eps)
 
     # (b) at m = n: distance of the interpolant to C(theta_n(t)) = C(t_{k+1}) on cell k,
-    # the step's bracket at its predictor p_k widened by ||b_{k,j} - p_k||
+    # at most dev, and at least the lower end at the predictor p_k less ||b_{k,j} - p_k||
     off = row_norms(breaks - (traj.nodes[:-1] + traj.integrals)[k])
-    record("b_set_distance", dist[k] + off, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
+    record("b_set_distance", dev, const["K5"] * mu + lc * mu + 2.0 * sq_eps,
            lower=lower_ends(dist, certs)[k] - off)
 
     # (c): velocity bound on every sub-cell, where it takes each stored value
@@ -549,7 +506,7 @@ def audit_to_json(audit: dict) -> str:
     return json.dumps(audit, indent=2, sort_keys=True) + "\n"
 
 
-def trajectory_to_json(traj: Trajectory, audit: dict | str | None = None) -> str:
+def trajectory_to_json(traj: Trajectory, audit: str | None = None) -> str:
     """The run, and its audit if given, as one JSON document.
 
     The bytes are exactly those of json.dumps(payload, indent=2,
@@ -557,14 +514,12 @@ def trajectory_to_json(traj: Trajectory, audit: dict | str | None = None) -> str
     nodes, vars() of each diagnostic and audit.  json.dumps with indent runs
     a pure-Python generator over every float, so the nodes and the
     diagnostics, which hold nearly all of them, go through json's C encoder
-    instead (_json_rows).  The audit may be given already encoded, as
+    instead (_json_rows).  The audit comes already encoded, as
     audit_to_json's string, so that a caller writing audit.json too encodes
     it once.
     """
     # json escapes every newline inside a string, so each raw newline of the
     # audit's own encoding is indentation, one level shallower than here
-    if isinstance(audit, dict):
-        audit = audit_to_json(audit)
     fields = [] if audit is None else ['"audit": ' + audit[:-1].replace("\n", "\n  ")]
     fields += [
         '"complete": ' + json.dumps(traj.complete),

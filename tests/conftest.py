@@ -14,14 +14,15 @@ with warnings.catch_warnings(), contextlib.suppress(ImportError):
 
 from catchup import oracles
 from catchup.geometry import Ball, MovingSet
-from catchup.perturbation import constant_set_perturbation, zero_perturbation
+from catchup.perturbation import Perturbation, zero_perturbation
 from catchup.solver import SweepingProblem
 
 
 @pytest.fixture
 def drift_in_fixed_ball():
     """Fixed Ball(0, 10) with the set-valued F = Ball((3, 0), 1), from x0 = 0."""
-    drift = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+    drift = Perturbation(values=lambda t, x: Ball([3.0, 0.0], 1.0), h=lambda x: 2.0,
+                         lipschitz_h=0.0, time_independent=True)
     return SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), drift, [0.0, 0.0], 1.0)
 
 

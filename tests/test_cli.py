@@ -252,6 +252,17 @@ class TestRateCommand:
         assert (a / "rate.csv").read_bytes() == (b / "rate.csv").read_bytes()
         assert (a / "rate.json").read_bytes() == (b / "rate.json").read_bytes()
 
+    def test_failed_step_exits_solve(self, tmp_path, capsys):
+        # eps_n = mu**12 is below what Frank-Wolfe certifies at step 12 of n = 16
+        cfg = write(tmp_path / "r.cfg",
+                    "problem = translating_disk\nladder = 16,32\nschedule.p = 12\n")
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_SOLVE
+        err = capsys.readouterr().err
+        assert err.startswith("rate aborted: step 12") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (out / "rate.csv").exists() and not (out / "rate.json").exists()
+
     def test_bad_ladder_is_config_error(self, tmp_path):
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 8,oops\n")

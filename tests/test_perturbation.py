@@ -11,7 +11,6 @@ from catchup.perturbation import (
     Perturbation,
     Selection,
     cell_integral,
-    constant_set_perturbation,
     linear_decay_perturbation,
     make_selection,
     min_norm_selection,
@@ -33,28 +32,29 @@ class TestMinNormSelection:
         assert np.allclose(min_norm_selection(p, 0.5, x), -x)
 
     def test_interval_picks_near_end(self):
-        p = constant_set_perturbation(Box([2.0], [3.0]), h_bound=2.0)
+        p = Perturbation(values=lambda t, x: Box([2.0], [3.0]), h=lambda x: 2.0,
+                         lipschitz_h=0.0, time_independent=True)
         v = min_norm_selection(p, 0.0, [0.0])
         assert v[0] == pytest.approx(2.0, abs=1e-6)
 
-    def test_offset_ball_picks_near_point(self):
-        p = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+    def test_offset_ball_picks_near_point(self, drift_in_fixed_ball):
+        p = drift_in_fixed_ball.perturbation  # F = Ball((3, 0), 1)
         v = min_norm_selection(p, 0.0, [0.0, 0.0])
         assert np.linalg.norm(v - [2.0, 0.0]) <= 1e-6
 
-    def test_norm_within_gamma_of_minimum(self):
+    def test_norm_within_gamma_of_minimum(self, drift_in_fixed_ball):
         # min norm over Ball((3,0),1) is 2; selection norm^2 < 4 + gamma
         gamma = 1e-6
-        p = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+        p = drift_in_fixed_ball.perturbation
         v = min_norm_selection(p, 0.0, [0.0, 0.0], projector=ProjectorConfig(eps=gamma))
         assert float(np.dot(v, v)) <= 4.0 + gamma
 
-    def test_unconverged_projection_raises(self, monkeypatch):
+    def test_unconverged_projection_raises(self, monkeypatch, drift_in_fixed_ball):
         def unconverged(s, x, cfg=None):
             return ProjectionResult(np.asarray(x, float), 1.0, 7, converged=False)
 
         monkeypatch.setattr("catchup.perturbation.approx_project", unconverged)
-        p = constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)
+        p = drift_in_fixed_ball.perturbation
         with pytest.raises(ProjectionFailed):
             min_norm_selection(p, 0.0, [0.0, 0.0])
 
@@ -127,7 +127,8 @@ class TestWrongDimensionField:
                             [0.0, 0.0], 1.0)
 
     def test_construction_rejects_set_value_of_other_dimension(self):
-        three_d = constant_set_perturbation(Ball([1.0, 0.0, 0.0], 0.5), h_bound=1.5)
+        three_d = Perturbation(values=lambda t, x: Ball([1.0, 0.0, 0.0], 0.5),
+                               h=lambda x: 1.5, lipschitz_h=0.0, time_independent=True)
         with pytest.raises(ValueError, match="dimension"):
             SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 10.0)), three_d, [0.0, 0.0], 1.0)
 
@@ -144,12 +145,12 @@ class TestWrongDimensionField:
 
 
 class TestCatalog:
-    def test_growth_bound_holds_for_selections(self):
+    def test_growth_bound_holds_for_selections(self, drift_in_fixed_ball):
         # ||f(t, x)|| <= h(x) + sqrt(gamma) for near-minimal selections
         gamma = 1e-8
         rng = np.random.default_rng(2)
         for p in (zero_perturbation(), linear_decay_perturbation(),
-                  constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0)):
+                  drift_in_fixed_ball.perturbation):
             sel = make_selection(p, gamma)
             for _ in range(10):
                 x = rng.uniform(-2, 2, size=2)
@@ -213,7 +214,7 @@ class TestSingleValued:
         assert isinstance(s, Box)
         assert np.array_equal(s.lo, v) and np.array_equal(s.hi, v)
 
-    def test_set_valued_selection_builds_one_projector(self, monkeypatch):
+    def test_set_valued_selection_builds_one_projector(self, monkeypatch, drift_in_fixed_ball):
         built = []
 
         def counting(**kwargs):
@@ -221,12 +222,14 @@ class TestSingleValued:
             return ProjectorConfig(**kwargs)
 
         monkeypatch.setattr("catchup.perturbation.ProjectorConfig", counting)
-        sel = make_selection(constant_set_perturbation(Ball([3.0, 0.0], 1.0), h_bound=2.0), 1e-6)
+        sel = make_selection(drift_in_fixed_ball.perturbation, 1e-6)
         for t in (0.0, 0.25, 0.5):
             sel.f(t, np.zeros(2))
         assert built == [{"eps": 1e-6}]
 
     def test_make_selection_rejects_nonpositive_gamma(self):
-        for p in (zero_perturbation(), constant_set_perturbation(Box([1.0], [2.0]), 1.0)):
+        box = Perturbation(values=lambda t, x: Box([1.0], [2.0]), h=lambda x: 1.0,
+                           lipschitz_h=0.0, time_independent=True)
+        for p in (zero_perturbation(), box):
             with pytest.raises(ValueError, match="gamma"):
                 make_selection(p, gamma=0.0)

@@ -20,12 +20,12 @@ from catchup.solver import (
     StepDiagnostics,
     SweepingProblem,
     audit_constants,
+    audit_to_json,
     interpolate,
     solve,
     theorem1_audit,
     trajectory_to_csv,
     trajectory_to_json,
-    velocity,
 )
 
 
@@ -316,37 +316,12 @@ class TestInterpolant:
             expect = 0.5 * (traj.nodes[k] + traj.nodes[k + 1])
             assert np.linalg.norm(interpolate(traj, mid) - expect) <= 1e-12
 
-    def test_velocity_constant_drag(self):
-        traj = solve(make_problem("dragging_interval"), 16)
-        # the floats next to node 4 lie in cell interiors
-        for t in (0.13, 0.5 + 1e-3, 0.87, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0)):
-            assert np.allclose(velocity(traj, t), [1.0])
-
-    def test_velocity_zero_when_static(self):
-        ms = MovingSet(at=lambda t: Ball([0.0, 0.0], 1.0), lipschitz=0.0)
-        prob = SweepingProblem(ms, zero_perturbation(), [0.5, 0.0], 1.0)
-        traj = solve(prob, 8)
-        assert np.allclose(velocity(traj, 0.4), [0.0, 0.0])
-
-    def test_velocity_needs_side_at_nodes(self):
-        traj = solve(make_problem("dragging_interval"), 4)
-        for t in (0.0, 0.25, 1.0):
-            with pytest.raises(OutOfRange):
-                velocity(traj, t)
-
 
 def _fw_partial():
     """translating_disk by Frank-Wolfe capped at one iteration: a partial run with 1 step."""
     with pytest.raises(ProjectionFailed) as exc:
         solve(make_problem("translating_disk"), 16, method="fw", max_iter=1)
     return exc.value.partial
-
-
-def _cell_interiors(traj):
-    """Three interior times in each computed cell, as the audit samples them."""
-    g = traj.grid
-    return (g.node(np.arange(traj.steps_taken))[:, None]
-            + np.array([0.25, 0.5, 0.75]) * g.mu).reshape(-1)
 
 
 class TestArraySampling:
@@ -368,17 +343,10 @@ class TestArraySampling:
         stacked = np.array([interpolate(traj, float(t)) for t in ts])
         assert np.array_equal(interpolate(traj, ts), stacked)
 
-    def test_velocity_array_equals_stacked_scalars(self, traj):
-        ts = _cell_interiors(traj)
-        stacked = np.array([velocity(traj, float(t)) for t in ts])
-        assert np.array_equal(velocity(traj, ts), stacked)
-
     def test_one_bad_time_fails_the_array(self):
         traj = solve(make_problem("interior_ode"), 4)
         with pytest.raises(OutOfRange, match="outside"):
             interpolate(traj, np.array([0.1, 0.5, 1.2]))
-        with pytest.raises(OutOfRange, match="grid node"):
-            velocity(traj, np.array([0.1, 0.25, 0.6]))
 
     def test_interpolate_past_partial_end_is_out_of_range(self):
         partial = _fw_partial()
@@ -386,13 +354,6 @@ class TestArraySampling:
         for t in (0.53, np.array([0.03, 0.53])):
             with pytest.raises(OutOfRange, match="last computed node"):
                 interpolate(partial, t)
-
-    def test_velocity_past_partial_end_is_out_of_range(self):
-        partial = _fw_partial()
-        velocity(partial, 0.03)
-        for t in (0.53, np.array([0.03, 0.53])):
-            with pytest.raises(OutOfRange, match="last computed node"):
-                velocity(partial, t)
 
     @pytest.mark.parametrize("time_independent", [True, False])
     def test_audit_and_sup_error_evaluate_no_selection(self, drift_in_fixed_ball, monkeypatch,
@@ -431,28 +392,13 @@ def _sub_cell_midpoints(traj):
 
 
 class TestStoredValues:
-    """The interpolant and the velocity of a time-dependent run, from the values each step summed."""
+    """The interpolant and the audit's c of a time-dependent run, from the values each step summed."""
 
     def test_nodes_are_interpolated_at_four_quadrature_nodes(self):
         traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 32)
         assert traj.values.shape == (32, 4, 2)
         interp = interpolate(traj, traj.grid.node(np.arange(33)))
         assert np.abs(interp - traj.nodes).max() <= 1e-12
-
-    def test_velocity_at_sub_cell_midpoints_is_the_stored_value(self):
-        traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 16)
-        moves = traj.nodes[1:] - traj.nodes[:-1] - traj.integrals
-        for k, row in enumerate(_sub_cell_midpoints(traj)):
-            for j, t in enumerate(row):
-                expect = moves[k] / traj.grid.mu + traj.values[k, j]
-                assert np.array_equal(velocity(traj, t), expect), (k, j)
-
-    def test_velocity_at_a_sub_cell_end_is_the_later_value(self):
-        # one cell of width 1: the sub-cells end at 0.25, 0.5 and 0.75, exactly
-        traj = solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 1)
-        move = (traj.nodes[1] - traj.nodes[0] - traj.integrals[0]) / traj.grid.mu
-        for j, t in ((1, 0.25), (2, 0.5), (3, 0.75)):
-            assert np.array_equal(velocity(traj, t), move + traj.values[0, j])
 
     def test_audit_c_is_the_largest_stored_velocity(self):
         problem = _linear_drift([1.0, -2.0], [3.0, 0.5])
@@ -485,7 +431,8 @@ class TestExactAudit:
     def test_sups_inside_a_cell(self):
         # F = (1 - t, 0) pins x at (1, 0) on the unit circle, so every node is (1, 0);
         # inside cell k the interpolant bulges out by (t - t_k)(t_{k+1} - t) / 2,
-        # mu^2 / 8 at the cell's midpoint, which is the breakpoint j = 2 of q = 4
+        # mu^2 / 8 at the cell's midpoint, which is the breakpoint j = 2 of q = 4,
+        # and that bulge is also its distance to the circle's disk
         field = Perturbation.single_valued(lambda t, x: np.array([1.0 - t, 0.0]),
                                            lambda x: 1.0, 0.0)
         prob = SweepingProblem(MovingSet.fixed(Ball([0.0, 0.0], 1.0)), field, [1.0, 0.0], 1.0)
@@ -494,6 +441,7 @@ class TestExactAudit:
         checks = {c["name"]: c["max_lhs"] for c in theorem1_audit(traj, prob)["checks"]}
         assert checks["a_iii_sup_norm"] == 1.0 + 0.25**2 / 8.0
         assert checks["a_v_cell_deviation"] == 0.25**2 / 8.0
+        assert checks["b_set_distance"] == 0.25**2 / 8.0
         assert checks["a_iv_node_increment"] == 0.0
 
     @given(v=st.tuples(*[st.floats(-20.0, 20.0)] * 2), a=st.tuples(*[st.floats(-2.0, 2.0)] * 2),
@@ -801,7 +749,8 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     def test_matches_stdlib_encoder(self, case):
         traj, audit = case
-        assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
+        report = None if audit is None else audit_to_json(audit)
+        assert trajectory_to_json(traj, report) == _json_reference(traj, audit)
 
     def test_int_in_a_float_field_raises(self):
         # a Python int is written as json writes it (see _trajectories); a
@@ -825,4 +774,4 @@ class TestJsonWriter:
         traj = run(prob)
         audit = theorem1_audit(traj, prob)
         assert trajectory_to_json(traj) == _json_reference(traj)
-        assert trajectory_to_json(traj, audit) == _json_reference(traj, audit)
+        assert trajectory_to_json(traj, audit_to_json(audit)) == _json_reference(traj, audit)
