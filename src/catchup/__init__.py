@@ -30,10 +30,8 @@ from .oracles import (
 )
 from .perturbation import (
     Perturbation,
-    Selection,
     cell_integral,
     linear_decay_perturbation,
-    make_selection,
     min_norm_selection,
     zero_perturbation,
 )

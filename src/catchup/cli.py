@@ -229,20 +229,27 @@ def _solve_from_config(cfg: dict, permissive: bool):
     return problem, traj
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
+def _out(args) -> Path:
+    """The --out directory, created when a command first writes a file there."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def cmd_solve(args) -> int:
+    cfg = _load(args)
     try:
         problem, traj = _solve_from_config(cfg, args.permissive)
     except ProjectionFailed as exc:
         if exc.partial is not None:
+            out = _out(args)
             (out / "trajectory.csv").write_text(trajectory_to_csv(exc.partial))
             (out / "trajectory.json").write_text(trajectory_to_json(exc.partial))
         print(f"solve aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
     audit = theorem1_audit(traj, problem)
     report = audit_to_json(audit)
+    out = _out(args)
     (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
     (out / "trajectory.json").write_text(trajectory_to_json(traj, report))
     (out / "audit.json").write_text(report)
@@ -251,8 +258,6 @@ def cmd_solve(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         problem, traj = _solve_from_config(cfg, args.permissive)
     except ProjectionFailed as exc:
@@ -260,15 +265,13 @@ def cmd_audit(args) -> int:
         return EXIT_SOLVE
     audit = theorem1_audit(traj, problem)
     report = audit_to_json(audit)
-    (out / "audit.json").write_text(report)
+    (_out(args) / "audit.json").write_text(report)
     print(report, end="")
     return EXIT_OK if audit["passed"] else EXIT_SOLVE
 
 
 def cmd_rate(args) -> int:
     cfg = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if "ladder" not in cfg:
         raise ConfigError("missing key 'ladder'")
     try:
@@ -286,6 +289,7 @@ def cmd_rate(args) -> int:
     except ProjectionFailed as exc:
         print(f"rate aborted: {exc}", file=sys.stderr)
         return EXIT_SOLVE
+    out = _out(args)
     (out / "rate.csv").write_text(study.to_csv())
     (out / "rate.json").write_text(study.to_json())
     return EXIT_OK if study.passed else EXIT_SOLVE

@@ -226,7 +226,8 @@ def rate_study(
     method: str | None = None,
 ) -> RateStudy:
     """Sup errors against the analytic solution along an n-ladder, and the
-    fitted log-log slope vs mu_n.  method defaults to the problem's own."""
+    fitted log-log slope vs mu_n.  method defaults to the problem's own.  A
+    solve's ProjectionFailed is re-raised as "n = {n}: {message}", partial kept."""
     if any(b <= a for a, b in zip(ladder, ladder[1:])) or len(ladder) < 2:
         raise ValueError("ladder must hold at least two sizes, strictly increasing")
     if schedule is None:
@@ -238,7 +239,10 @@ def rate_study(
     errors, mus, eps = [], [], []
     node_scale = 0.0
     for n in ladder:
-        traj = solve(entry.build(), n, schedule=schedule, method=method)
+        try:
+            traj = solve(entry.build(), n, schedule=schedule, method=method)
+        except ProjectionFailed as exc:
+            raise ProjectionFailed(f"n = {n}: {exc}", partial=exc.partial) from exc
         errors.append(sup_error(traj, entry.solution))
         mus.append(traj.grid.mu)
         eps.append(traj.eps_n)

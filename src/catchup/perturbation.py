@@ -59,23 +59,10 @@ class Perturbation:
 
         return cls(values, h, lipschitz_h, time_independent, field)
 
-
-@dataclass(frozen=True)
-class Selection:
-    f: Callable[[float, Array], Array]
-    time_independent: bool = False
-
     @property
     def quad_nodes(self) -> int:
-        """q, the values cell_integral takes on a cell: one for a time-independent selection."""
+        """q, the values cell_integral takes on a cell: one for a time-independent F."""
         return 1 if self.time_independent else DEFAULT_QUAD_NODES
-
-    def value(self, t: float, x: Array) -> Array:
-        """f(t, x) as a vector; ValueError unless it has the shape of the state x."""
-        v = as_vec(self.f(t, x))
-        if v.shape != x.shape:
-            raise ValueError(f"selection has shape {v.shape}, state has shape {x.shape}")
-        return v
 
 
 def min_norm_selection(
@@ -99,52 +86,45 @@ def min_norm_selection(
     return res.point
 
 
-def make_selection(p: Perturbation, gamma: float = DEFAULT_GAMMA) -> Selection:
-    """The selection of F that the stepper integrates.
-
-    A single-valued F is its own selection: p.field is returned as-is.  A
-    set-valued F selects min_norm_selection with one projector built here;
-    the function is looked up at call time, so a wrapper installed on this
-    module sees every call.
-    """
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    projector = ProjectorConfig(eps=gamma)
-    if p.field is not None:
-        return Selection(f=p.field, time_independent=p.time_independent)
-    return Selection(
-        f=lambda t, x: min_norm_selection(p, t, x, projector=projector),
-        time_independent=p.time_independent,
-    )
+def _value(p: Perturbation, t: float, x: Array, projector: ProjectorConfig) -> Array:
+    """F's selection at (t, x): p.field, or min_norm_selection looked up at call time, so a
+    wrapper installed on this module sees every call.  ValueError unless shaped like x."""
+    f = p.field
+    v = as_vec(f(t, x) if f is not None else min_norm_selection(p, t, x, projector=projector))
+    if v.shape != x.shape:
+        raise ValueError(f"selection has shape {v.shape}, state has shape {x.shape}")
+    return v
 
 
-def cell_integral(sel: Selection, x, a: float, b: float) -> tuple[Array, Array]:
-    """Approximate integral of s -> sel.f(s, x) over [a, b], x frozen, and the (q, d) values summed.
+def cell_integral(p: Perturbation, x, a: float, b: float,
+                  projector: ProjectorConfig) -> tuple[Array, Array]:
+    """Approximate integral of s -> f(s, x) over [a, b], x frozen, and the (q, d) values summed.
 
-    Composite midpoint rule: h = (b - a) / q times the sum of f at a + (j + 0.5) h,
-    q = sel.quad_nodes, exact on integrands linear in time; otherwise the per-cell
-    error is bounded by (b-a)^3 * M2 / (24 q^2) for |d^2 f/dt^2| <= M2.  A selection
-    declared time-independent is evaluated once, at a (q = 1), which makes the
-    integral exact, and its value comes back as a d-vector, not a (1, d) row.  An
-    empty cell evaluates nothing and gives q zero values.
+    f is F's selection, p.field or min_norm_selection at gamma = projector.eps.  Composite
+    midpoint rule: h = (b - a) / q times the sum of f at a + (j + 0.5) h, q = p.quad_nodes,
+    exact on integrands linear in time; otherwise the per-cell error is bounded by
+    (b-a)^3 * M2 / (24 q^2) for |d^2 f/dt^2| <= M2.  A perturbation declared
+    time-independent is evaluated once, at a (q = 1), which makes the integral exact, and
+    its value comes back as a d-vector, not a (1, d) row.  An empty cell evaluates
+    nothing and gives q zero values.
     """
     if a > b:
         raise ValueError("need a <= b")
     x = as_vec(x)
     if a == b:
-        return np.zeros(x.shape[0]), np.zeros((sel.quad_nodes, x.shape[0]))
-    if sel.time_independent:  # tested first: such a run reads no property on its steps
-        v = sel.value(a, x)
+        return np.zeros(x.shape[0]), np.zeros((p.quad_nodes, x.shape[0]))
+    if p.time_independent:  # tested first: such a run reads no property on its steps
+        v = _value(p, a, x, projector)
         return (b - a) * v, v
-    q = sel.quad_nodes
+    q = p.quad_nodes
     h = (b - a) / q
-    values = np.array([sel.value(a + (j + 0.5) * h, x) for j in range(q)])
+    values = np.array([_value(p, a + (j + 0.5) * h, x, projector) for j in range(q)])
     return h * sum(values, np.zeros(x.shape[0])), values
 
 
 # ---------------------------------------------------------------------------
 # built-in catalog: the fields take the state as given (a node or x0, checked
-# on entry), and Selection.value checks what they return
+# on entry), and cell_integral checks what they return
 
 
 def zero_perturbation() -> Perturbation:

@@ -19,13 +19,7 @@ from .geometry import (
     Array, MovingSet, SetDescription, UnsupportedKind, as_vec, norm, residual, row_norms,
 )
 from .oracles import ProjectionFailed, ProjectorConfig, approx_project
-from .perturbation import (
-    DEFAULT_GAMMA,
-    Perturbation,
-    Selection,
-    cell_integral,
-    make_selection,
-)
+from .perturbation import DEFAULT_GAMMA, Perturbation, cell_integral
 
 
 class OutOfRange(ValueError):
@@ -185,17 +179,17 @@ def step(
     grid: Grid,
     k: int,
     x_k: Array,
-    selection: Selection,
+    gamma: ProjectorConfig,
     projector: ProjectorConfig,
 ) -> tuple[Array, StepDiagnostics, Array, Array]:
     """One catching-up update: integrate the frozen selection, then project.
 
-    The projector's eps is the grid's certificate budget eps_n.  Returns the
-    next node, the step's diagnostics and cell_integral's integral and values.
-    Raises ProjectionFailed when ||predictor - point|| is not finite.
+    gamma's eps is the selection's budget, the projector's the certificate budget
+    eps_n.  Returns the next node, the step's diagnostics and cell_integral's
+    integral and values.  Raises ProjectionFailed when ||predictor - point|| is not finite.
     """
     t_k, t_k1 = grid.node(k), grid.node(k + 1)
-    integral, values = cell_integral(selection, x_k, t_k, t_k1)
+    integral, values = cell_integral(problem.perturbation, x_k, t_k, t_k1, gamma)
     predictor = x_k + integral
     target = problem.moving_set.at(t_k1)
     res = approx_project(target, predictor, projector)
@@ -232,12 +226,12 @@ def solve(
         schedule = EpsSchedule()
     grid = Grid(problem.horizon, n)
     eps_n = schedule.eps(grid.mu)
-    selection = make_selection(problem.perturbation, problem.gamma)
+    gamma = ProjectorConfig(eps=problem.gamma)
     d = problem.x0.shape[0]
 
     nodes = np.zeros((n + 1, d))
     integrals = np.zeros((n, d))
-    values = np.zeros((n, selection.quad_nodes, d))
+    values = np.zeros((n, problem.perturbation.quad_nodes, d))
     nodes[0] = problem.x0
     diags: list[StepDiagnostics] = []
     projector = ProjectorConfig(eps=eps_n, max_iter=max_iter, method=method)
@@ -250,7 +244,7 @@ def solve(
     for k in range(n):
         try:
             x_next, diag, integrals[k], values[k] = step(
-                problem, grid, k, nodes[k], selection, projector)
+                problem, grid, k, nodes[k], gamma, projector)
         except ProjectionFailed as exc:
             raise ProjectionFailed(str(exc), partial=partial()) from exc
         nodes[k + 1] = x_next

@@ -253,13 +253,13 @@ class TestRateCommand:
         assert (a / "rate.json").read_bytes() == (b / "rate.json").read_bytes()
 
     def test_failed_step_exits_solve(self, tmp_path, capsys):
-        # eps_n = mu**12 is below what Frank-Wolfe certifies at step 12 of n = 16
+        # eps_n = mu**12 is below what Frank-Wolfe certifies at step 12 of n = 32
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 16,32\nschedule.p = 12\n")
         out = tmp_path / "out"
         assert main(["rate", "--config", cfg, "--out", str(out)]) == EXIT_SOLVE
         err = capsys.readouterr().err
-        assert err.startswith("rate aborted: step 12") and err.count("\n") == 1
+        assert err.startswith("rate aborted: n = 32: step 12: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (out / "rate.csv").exists() and not (out / "rate.json").exists()
 
@@ -267,6 +267,22 @@ class TestRateCommand:
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 8,oops\n")
         assert main(["rate", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+class TestOutDirectory:
+    """--out is created when a command writes a file there, and only then."""
+
+    @pytest.mark.parametrize("command, text, code", [
+        ("rate", "problem = translating_disk\nladder = 16,x\n", EXIT_CONFIG),
+        ("rate", "problem = translating_disk\nladder = 16,32\nschedule.p = 12\n", EXIT_SOLVE),
+        ("audit", "problem = translating_disk\nn = 32\nschedule.p = 12\n", EXIT_SOLVE),
+        ("solve", "problem = interior_ode\nn = 8\noracle.method = bogus\n", EXIT_CONFIG),
+    ], ids=["rate_config_error", "rate_abort", "audit_abort", "solve_config_error"])
+    def test_not_created_when_nothing_is_written(self, tmp_path, capsys, command, text, code):
+        cfg = write(tmp_path / "c.cfg", text)
+        out = tmp_path / "a" / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        assert not (tmp_path / "a").exists()
 
 
 def assert_config_error(argv, capsys):
@@ -460,11 +476,11 @@ class TestNonFiniteValues:
         err = assert_config_error([command, "--config", cfg, "--out", str(tmp_path / "o")],
                                   capsys)
         assert message in err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     def test_rate_rejects_infinite_coefficient(self, tmp_path, capsys):
         cfg = write(tmp_path / "r.cfg",
                     "problem = translating_disk\nladder = 16,32\nschedule.c = inf\n")
         err = assert_config_error(["rate", "--config", cfg, "--out", str(tmp_path / "o")], capsys)
         assert "schedule coefficient must be positive and finite" in err
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,17 +9,22 @@ from hypothesis import strategies as st
 from catchup.geometry import Ball, Box, MovingSet
 from catchup.oracles import ProjectionFailed, ProjectionResult, ProjectorConfig
 from catchup.perturbation import (
+    DEFAULT_QUAD_NODES,
     Perturbation,
-    Selection,
     cell_integral,
     linear_decay_perturbation,
-    make_selection,
     min_norm_selection,
     zero_perturbation,
 )
 from catchup.solver import SweepingProblem, solve
 
 SINGLE_VALUED = (zero_perturbation, linear_decay_perturbation)
+GAMMA = ProjectorConfig(eps=1e-8)
+
+
+def _field(f, time_independent=False) -> Perturbation:
+    """F(t, x) = {f(t, x)}, whose growth data cell_integral does not read."""
+    return Perturbation.single_valued(f, lambda x: 0.0, 0.0, time_independent)
 
 
 class TestMinNormSelection:
@@ -67,51 +73,52 @@ class TestCellIntegral:
             calls.append(t)
             return np.array([2.0])
 
-        sel = Selection(f=f, time_independent=True)
-        v, values = cell_integral(sel, [0.0], 0.0, 0.5)
+        v, values = cell_integral(_field(f, time_independent=True), [0.0], 0.0, 0.5, GAMMA)
         assert np.allclose(v, [1.0])
         assert calls == [0.0]
         assert np.array_equal(values, [2.0])
 
     def test_hands_back_the_values_it_summed(self):
         # f at the midpoints 1/8, 3/8, 5/8, 7/8 of the four sub-cells, summed in order
-        sel = Selection(f=lambda t, x: np.array([t, 1.0 - t]) + x)
+        p = _field(lambda t, x: np.array([t, 1.0 - t]) + x)
         x = np.array([0.1, -0.3])
-        v, values = cell_integral(sel, x, 0.0, 1.0)
+        v, values = cell_integral(p, x, 0.0, 1.0, GAMMA)
         mids = np.array([0.125, 0.375, 0.625, 0.875])
         assert np.array_equal(values, np.stack([mids, 1.0 - mids], axis=1) + x)
         assert np.array_equal(v, 0.25 * (((values[0] + values[1]) + values[2]) + values[3]))
 
     def test_exact_on_linear_integrands(self):
-        sel = Selection(f=lambda t, x: np.array([3.0 * t + 1.0]))
-        v, _ = cell_integral(sel, [0.0], 0.0, 2.0)
+        v, _ = cell_integral(_field(lambda t, x: np.array([3.0 * t + 1.0])), [0.0], 0.0, 2.0, GAMMA)
         assert v[0] == pytest.approx(8.0, abs=1e-12)  # int_0^2 (3t+1) dt
 
     def test_quadratic_frozen_value(self):
         # composite midpoint with the default q=4 on t^2 over [0,1]:
         # (1/4) * sum ((2j+1)/8)^2 = 0.328125 exactly
-        sel = Selection(f=lambda t, x: np.array([t * t]))
-        v, _ = cell_integral(sel, [0.0], 0.0, 1.0)
+        v, _ = cell_integral(_field(lambda t, x: np.array([t * t])), [0.0], 0.0, 1.0, GAMMA)
         assert v[0] == 0.328125
         # error against 1/3 obeys the (b-a)^3 M2 / (24 q^2) bound with M2 = 2
         assert abs(v[0] - 1.0 / 3.0) <= 2.0 / (24.0 * 16.0)
 
     def test_empty_cell(self):
-        sel = Selection(f=lambda t, x: np.array([1.0]))
-        v, values = cell_integral(sel, [0.0], 0.3, 0.3)
+        v, values = cell_integral(_field(lambda t, x: np.array([1.0])), [0.0], 0.3, 0.3, GAMMA)
         assert np.array_equal(v, [0.0])
         assert np.array_equal(values, np.zeros((4, 1)))
 
     def test_rejects_reversed_interval(self):
-        sel = Selection(f=lambda t, x: np.array([1.0]))
         with pytest.raises(ValueError):
-            cell_integral(sel, [0.0], 1.0, 0.0)
+            cell_integral(_field(lambda t, x: np.array([1.0])), [0.0], 1.0, 0.0, GAMMA)
 
     @pytest.mark.parametrize("time_independent", [True, False])
     def test_rejects_selection_of_wrong_dimension(self, time_independent):
-        sel = Selection(f=lambda t, x: np.array([1.0]), time_independent=time_independent)
+        p = _field(lambda t, x: np.array([1.0]), time_independent)
         with pytest.raises(ValueError, match="shape"):
-            cell_integral(sel, [0.0, 0.0], 0.0, 0.5)
+            cell_integral(p, [0.0, 0.0], 0.0, 0.5, GAMMA)
+
+    @pytest.mark.parametrize("time_independent, q", [(True, 1), (False, DEFAULT_QUAD_NODES)])
+    def test_quad_nodes_follow_the_perturbation(self, time_independent, q):
+        p = _field(lambda t, x: np.array([1.0]), time_independent)
+        assert p.quad_nodes == q
+        assert cell_integral(p, [0.0], 0.0, 0.0, GAMMA)[1].shape == (q, 1)
 
 
 class TestWrongDimensionField:
@@ -151,10 +158,9 @@ class TestCatalog:
         rng = np.random.default_rng(2)
         for p in (zero_perturbation(), linear_decay_perturbation(),
                   drift_in_fixed_ball.perturbation):
-            sel = make_selection(p, gamma)
             for _ in range(10):
                 x = rng.uniform(-2, 2, size=2)
-                v = sel.f(0.3, x)
+                _, v = cell_integral(p, x, 0.3, 0.4, ProjectorConfig(eps=gamma))
                 assert np.linalg.norm(v) <= p.h(x) + math.sqrt(gamma) + 1e-12
 
     def test_zero_perturbation_metadata(self):
@@ -189,10 +195,9 @@ class TestSingleValued:
             raise AssertionError("a single-valued selection called approx_project")
 
         monkeypatch.setattr("catchup.perturbation.approx_project", no_projection)
-        sel = make_selection(make())
         x = np.array([0.3, -0.7])
-        assert np.array_equal(sel.f(0.2, x), make().field(0.2, x))
-        cell_integral(sel, x, 0.0, 0.5)
+        _, v = cell_integral(make(), x, 0.2, 0.5, GAMMA)
+        assert np.array_equal(v, make().field(0.2, x))
 
     @pytest.mark.parametrize("make", SINGLE_VALUED)
     @example(x=[0.0, -0.0], t=0.0)
@@ -203,7 +208,8 @@ class TestSingleValued:
     def test_field_is_the_min_norm_selection(self, make, x, t):
         p = make()
         x = np.array(x)
-        assert np.array_equal(make_selection(p).f(t, x), min_norm_selection(p, t, x))
+        _, v = cell_integral(p, x, t, t + 1.0, GAMMA)
+        assert np.array_equal(v, min_norm_selection(p, t, x))
 
     @pytest.mark.parametrize("make", SINGLE_VALUED)
     def test_values_is_the_degenerate_box_of_field(self, make):
@@ -215,21 +221,22 @@ class TestSingleValued:
         assert np.array_equal(s.lo, v) and np.array_equal(s.hi, v)
 
     def test_set_valued_selection_builds_one_projector(self, monkeypatch, drift_in_fixed_ball):
-        built = []
+        # solve builds the selection's projector once, from the problem's gamma, and
+        # every selection projects with it
+        built, seen = [], []
 
         def counting(**kwargs):
             built.append(kwargs)
             return ProjectorConfig(**kwargs)
 
-        monkeypatch.setattr("catchup.perturbation.ProjectorConfig", counting)
-        sel = make_selection(drift_in_fixed_ball.perturbation, 1e-6)
-        for t in (0.0, 0.25, 0.5):
-            sel.f(t, np.zeros(2))
-        assert built == [{"eps": 1e-6}]
+        def select(p, t, x, *, projector):
+            seen.append(projector)
+            return min_norm_selection(p, t, x, projector=projector)
 
-    def test_make_selection_rejects_nonpositive_gamma(self):
-        box = Perturbation(values=lambda t, x: Box([1.0], [2.0]), h=lambda x: 1.0,
-                           lipschitz_h=0.0, time_independent=True)
-        for p in (zero_perturbation(), box):
-            with pytest.raises(ValueError, match="gamma"):
-                make_selection(p, gamma=0.0)
+        monkeypatch.setattr("catchup.solver.ProjectorConfig", counting)
+        monkeypatch.setattr("catchup.perturbation.min_norm_selection", select)
+        problem = dataclasses.replace(drift_in_fixed_ball, gamma=1e-6)
+        traj = solve(problem, 8)
+        assert built[0] == {"eps": 1e-6} and len(built) == 2
+        assert built[1]["eps"] == traj.eps_n
+        assert len(seen) == 8 and all(cfg is seen[0] and cfg.eps == 1e-6 for cfg in seen)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from catchup import oracles
+from catchup import cli, geometry, harness, oracles, perturbation, solver
 from catchup.geometry import Ball, MovingSet, Sublevel, affine_fn, ball_fn, norm
 from catchup.harness import make_problem, reference_solution, sup_error
-from catchup.perturbation import Perturbation, Selection, zero_perturbation
+from catchup.perturbation import Perturbation, zero_perturbation
 from catchup.solver import (
     EpsSchedule,
     Grid,
@@ -358,21 +358,52 @@ class TestArraySampling:
     @pytest.mark.parametrize("time_independent", [True, False])
     def test_audit_and_sup_error_evaluate_no_selection(self, drift_in_fixed_ball, monkeypatch,
                                                        time_independent):
-        problem = drift_in_fixed_ball if time_independent else _time_dependent(drift_in_fixed_ball)
+        # a set-valued F counted at min_norm_selection, a single-valued one at its field
         calls = []
-        value = Selection.value
+        select = perturbation.min_norm_selection
 
-        def counted(sel, t, x):
+        def counted(p, t, x, **kwargs):
             calls.append(t)
-            return value(sel, t, x)
+            return select(p, t, x, **kwargs)
 
-        monkeypatch.setattr(Selection, "value", counted)
-        traj = solve(problem, 64)
-        assert len(calls) == traj.values.shape[0] * traj.values.shape[1]
-        calls.clear()
-        theorem1_audit(traj, problem)
-        sup_error(traj, lambda t: np.zeros(2))
-        assert calls == []
+        def field(t, x):
+            calls.append(t)
+            return np.array([1.0, 0.0])
+
+        monkeypatch.setattr(perturbation, "min_norm_selection", counted)
+        set_valued = drift_in_fixed_ball if time_independent else _time_dependent(drift_in_fixed_ball)
+        single = Perturbation.single_valued(field, lambda x: 1.0, 0.0, time_independent)
+        for problem in (set_valued, dataclasses.replace(drift_in_fixed_ball, perturbation=single)):
+            calls.clear()
+            traj = solve(problem, 64)
+            assert len(calls) == traj.values.shape[0] * traj.values.shape[1]
+            calls.clear()
+            theorem1_audit(traj, problem)
+            sup_error(traj, lambda t: np.zeros(2))
+            assert calls == []
+
+    @pytest.mark.parametrize("set_valued", [True, False])
+    def test_a_wrapper_on_min_norm_selection_sees_every_selection(self, drift_in_fixed_ball,
+                                                                  monkeypatch, set_valued):
+        # installed at every module binding of the function, as perfbench's tracer does
+        seen = []
+        select = perturbation.min_norm_selection
+
+        def counted(p, t, x, **kwargs):
+            seen.append(t)
+            return select(p, t, x, **kwargs)
+
+        for module in (geometry, oracles, perturbation, solver, harness, cli):
+            for attr, value in list(vars(module).items()):
+                if value is select:
+                    monkeypatch.setattr(module, attr, counted)
+        if set_valued:
+            traj = solve(_time_dependent(drift_in_fixed_ball), 64)
+            assert len(seen) == 64 * 4
+            assert np.array_equal(np.reshape(seen, (64, 4)), _sub_cell_midpoints(traj))
+        else:
+            solve(_linear_drift([1.0, -2.0], [3.0, 0.5]), 64)
+            assert seen == []
 
 
 def _linear_drift(a, b):
